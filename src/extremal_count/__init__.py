@@ -17,15 +17,15 @@ from .graphs import (DegreeStats, Graph, GraphFormatError, build_blowup,
                      build_gps_example1, build_theorem2_H, build_turan2,
                      complete_bipartite, complete_graph, connected_components,
                      cycle_graph, degree_stats, disjoint_union, is_bipartite,
-                     is_triangle_free, path_graph, read_graph_file,
-                     read_graph_text, star_graph, write_graph_file,
-                     write_graph_text)
+                     is_complete_bipartite, is_triangle_free, path_graph,
+                     read_graph_file, read_graph_text, star_graph,
+                     write_graph_file, write_graph_text)
 from .matchings import (HypothesisVerdict, MatchingReport, NotBipartiteError,
                         check_theorem1_hypothesis, maximum_matching,
                         remove_isolated_vertices)
 from .oracle import (BudgetExceededError, MaximizerReport, canonical_form,
                      enumerate_triangle_free, find_maximizers,
-                     graph_from_canonical_mask, is_complete_bipartite,
-                     is_isomorphic, triangle_free_masks)
+                     graph_from_canonical_mask, is_isomorphic,
+                     triangle_free_masks)
 
 __version__ = "0.1.0"

@@ -16,12 +16,16 @@ of the final point.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from operator import itemgetter, sub
 
 from .embeddings import count_embeddings, embeddings_listing
 from .graphs import Graph, build_blowup, connected_components
+from .oracle import BudgetExceededError
 
 
 @dataclass(frozen=True)
@@ -59,26 +63,99 @@ def weighted_hom_sum(patternH: Graph, patternP: Graph, weights):
     (the sum is homogeneous of degree |V(H)|); used raw by the optimizer's
     float loop and by tests of the homogeneity property.
     """
-    if len(weights) != patternP.n:
-        raise ValueError("one weight per pattern-P vertex required")
-    total = 1
-    _, comps = connected_components(patternH)
-    for comp in comps:
-        total *= _component_sum(patternH, comp, patternP, weights)
-    return total
+    return HomSumPlan(patternH, patternP)(weights)
 
 
-def _component_sum(H: Graph, comp, P: Graph, weights):
-    verts = list(comp)
-    comp_set = set(verts)
-    edges_in = sum(1 for u, v in H.edges() if u in comp_set)
-    if edges_in == len(verts) - 1:
-        return _tree_sum(H, verts, P, weights)
-    return _backtrack_sum(H, verts, P, weights)
+class HomSumPlan:
+    """The weight-independent part of weighted_hom_sum(H, P, .), built once
+    and evaluated at many weight vectors.
+
+    Holds the components of H in vertex order, each either a tree (DFS order
+    with child positions, evaluated by bottom-up DP) or a cyclic component
+    (connectivity-first order with earlier-neighbor positions, evaluated by
+    backtracking).  Evaluation performs the same arithmetic operations in
+    the same order for every weight vector, so float results are
+    reproducible bit for bit.
+    """
+
+    __slots__ = ("k", "p_rows", "p_nbrs", "components")
+
+    def __init__(self, patternH: Graph, patternP: Graph):
+        self.k = patternP.n
+        self.p_rows = patternP.rows
+        self.p_nbrs = tuple(tuple(patternP.neighbors(q)) for q in range(patternP.n))
+        components = []
+        _, comps = connected_components(patternH)
+        for comp in comps:
+            comp_set = set(comp)
+            edges_in = sum(1 for u, v in patternH.edges() if u in comp_set)
+            if edges_in == len(comp) - 1:
+                components.append((True, _tree_children(patternH, comp)))
+            else:
+                components.append((False, _backtrack_parents(patternH, comp)))
+        self.components = tuple(components)
+
+    def __call__(self, weights):
+        if len(weights) != self.k:
+            raise ValueError("one weight per pattern-P vertex required")
+        total = 1
+        for is_tree, structure in self.components:
+            if is_tree:
+                total *= self._tree_sum(structure, weights)
+            else:
+                total *= self._backtrack_sum(structure, weights)
+        return total
+
+    def _tree_sum(self, children, weights):
+        """Bottom-up DP over a tree component: O(|tree| * |P|^2) exact ops."""
+        nbrs = self.p_nbrs
+        qs = range(self.k)
+        table = [None] * len(children)
+        for i in range(len(children) - 1, -1, -1):
+            vals = list(weights)
+            for c in children[i]:
+                fc = table[c]
+                for q in qs:
+                    s = 0
+                    for qq in nbrs[q]:
+                        s += fc[qq]
+                    vals[q] = vals[q] * s
+            table[i] = vals
+        return sum(table[0])
+
+    def _backtrack_sum(self, parents, weights):
+        """Backtracking over a (small, cyclic) component, skipping
+        zero-weight images."""
+        rows = self.p_rows
+        last = len(parents) - 1
+        nonzero = 0
+        for q, w in enumerate(weights):
+            if w != 0:
+                nonzero |= 1 << q
+        sel = [0] * len(parents)
+
+        def rec(i, prod):
+            cand = nonzero
+            for p in parents[i]:
+                cand &= rows[sel[p]]
+            total = 0
+            while cand:
+                bit = cand & -cand
+                q = bit.bit_length() - 1
+                cand ^= bit
+                if i == last:
+                    total += prod * weights[q]
+                else:
+                    sel[i] = q
+                    total += rec(i + 1, prod * weights[q])
+            return total
+
+        return rec(0, 1)
 
 
-def _tree_sum(H: Graph, verts, P: Graph, weights):
-    """Bottom-up DP over a tree component: O(|tree| * |P|^2) exact ops."""
+def _tree_children(H: Graph, verts):
+    """Child positions of each vertex of a tree component in DFS order from
+    its smallest vertex; position 0 is the root."""
     root = verts[0]
     parent = {root: None}
     order = [root]
@@ -90,61 +167,27 @@ def _tree_sum(H: Graph, verts, P: Graph, weights):
                 parent[w] = u
                 order.append(w)
                 stack.append(w)
-    children = {v: [] for v in order}
+    pos = {v: i for i, v in enumerate(order)}
+    children = [[] for _ in order]
     for v in order[1:]:
-        children[parent[v]].append(v)
-    k = P.n
-    table = {}
-    for v in reversed(order):
-        vals = list(weights)
-        for c in children[v]:
-            fc = table.pop(c)
-            for q in range(k):
-                s = 0
-                for qq in P.neighbors(q):
-                    s += fc[qq]
-                vals[q] = vals[q] * s
-        table[v] = vals
-    return sum(table[root])
+        children[pos[parent[v]]].append(pos[v])
+    return tuple(tuple(c) for c in children)
 
 
-def _backtrack_sum(H: Graph, verts, P: Graph, weights):
-    """Backtracking over a (small, cyclic) component in a connectivity-first
-    order, pruning zero-weight branches early."""
+def _backtrack_parents(H: Graph, verts):
+    """Earlier-neighbor positions of each vertex of a component in a
+    connectivity-first order (most placed neighbors, then smallest index)."""
     order = [verts[0]]
     placed = {verts[0]}
-    rest = [v for v in verts[1:]]
+    rest = list(verts[1:])
     while rest:
         rest.sort(key=lambda v: (-len([u for u in H.neighbors(v) if u in placed]), v))
         v = rest.pop(0)
         order.append(v)
         placed.add(v)
     pos = {v: i for i, v in enumerate(order)}
-    parents = [[pos[u] for u in H.neighbors(v) if pos[u] < i]
-               for i, v in enumerate(order)]
-    k = P.n
-    full = (1 << k) - 1
-    sel = [0] * len(order)
-
-    def rec(i, prod):
-        if i == len(order):
-            return prod
-        cand = full
-        for p in parents[i]:
-            cand &= P.rows[sel[p]]
-        total = 0
-        while cand:
-            bit = cand & -cand
-            q = bit.bit_length() - 1
-            cand &= cand - 1
-            w = weights[q]
-            if w == 0:
-                continue
-            sel[i] = q
-            total += rec(i + 1, prod * w)
-        return total
-
-    return rec(0, 1)
+    return tuple(tuple(pos[u] for u in H.neighbors(v) if pos[u] < i)
+                 for i, v in enumerate(order))
 
 
 def enumerate_homomorphisms(patternH: Graph, patternP: Graph,
@@ -188,9 +231,9 @@ def _homomorphism_listing(H: Graph, P: Graph):
 def leading_coefficient(patternH: Graph, wp: WeightedPattern) -> LeadingCoefficient:
     """The degree-m coefficient of count_embeddings(H, blow-up of P) in the
     blow-up size n, as an exact rational."""
-    value = weighted_hom_sum(patternH, wp.pattern, wp.weights)
-    indicator = [1 if w else 0 for w in wp.weights]
-    contributing = weighted_hom_sum(patternH, wp.pattern, indicator)
+    plan = HomSumPlan(patternH, wp.pattern)
+    value = plan(wp.weights)
+    contributing = plan([1 if w else 0 for w in wp.weights])
     return LeadingCoefficient(Fraction(value), int(contributing))
 
 
@@ -258,6 +301,14 @@ def saturation_converges(patternH: Graph, wp: WeightedPattern,
 # weight optimization over the simplex
 # ---------------------------------------------------------------------------
 
+# Largest number of grid compositions C(g + k - 1, k - 1) optimize_weights
+# accepts.  Measured on pure Python: seeding costs 1.3-1.6 us per
+# composition, and a whole run of C4 on a C6 skeleton at grid 50 (3.48e6
+# compositions) about 4 us per composition, so the cap keeps a run near a
+# minute.  k = 8 at grid 50 (2.6e8) is refused before any work.
+GRID_BUDGET = 10 ** 7
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     grid_resolution: int = 50
@@ -272,38 +323,35 @@ def automorphism_maps(g: Graph) -> list[tuple[int, ...]]:
     return [image for image in embeddings_listing(g, g)]
 
 
-def _compositions(total: int, parts: int):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def _grid_seeds(patternP: Graph, resolution: int) -> list[tuple[int, ...]]:
-    """Integer weight compositions, one representative per Aut(P) orbit."""
-    auts = automorphism_maps(patternP)
+    """Integer weight compositions, one representative per Aut(P) orbit.
+
+    Compositions are streamed in ascending lexicographic order as the gaps
+    between non-decreasing cut points (stars and bars); a composition is
+    kept unless some automorphism maps it to a lexicographically smaller
+    tuple, so the kept one is the orbit minimum.
+    """
+    k = patternP.n
+    identity = tuple(range(k))
+    moves = [itemgetter(*a) for a in automorphism_maps(patternP) if a != identity]
+    head, tail = (0,), (resolution,)
     seeds = []
-    for comp in _compositions(resolution, patternP.n):
-        rep = min(tuple(comp[a[i]] for i in range(len(comp))) for a in auts)
-        if comp == rep:
+    for cuts in combinations_with_replacement(range(resolution + 1), k - 1):
+        comp = tuple(map(sub, cuts + tail, head + cuts))
+        for move in moves:
+            if move(comp) < comp:
+                break
+        else:
             seeds.append(comp)
     return seeds
 
 
 def _eval_seed_chunk(args):
-    h_rows, h_n, p_rows, p_n, seeds, resolution = args
-    H = Graph.from_rows(h_rows)
-    P = Graph.from_rows(p_rows)
+    plan, seeds, resolution = args
     best_val, best_seed = -1.0, None
     for seed in seeds:
         weights = [a / resolution for a in seed]
-        val = float(weighted_hom_sum(H, P, weights))
+        val = float(plan(weights))
         if best_seed is None or val > best_val or (val == best_val and seed < best_seed):
             best_val, best_seed = val, seed
     return best_val, best_seed
@@ -317,6 +365,9 @@ def optimize_weights(patternH: Graph, patternP: Graph,
     mass-transfer ascent with a shrinking step; floats inside the loop, one
     exact rational evaluation at the rationalized final point.  Global
     optimality is not claimed.  Returns (WeightedPattern, LeadingCoefficient).
+
+    Raises ValueError on a grid resolution below 1 and BudgetExceededError
+    when the grid has more than GRID_BUDGET compositions, before any work.
     """
     if patternP.n > 8:
         raise ValueError("blow-up patterns are capped at 8 vertices")
@@ -324,17 +375,24 @@ def optimize_weights(patternH: Graph, patternP: Graph,
         raise ValueError("blow-up pattern needs at least one vertex")
     cfg = config or OptimizerConfig()
     g = cfg.grid_resolution
+    if g < 1:
+        raise ValueError(f"grid resolution must be at least 1, got {g}")
+    k = patternP.n
+    points = math.comb(g + k - 1, k - 1)
+    if points > GRID_BUDGET:
+        raise BudgetExceededError(
+            f"grid {g} on a {k}-vertex skeleton has {points} compositions, "
+            f"over the budget of {GRID_BUDGET}; use a coarser grid")
+    plan = HomSumPlan(patternH, patternP)
     seeds = _grid_seeds(patternP, g)
 
     if cfg.workers > 1 and len(seeds) > 64:
         chunks = [seeds[i::cfg.workers] for i in range(cfg.workers)]
-        args = [(patternH.rows, patternH.n, patternP.rows, patternP.n, ch, g)
-                for ch in chunks if ch]
+        args = [(plan, ch, g) for ch in chunks if ch]
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(_eval_seed_chunk, args))
     else:
-        results = [_eval_seed_chunk(
-            (patternH.rows, patternH.n, patternP.rows, patternP.n, seeds, g))]
+        results = [_eval_seed_chunk((plan, seeds, g))]
 
     best_val, best_seed = -1.0, None
     for val, seed in results:
@@ -345,7 +403,6 @@ def optimize_weights(patternH: Graph, patternP: Graph,
     value = best_val
     step = 1.0 / g
     iterations = 0
-    k = patternP.n
     while step >= cfg.tolerance and iterations < cfg.max_iterations:
         iterations += 1
         best_move, best_move_val = None, value
@@ -359,7 +416,7 @@ def optimize_weights(patternH: Graph, patternP: Graph,
                 cand = list(weights)
                 cand[i] -= t
                 cand[j] += t
-                v = float(weighted_hom_sum(patternH, patternP, cand))
+                v = float(plan(cand))
                 if v > best_move_val or (v == best_move_val and best_move is not None
                                          and cand < best_move):
                     best_move_val, best_move = v, cand
@@ -373,7 +430,7 @@ def optimize_weights(patternH: Graph, patternP: Graph,
     best_exact, best_wp = None, None
     for cand in candidates:
         wp = WeightedPattern(patternP, cand)
-        exact = weighted_hom_sum(patternH, patternP, wp.weights)
+        exact = plan(wp.weights)
         if (best_exact is None or exact > best_exact
                 or (exact == best_exact and wp.weights < best_wp.weights)):
             best_exact, best_wp = exact, wp

@@ -11,18 +11,31 @@ positive sides to the w-th power.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .blowup import WeightedPattern, leading_coefficient
-from .graphs import (Graph, build_theorem2_H, complete_bipartite, cycle_graph,
-                     degree_stats, is_triangle_free, path_graph)
-from .oracle import canonical_form
+from .graphs import (Graph, build_theorem2_H, cycle_graph, degree_stats,
+                     is_complete_bipartite, is_triangle_free, path_graph)
 
 
 def frac_str(q: Fraction) -> str:
+    """Exact "p/q" text of a rational.
+
+    Certificates carry rationals with tens of thousands of digits, past
+    CPython's int-to-str digit cap; the cap is lifted for this conversion
+    only and restored afterwards (interpreters before 3.10.7 have no cap).
+    """
     q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}"
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return f"{q.numerator}/{q.denominator}"
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    finally:
+        sys.set_int_max_str_digits(cap)
 
 
 @dataclass(frozen=True)
@@ -79,10 +92,7 @@ def edge_bound_check(g: Graph) -> EdgeBoundReport:
     bound = delta * (g.n - delta)
     edges = stats.edge_count
     equality = edges == bound
-    is_cb = None
-    if equality:
-        is_cb = canonical_form(g) == canonical_form(
-            complete_bipartite(delta, g.n - delta))
+    is_cb = is_complete_bipartite(g) if equality else None
     return EdgeBoundReport(edges, delta, bound, edges <= bound, equality, is_cb)
 
 

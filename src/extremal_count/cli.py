@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import bounds, oracle
 from .blowup import OptimizerConfig, optimize_weights
 from .bounds import frac_str
-from .embeddings import count_automorphisms, count_copies, h_degrees
+from .embeddings import count_automorphisms, copies_from_counts, h_degrees
 from .graphs import (Graph, GraphFormatError, build_blowup, build_gps_example1,
                      build_theorem2_H, build_turan2, complete_bipartite,
                      cycle_graph, path_graph, read_graph_file, star_graph,
@@ -114,6 +114,7 @@ def cmd_count(args):
     pattern = read_graph_file(args.pattern)
     host = read_graph_file(args.host)
     report = h_degrees(pattern, host)
+    automorphisms = count_automorphisms(pattern)
     payload = {
         "command": "count",
         "pattern_file": args.pattern,
@@ -121,8 +122,8 @@ def cmd_count(args):
         "pattern_vertices": pattern.n,
         "host_vertices": host.n,
         "embeddings": report.total,
-        "automorphisms": count_automorphisms(pattern),
-        "copies": count_copies(pattern, host),
+        "automorphisms": automorphisms,
+        "copies": copies_from_counts(report.total, automorphisms),
         "h_degrees": [report.h[v] for v in range(host.n)],
     }
     return payload, 0

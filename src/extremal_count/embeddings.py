@@ -75,8 +75,13 @@ def count_automorphisms(pattern: Graph) -> int:
 def count_copies(pattern: Graph, host: Graph) -> int:
     """Subgraphs of the host isomorphic to the pattern (embeddings divided
     by automorphisms; the division is exact by construction)."""
-    emb = count_embeddings(pattern, host)
-    aut = count_automorphisms(pattern)
+    return copies_from_counts(count_embeddings(pattern, host),
+                              count_automorphisms(pattern))
+
+
+def copies_from_counts(emb: int, aut: int) -> int:
+    """Copy count from an embedding count and the pattern's automorphism
+    count; a remainder means a counting bug and raises RuntimeError."""
     q, r = divmod(emb, aut)
     if r:
         raise RuntimeError(

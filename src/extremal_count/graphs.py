@@ -276,6 +276,17 @@ def is_bipartite(g: Graph):
     return side0, side1
 
 
+def is_complete_bipartite(g: Graph) -> bool:
+    """True iff g is isomorphic to some K_{a, n-a}, edgeless graphs included.
+
+    O(n^2): g must be bipartite with |E| = |A| * |B| for the sides A, B found
+    by is_bipartite.  Every A-B pair is then an edge; an edgeless graph puts
+    every vertex in A.
+    """
+    sides = is_bipartite(g)
+    return sides is not None and g.edge_count() == len(sides[0]) * len(sides[1])
+
+
 def degree_stats(g: Graph) -> DegreeStats:
     if g.n == 0:
         raise ValueError("degree stats of the empty graph are undefined")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import _kernels as kernels
 from .embeddings import count_automorphisms, count_embeddings
-from .graphs import Graph, complete_bipartite, is_bipartite
+from .graphs import Graph, is_bipartite, is_complete_bipartite
 
 ENUMERATION_BUDGET = 8
 _PREFIX_BITS = 10
@@ -97,12 +97,6 @@ class MaximizerReport:
     witnesses: tuple[Graph, ...]
     all_bipartite: bool
     all_complete_bipartite: bool
-
-
-def is_complete_bipartite(g: Graph) -> bool:
-    form = canonical_form(g)
-    return any(form == canonical_form(complete_bipartite(a, g.n - a))
-               for a in range(g.n // 2 + 1))
 
 
 def _count_task(args):

@@ -97,6 +97,19 @@ def perm_canonical_mask(rows, n: int) -> int:
     return best or 0
 
 
+def naive_grid_seeds(patternP: Graph, resolution: int) -> list[tuple[int, ...]]:
+    """Integer compositions of the resolution into |V(P)| parts, in
+    ascending lexicographic order, kept when minimal over the orbit under
+    automorphisms found by trying every permutation of V(P)."""
+    k = patternP.n
+    edges = patternP.edges()
+    auts = [perm for perm in itertools.permutations(range(k))
+            if all(patternP.has_edge(perm[u], perm[v]) for u, v in edges)]
+    return [comp for comp in itertools.product(range(resolution + 1), repeat=k)
+            if sum(comp) == resolution
+            and comp == min(tuple(comp[a[i]] for i in range(k)) for a in auts)]
+
+
 def naive_triangle_free_classes(n: int) -> set[int]:
     """Canonical masks of all triangle-free graphs on n vertices by walking
     every edge mask and deduplicating over the permutation orbit."""

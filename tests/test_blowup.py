@@ -1,5 +1,6 @@
 """Leading coefficients, homomorphism sums, saturation, and the optimizer."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -11,9 +12,11 @@ from extremal_count import (Graph, OptimizerConfig, WeightedPattern,
                             disjoint_union, enumerate_homomorphisms,
                             leading_coefficient, optimize_weights, path_graph,
                             saturation_check, saturation_converges,
-                            weighted_hom_sum)
+                            star_graph, weighted_hom_sum)
+from extremal_count.blowup import GRID_BUDGET, _grid_seeds
+from extremal_count.oracle import BudgetExceededError
 
-from naive import (as_fractions, naive_hom_sum,
+from naive import (as_fractions, naive_grid_seeds, naive_hom_sum,
                    random_bipartite_with_components, random_graph)
 
 K2 = path_graph(2)
@@ -201,6 +204,20 @@ def test_optimize_deterministic_across_workers():
     w1, c1 = optimize_weights(h, p, cfg1)
     w2, c2 = optimize_weights(h, p, cfg2)
     assert w1.weights == w2.weights and c1.value == c2.value
+
+
+def test_grid_seeds_match_naive_orbit_minima():
+    for p in (K2, path_graph(3), cycle_graph(4), star_graph(3), cycle_graph(5)):
+        for grid in range(1, 13):
+            assert _grid_seeds(p, grid) == naive_grid_seeds(p, grid)
+
+
+def test_optimize_grid_budget():
+    # the README-scale six-vertex skeleton at grid 50 fits; eight vertices
+    # at grid 50 (2.6e8 compositions) is refused
+    assert math.comb(50 + 5, 5) <= GRID_BUDGET
+    with pytest.raises(BudgetExceededError):
+        optimize_weights(K2, cycle_graph(8))
 
 
 def test_example1_blowup_beats_balanced_bipartite():

@@ -1,11 +1,16 @@
 """CLI contract: subcommands, formats, exit codes."""
 
 import json
+import re
+import sys
+import time
+from fractions import Fraction
 
 import pytest
 
 from extremal_count import cli, read_graph_file
-from extremal_count.graphs import write_graph_file, cycle_graph, complete_bipartite
+from extremal_count.graphs import (write_graph_file, cycle_graph, complete_bipartite,
+                                   path_graph)
 
 
 @pytest.fixture
@@ -94,6 +99,44 @@ def test_verify_thm2_params_exact_fractions(capsys):
     assert all("/" in check["lhs"] for check in cert["checks"])
 
 
+RELATIONS = {"==": Fraction.__eq__, ">": Fraction.__gt__,
+             ">=": Fraction.__ge__, "<=": Fraction.__le__}
+
+
+def _fraction_strings(node):
+    if isinstance(node, dict):
+        for value in node.values():
+            yield from _fraction_strings(value)
+    elif isinstance(node, list):
+        for value in node:
+            yield from _fraction_strings(value)
+    elif isinstance(node, str) and re.fullmatch(r"-?[0-9]+/[0-9]+", node):
+        yield node
+
+
+@pytest.mark.parametrize("theorem", ["thm2-params", "thm2-e2e"])
+@pytest.mark.parametrize("lam", ["1/2", "1/3", "2/3"])
+def test_verify_thm2_exact_past_digit_cap(theorem, lam, capsys):
+    # these certificates hold rationals of tens of thousands of digits,
+    # past the interpreter's int-to-str cap, which rendering must restore
+    cap = sys.get_int_max_str_digits()
+    code, out = run(["verify", theorem, "--lam", lam], capsys)
+    assert code == 0
+    assert sys.get_int_max_str_digits() == cap
+    payload = json.loads(out)
+    assert payload["all_hold"] is True
+    cert = payload["certificate"]
+    checks = cert["checks"] + cert.get("params", {}).get("checks", [])
+    sys.set_int_max_str_digits(0)
+    try:
+        assert [Fraction(text) for text in _fraction_strings(payload)]
+        for check in checks:
+            lhs, rhs = Fraction(check["lhs"]), Fraction(check["rhs"])
+            assert RELATIONS[check["relation"]](lhs, rhs) == check["holds"]
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
 def test_verify_missing_params_exit_2(capsys):
     assert cli.main(["verify", "thm1-chain", "--x", "5"]) == 2
 
@@ -123,6 +166,31 @@ def test_optimize_k2(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["weights"] == ["1/2", "1/2"]
     assert payload["coefficient"] == "1/8"
+
+
+def test_optimize_c4_c5_golden(c4_file, capsys):
+    code, out = run(["optimize", c4_file, "c5", "--grid", "50"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["weights"] == ["0/1", "0/1", "1/10", "1/2", "2/5"]
+    assert payload["coefficient"] == "1/8"
+    assert payload["hom_count"] == 8
+    assert payload["grid_resolution"] == 50
+
+
+@pytest.mark.parametrize("grid", ["0", "-3"])
+def test_optimize_bad_grid_exit_2(c4_file, grid, capsys):
+    assert cli.main(["optimize", c4_file, "k2", "--grid", grid]) == 2
+    assert "grid resolution" in capsys.readouterr().err
+
+
+def test_optimize_grid_budget_exit_2(tmp_path, c4_file, capsys):
+    c8 = tmp_path / "c8.graph"
+    write_graph_file(cycle_graph(8), c8)
+    start = time.monotonic()
+    assert cli.main(["optimize", c4_file, str(c8), "--grid", "50"]) == 2
+    assert time.monotonic() - start < 1.0
+    assert "budget" in capsys.readouterr().err
 
 
 def test_csv_projection(capsys, c4_file, k22_file):

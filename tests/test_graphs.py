@@ -8,11 +8,12 @@ from extremal_count import (Graph, GraphFormatError, build_blowup,
                             build_gps_example1, build_theorem2_H, build_turan2,
                             complete_bipartite, complete_graph,
                             connected_components, cycle_graph, degree_stats,
-                            is_bipartite, is_isomorphic, is_triangle_free,
-                            path_graph, read_graph_text, star_graph,
-                            write_graph_text)
+                            enumerate_triangle_free, is_bipartite,
+                            is_complete_bipartite, is_isomorphic,
+                            is_triangle_free, path_graph, read_graph_text,
+                            star_graph, write_graph_text)
 
-from naive import random_graph
+from naive import perm_canonical_mask, random_graph
 
 
 def all_builders():
@@ -200,3 +201,39 @@ def test_text_parse_errors_carry_line_numbers():
 def test_labels_do_not_affect_equality_of_structure():
     g = build_turan2(4)
     assert is_isomorphic(g, complete_bipartite(2, 2))
+
+
+def _relabeled(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def test_is_complete_bipartite_matches_permutation_orbit_oracle():
+    # every triangle-free graph with n <= 7, as enumerated and relabeled
+    rng = random.Random(241)
+    for n in range(8):
+        targets = {perm_canonical_mask(complete_bipartite(a, n - a).rows, n)
+                   for a in range(n // 2 + 1)}
+        for g in enumerate_triangle_free(n):
+            expected = perm_canonical_mask(g.rows, n) in targets
+            assert is_complete_bipartite(g) == expected
+            assert is_complete_bipartite(_relabeled(g, rng)) == expected
+
+
+def test_is_complete_bipartite_large_families():
+    # past n = 7 the permutation oracle is out of reach; these families are
+    # complete bipartite, or not, by construction
+    rng = random.Random(251)
+    for n in range(15):
+        assert is_complete_bipartite(Graph(n))
+    for a in range(1, 8):
+        for b in range(a, 15 - a):
+            kab = complete_bipartite(a, b)
+            assert is_complete_bipartite(kab)
+            assert is_complete_bipartite(_relabeled(kab, rng))
+            with_isolated = Graph(a + b + 1, kab.edges())
+            assert not is_complete_bipartite(_relabeled(with_isolated, rng))
+            if a >= 2:
+                missing_edge = Graph(a + b, kab.edges()[1:])
+                assert not is_complete_bipartite(_relabeled(missing_edge, rng))
