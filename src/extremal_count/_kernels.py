@@ -45,6 +45,17 @@ def count_injective(host_rows, n_host: int, parents, first_mask=None) -> int:
     return pure.count_injective(host_rows, n_host, parents, first_mask)
 
 
+def count_h_degrees(host_rows, n_host: int, parents,
+                    first_mask=None) -> tuple[int, list[int]]:
+    # total <= falling_factorial(n_host, m) and sum(h) == m * total
+    m = len(parents)
+    if (HAS_FAST and n_host <= 64
+            and m * falling_factorial(n_host, m) < 2 ** 63):
+        return fast.count_h_degrees(list(host_rows), n_host, parents,
+                                    -1 if first_mask is None else first_mask)
+    return pure.count_h_degrees(host_rows, n_host, parents, first_mask)
+
+
 def canonical_mask(rows, n: int) -> int:
     if HAS_FAST and n <= 16:
         return fast.canonical_mask(list(rows), n)

@@ -16,6 +16,8 @@ integer over all vertex relabelings.
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 BACKEND = "python"
 
 
@@ -66,6 +68,63 @@ def count_injective(host_rows, n_host: int, parents: list[list[int]],
         total += rec(1, bit)
         cand0 &= cand0 - 1
     return total
+
+
+def count_h_degrees(host_rows, n_host: int, parents: list[list[int]],
+                    first_mask: int | None = None) -> tuple[int, list[int]]:
+    """Injective embedding count and per-host-vertex H-degrees in one pass.
+
+    Returns (total, h) where h[v] counts the embeddings whose image
+    contains host vertex v, so sum(h) == len(parents) * total.  Arguments
+    are as for `count_injective`; with `first_mask` both the total and h
+    cover only the embeddings whose position-0 image lies in the mask, so
+    partial results over a partition of the host add up exactly.
+
+    Each internal node adds its subtree's completion count to the H-degree
+    of the vertex it placed.  Last-level candidate masks are tallied by
+    multiplicity and their bits expanded once at the end, so the leaf level
+    costs one bit_count per node, as in `count_injective`.
+    """
+    m = len(parents)
+    h = [0] * n_host
+    if m == 0:
+        return 1, h
+    if m > n_host:
+        return 0, h
+    full = (1 << n_host) - 1
+    sel = [0] * m
+    last = m - 1
+    leaves = defaultdict(int)
+
+    def rec(level: int, used: int, cand: int) -> int:
+        # `cand` holds the admissible images of position `level`
+        if level == last:
+            leaves[cand] += 1
+            return cand.bit_count()
+        nxt = level + 1
+        nxt_parents = parents[nxt]
+        total = 0
+        while cand:
+            bit = cand & -cand
+            v = bit.bit_length() - 1
+            sel[level] = v
+            below = used | bit
+            sub = full & ~below
+            for p in nxt_parents:
+                sub &= host_rows[sel[p]]
+            count = rec(nxt, below, sub)
+            h[v] += count
+            total += count
+            cand &= cand - 1
+        return total
+
+    total = rec(0, 0, full if first_mask is None else full & first_mask)
+    for cand, mult in leaves.items():
+        while cand:
+            bit = cand & -cand
+            h[bit.bit_length() - 1] += mult
+            cand &= cand - 1
+    return total, h
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ Subcommands: count, verify, optimize, search, gen.  JSON is the canonical
 output (sorted keys, exact rationals as "p/q" strings); CSV is a flat
 key,value projection of the same payload.  Exit codes: 0 success / all
 inequalities hold, 1 a verified inequality is false, 2 usage, parse, or
-budget errors.  Output depends only on the arguments, never on worker
-count, ordering of parallel partial results, or the clock.
+budget errors, 3 a failed internal self-check.  Output depends only on the
+arguments, never on worker count, ordering of parallel partial results, or
+the clock.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_count(args):
     pattern = read_graph_file(args.pattern)
     host = read_graph_file(args.host)
-    report = h_degrees(pattern, host)
+    report = h_degrees(pattern, host, args.workers)
     automorphisms = count_automorphisms(pattern)
     payload = {
         "command": "count",
@@ -308,6 +309,10 @@ def main(argv=None) -> int:
     except (BudgetExceededError, NotBipartiteError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        # a failed internal self-check, not a false inequality (exit 1)
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     text = render(payload, args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

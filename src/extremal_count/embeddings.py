@@ -47,11 +47,7 @@ def count_embeddings(pattern: Graph, host: Graph, workers: int = 1) -> int:
     _, parents = search_plan(pattern)
     if workers <= 1 or pattern.n == 0 or host.n == 0:
         return kernels.count_injective(host.rows, host.n, parents)
-    chunks = _first_vertex_chunks(host.n, workers)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        partials = pool.map(_count_chunk,
-                            [(host.rows, host.n, parents, mask) for mask in chunks])
-    return sum(partials)
+    return sum(_map_first_vertex_chunks(_count_chunk, host, parents, workers))
 
 
 def _first_vertex_chunks(n_host: int, workers: int) -> list[int]:
@@ -61,9 +57,23 @@ def _first_vertex_chunks(n_host: int, workers: int) -> list[int]:
     return masks
 
 
+def _map_first_vertex_chunks(chunk_fn, host: Graph, parents, workers: int) -> list:
+    """Run `chunk_fn` once per first-vertex chunk in a process pool; the
+    results come back in chunk order."""
+    chunks = _first_vertex_chunks(host.n, workers)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(chunk_fn, [(host.rows, host.n, parents, mask)
+                                        for mask in chunks]))
+
+
 def _count_chunk(args):
     host_rows, n_host, parents, mask = args
     return kernels.count_injective(host_rows, n_host, parents, mask)
+
+
+def _h_degree_chunk(args):
+    host_rows, n_host, parents, mask = args
+    return kernels.count_h_degrees(host_rows, n_host, parents, mask)
 
 
 def count_automorphisms(pattern: Graph) -> int:
@@ -125,43 +135,50 @@ def embeddings_listing(pattern: Graph, host: Graph):
 class HDegreeReport:
     """Per-vertex H-degrees of a host, with lazy pair lookups.
 
-    h(v) counts embeddings whose image contains v, computed as
-    total - count(host minus v); pair values h(u, v) come from
-    inclusion-exclusion on the doubly-deleted host.  Satisfies
-    sum_v h(v) = m * total exactly (checked at construction).
+    h(v) counts embeddings whose image contains v; the total and every h(v)
+    come from one backtracking pass, split over `workers` processes by the
+    host image of the first ordered pattern vertex.  Pair values h(u, v)
+    come from inclusion-exclusion with one search of the doubly-deleted
+    host per pair.  Satisfies sum_v h(v) = m * total exactly (checked at
+    construction).
     """
 
-    def __init__(self, pattern: Graph, host: Graph):
+    def __init__(self, pattern: Graph, host: Graph, workers: int = 1):
         self.pattern = pattern
         self.host = host
-        self.total = count_embeddings(pattern, host)
-        self._without = {}
-        self.h = {v: self.total - self._count_without((v,)) for v in range(host.n)}
         m = pattern.n
-        if sum(self.h.values()) != m * self.total:
+        _, parents = search_plan(pattern)
+        if workers <= 1 or m == 0 or m > host.n:
+            total, h = kernels.count_h_degrees(host.rows, host.n, parents)
+        else:
+            total, h = 0, [0] * host.n
+            for part_total, part_h in _map_first_vertex_chunks(
+                    _h_degree_chunk, host, parents, workers):
+                total += part_total
+                h = [a + b for a, b in zip(h, part_h)]
+        self.total = total
+        self.h = dict(enumerate(h))
+        self._without_pair = {}
+        if sum(h) != m * total:
             raise RuntimeError("H-degree double counting identity violated")
-
-    def _count_without(self, removed: tuple[int, ...]) -> int:
-        removed = tuple(sorted(removed))
-        if removed not in self._without:
-            sub = _delete_vertices(self.host, removed)
-            self._without[removed] = count_embeddings(self.pattern, sub)
-        return self._without[removed]
 
     def pair(self, u: int, v: int) -> int:
         """h(u, v): embeddings whose image contains both u and v."""
         if u == v:
             return self.h[u]
-        return (self.total - self._count_without((u,)) - self._count_without((v,))
-                + self._count_without((u, v)))
+        key = (min(u, v), max(u, v))
+        if key not in self._without_pair:
+            sub = _delete_vertices(self.host, key)
+            self._without_pair[key] = count_embeddings(self.pattern, sub)
+        return self.h[u] + self.h[v] - self.total + self._without_pair[key]
 
     def complement(self, u: int, v: int) -> int:
         """h(u, v-bar): embeddings containing u but not v."""
         return self.h[u] - self.pair(u, v)
 
 
-def h_degrees(pattern: Graph, host: Graph) -> HDegreeReport:
-    return HDegreeReport(pattern, host)
+def h_degrees(pattern: Graph, host: Graph, workers: int = 1) -> HDegreeReport:
+    return HDegreeReport(pattern, host, workers)
 
 
 def _delete_vertices(g: Graph, removed) -> Graph:

@@ -33,6 +33,16 @@ def naive_h_degree(pattern: Graph, host: Graph, v: int) -> int:
     return count
 
 
+def naive_pair_degree(pattern: Graph, host: Graph, u: int, v: int) -> int:
+    edges = pattern.edges()
+    count = 0
+    for image in itertools.permutations(range(host.n), pattern.n):
+        if (u in image and v in image
+                and all(host.has_edge(image[a], image[b]) for a, b in edges)):
+            count += 1
+    return count
+
+
 def naive_hom_sum(patternH: Graph, patternP: Graph, weights):
     edges = patternH.edges()
     total = 0

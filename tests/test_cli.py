@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from extremal_count import cli, read_graph_file
+from extremal_count import _kernels, cli, read_graph_file
 from extremal_count.graphs import (write_graph_file, cycle_graph, complete_bipartite,
                                    path_graph)
 
@@ -57,6 +57,32 @@ def test_count_output_fields(c4_file, k22_file, capsys):
     assert payload["automorphisms"] == 8
     assert payload["copies"] == 1
     assert payload["h_degrees"] == [8, 8, 8, 8]
+
+
+def test_count_workers_byte_identical(tmp_path, capsys):
+    pattern = tmp_path / "p4.graph"
+    host = tmp_path / "k33.graph"
+    write_graph_file(path_graph(4), pattern)
+    write_graph_file(complete_bipartite(3, 3), host)
+    outputs = [run(["count", str(pattern), str(host), "--workers", w], capsys)
+               for w in ("1", "2")]
+    assert outputs[0][0] == 0
+    assert outputs[0] == outputs[1]
+
+
+def test_count_failed_self_check_exit_3(c4_file, k22_file, capsys, monkeypatch):
+    real = _kernels.count_h_degrees
+
+    def wrong_h(*args, **kwargs):
+        total, h = real(*args, **kwargs)
+        return total, [h[0] + 1] + h[1:]
+
+    monkeypatch.setattr(_kernels, "count_h_degrees", wrong_h)
+    code = cli.main(["count", c4_file, k22_file])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ")
 
 
 def test_count_parse_error_exit_2(tmp_path, capsys):

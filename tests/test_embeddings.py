@@ -10,8 +10,8 @@ from extremal_count import (Graph, build_theorem2_H, clone_move,
                             h_degrees, is_isomorphic, is_triangle_free,
                             path_graph, star_graph)
 
-from naive import (naive_count_embeddings, naive_h_degree, random_graph,
-                   random_triangle_free)
+from naive import (naive_count_embeddings, naive_h_degree, naive_pair_degree,
+                   random_graph, random_triangle_free)
 
 
 def test_count_embeddings_examples():
@@ -113,6 +113,17 @@ def test_h_degree_pair_identities():
                 assert huv <= min(report.h[u], report.h[v])
                 assert report.complement(u, v) + huv == report.h[u]
                 assert huv == report.pair(v, u)
+
+
+def test_h_degree_pair_matches_naive():
+    rng = random.Random(127)
+    for _ in range(12):
+        pattern = random_graph(rng, rng.randint(1, 4), 0.6)
+        host = random_graph(rng, rng.randint(2, 6), 0.5)
+        report = h_degrees(pattern, host)
+        for u in range(host.n):
+            for v in range(host.n):
+                assert report.pair(u, v) == naive_pair_degree(pattern, host, u, v)
 
 
 def test_clone_move_preserves_triangle_freeness():
