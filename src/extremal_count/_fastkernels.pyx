@@ -1,12 +1,12 @@
 # cython: language_level=3, boundscheck=False, wraparound=False, cdivision=True
 """Compiled kernels for the hot inner loops: injective-embedding counting
-(with one-pass H-degrees), canonical-form minimization, and triangle-free
-enumeration.
+(with one-pass H-degrees) and canonical-form minimization.
 
-Mirrors `_pykernels` exactly (same mask packing, same output order); see
-that module for the conventions.  Limits: hosts up to 64 vertices and
-counts below 2**63 for the counter, 16 vertices for canonical forms and
-enumeration.  Callers dispatch to the pure kernels beyond these.
+Mirrors `_pykernels` exactly (same mask packing); see that module for the
+conventions.  Triangle-free enumeration has no compiled twin: the pure
+generator runs on the compiled `canonical_mask`.  Limits: hosts up to 64
+vertices and counts below 2**63 for the counter, 16 vertices for canonical
+forms.  Callers dispatch to the pure kernels beyond these.
 """
 
 from libc.stdint cimport uint64_t, uint32_t
@@ -199,52 +199,6 @@ cdef void _column_blocks_c(uint32_t* rows, int n, uint32_t* out) nogil:
         out[j - 1] = b
 
 
-cdef bint _is_min_rec(int k, int n, uint32_t used, uint32_t* rows,
-                      uint32_t* orig, int* perm) nogil:
-    cdef int v, i
-    cdef uint32_t block, target, rv
-    if k == n:
-        return True
-    target = orig[k - 1]
-    for v in range(n):
-        if (used >> v) & 1:
-            continue
-        rv = rows[v]
-        block = 0
-        for i in range(k):
-            block = (block << 1) | ((rv >> perm[i]) & 1)
-        if block > target:
-            continue
-        if block < target:
-            return False
-        perm[k] = v
-        if not _is_min_rec(k + 1, n, used | (<uint32_t> 1 << v), rows, orig, perm):
-            return False
-    return True
-
-
-def is_min_canonical(list rows_py, int n):
-    if n <= 1:
-        return True
-    if n > 16:
-        raise ValueError("compiled kernel supports up to 16 vertices")
-    cdef uint32_t rows[16]
-    cdef uint32_t orig[16]
-    cdef int perm[16]
-    cdef int v0
-    for v0 in range(n):
-        rows[v0] = <uint32_t> rows_py[v0]
-    _column_blocks_c(rows, n, orig)
-    cdef bint ok = True
-    with nogil:
-        for v0 in range(n):
-            perm[0] = v0
-            if not _is_min_rec(1, n, <uint32_t> 1 << v0, rows, orig, perm):
-                ok = False
-                break
-    return bool(ok)
-
-
 cdef uint32_t _block_of(uint32_t* rows, int* perm, int v, int k) nogil:
     cdef uint32_t rv = rows[v]
     cdef uint32_t b = 0
@@ -312,90 +266,3 @@ def canonical_mask(list rows_py, int n):
     for i in range(1, n):
         mask = (mask << i) | int(best[i - 1])
     return mask
-
-
-# ---------------------------------------------------------------------------
-# triangle-free enumeration (n <= 16 in principle; intended for n <= 9)
-# ---------------------------------------------------------------------------
-
-cdef struct EnumState:
-    int n
-    int n_edges
-    int prefix_len
-    uint64_t prefix_val
-    uint32_t rows[16]
-    int edge_i[120]
-    int edge_j[120]
-
-
-cdef int _enum_rec(EnumState* st, int k, uint64_t mask, list out) except -1:
-    cdef int i, j
-    cdef uint64_t one_mask
-    if k == st.n_edges:
-        if _accept_canonical(st):
-            out.append(mask)
-        return 0
-    i = st.edge_i[k]
-    j = st.edge_j[k]
-    cdef int shift = st.n_edges - 1 - k
-    cdef bint forced = k < st.prefix_len
-    cdef bint forced_bit = False
-    if forced:
-        forced_bit = (st.prefix_val >> (st.prefix_len - 1 - k)) & 1
-    # 0-branch first: ascending mask emission
-    if not forced or not forced_bit:
-        _enum_rec(st, k + 1, mask, out)
-    if (not forced or forced_bit) and not (st.rows[i] & st.rows[j]):
-        st.rows[i] |= <uint32_t> 1 << j
-        st.rows[j] |= <uint32_t> 1 << i
-        one_mask = mask | (<uint64_t> 1 << shift)
-        _enum_rec(st, k + 1, one_mask, out)
-        st.rows[i] &= ~(<uint32_t> 1 << j)
-        st.rows[j] &= ~(<uint32_t> 1 << i)
-    return 0
-
-
-cdef bint _accept_canonical(EnumState* st) nogil:
-    cdef uint32_t orig[16]
-    cdef int perm[16]
-    cdef int v0
-    if st.n <= 1:
-        return True
-    _column_blocks_c(st.rows, st.n, orig)
-    for v0 in range(st.n):
-        perm[0] = v0
-        if not _is_min_rec(1, st.n, <uint32_t> 1 << v0, st.rows, orig, perm):
-            return False
-    return True
-
-
-def triangle_free_canonical_masks(int n, int prefix_len=0, object prefix_val=0):
-    """Canonical masks of all triangle-free graphs on n vertices, ascending.
-
-    With prefix_len > 0 only masks whose first prefix_len staircase bits
-    equal prefix_val are produced, partitioning the search space for
-    parallel workers.
-    """
-    if n > 16:
-        raise ValueError("compiled kernel supports up to 16 vertices")
-    cdef EnumState st
-    cdef int k, i, j
-    st.n = n
-    st.n_edges = n * (n - 1) // 2
-    if prefix_len < 0 or prefix_len > st.n_edges:
-        raise ValueError("bad prefix length")
-    st.prefix_len = prefix_len
-    st.prefix_val = <uint64_t> prefix_val
-    for i in range(n):
-        st.rows[i] = 0
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            st.edge_i[k] = i
-            st.edge_j[k] = j
-            k += 1
-    out = []
-    if n == 0:
-        return [0]
-    _enum_rec(&st, 0, 0, out)
-    return out

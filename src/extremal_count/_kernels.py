@@ -2,9 +2,11 @@
 
 Set EXTREMAL_COUNT_FORCE_PYTHON=1 to force the pure-Python kernels even when
 the extension is built (used by the benchmark and the equivalence tests).
-Both backends produce bit-identical results; the compiled one is limited to
-hosts with at most 64 vertices and counts below 2**63, which the callers
-check before dispatching.
+Both backends produce bit-identical results.  The compiled kernels are
+limited to hosts with at most 64 vertices, counts below 2**63 and
+16-vertex canonical forms; the dispatchers below check these limits.
+Triangle-free enumeration has one generator, the pure one in `_pykernels`;
+with the extension built it runs on the compiled canonical form.
 """
 
 from __future__ import annotations
@@ -62,18 +64,8 @@ def canonical_mask(rows, n: int) -> int:
     return pure.canonical_mask(rows, n)
 
 
-def is_min_canonical(rows, n: int) -> bool:
+def triangle_free_canonical_masks(n: int, parents=None) -> list[int]:
+    # one generator on both backends; only its canonical form is compiled
     if HAS_FAST and n <= 16:
-        return fast.is_min_canonical(list(rows), n)
-    return pure.is_min_canonical(rows, n)
-
-
-def triangle_free_canonical_masks(n: int, prefix_len: int = 0,
-                                  prefix_val: int = 0) -> list[int]:
-    if HAS_FAST:
-        return fast.triangle_free_canonical_masks(n, prefix_len, prefix_val)
-    return pure.triangle_free_canonical_masks(n, prefix_len, prefix_val)
-
-
-def supports_prefix_partition() -> bool:
-    return HAS_FAST
+        return pure.triangle_free_canonical_masks(n, parents, fast.canonical_mask)
+    return pure.triangle_free_canonical_masks(n, parents)

@@ -1,10 +1,16 @@
 """Pure-Python kernels: injective-embedding counting, canonical forms, and
 triangle-free enumeration.
 
-These mirror the compiled kernels in `_fastkernels` and are selected at
-import time when the extension is unavailable (or when
-EXTREMAL_COUNT_FORCE_PYTHON is set).  Counts use Python integers, so this
-path has no host-size or count-magnitude limits, only speed ones.
+The counting kernels and the canonical form mirror the compiled kernels in
+`_fastkernels` and are selected at import time when the extension is
+unavailable (or when EXTREMAL_COUNT_FORCE_PYTHON is set).  Counts use
+Python integers, so this path has no host-size or count-magnitude limits,
+only speed ones.  Triangle-free enumeration is one vertex-growth generator
+for both backends; it takes the canonical form to use as an argument.
+
+Twins are vertices u, v with N(u) - v == N(v) - u.  Swapping two twins is
+an automorphism that fixes every other vertex, so both the canonical-form
+search and the growth step try only one member of each twin class.
 
 Canonical-form convention shared by both kernels: edges are indexed in
 staircase order (0,1), (0,2), (1,2), (0,3), (1,3), (2,3), ... and the
@@ -169,39 +175,16 @@ def rows_from_mask(n: int, mask: int):
     return rows
 
 
-def is_min_canonical(rows, n: int) -> bool:
-    """True iff no relabeling produces a strictly smaller staircase string."""
-    if n <= 1:
-        return True
-    orig = _column_blocks(rows, n)
-    perm = [0] * n
-
-    def rec(k: int, used: int) -> bool:
-        # False as soon as a strictly smaller string is reachable
-        if k == n:
-            return True
-        target = orig[k - 1]
-        for v in range(n):
-            if used >> v & 1:
-                continue
-            rv = rows[v]
-            block = 0
-            for i in range(k):
-                block = block << 1 | (rv >> perm[i] & 1)
-            if block > target:
-                continue
-            if block < target:
-                return False
-            perm[k] = v
-            if not rec(k + 1, used | 1 << v):
-                return False
-        return True
-
-    for v0 in range(n):
-        perm[0] = v0
-        if not rec(1, 1 << v0):
-            return False
-    return True
+def _lower_twins(rows, n: int) -> list[int]:
+    """Per vertex v, the mask of its twins u < v.  Twinhood is an
+    equivalence relation, so these masks list each twin class in order."""
+    lower = [0] * n
+    for v in range(n):
+        rv = rows[v]
+        for u in range(v):
+            if not (rows[u] ^ rv) & ~(1 << u | 1 << v):
+                lower[v] |= 1 << u
+    return lower
 
 
 def canonical_mask(rows, n: int) -> int:
@@ -210,54 +193,57 @@ def canonical_mask(rows, n: int) -> int:
     Branch-and-bound over partial relabelings: while tied with the best
     known string, larger blocks prune; a strictly smaller block rebases the
     best string to this prefix plus a greedy minimal completion, after
-    which the search continues tied.
+    which the search continues tied.  Each node tries one free vertex per
+    twin class, the lowest: a twin swap fixes the placed prefix, so the
+    other members reach the same strings.
+
+    `codes[v]` is the block vertex v would add next: its adjacency to the
+    placed prefix, first placed vertex most significant.
     """
     if n <= 1:
         return 0
     best = _column_blocks(rows, n)
-    perm = [0] * n
+    lower = _lower_twins(rows, n)
 
-    def block_of(v: int, k: int) -> int:
+    def place(codes, v: int) -> list[int]:
         rv = rows[v]
-        b = 0
-        for i in range(k):
-            b = b << 1 | (rv >> perm[i] & 1)
-        return b
+        return [c << 1 | (rv >> u & 1) for u, c in enumerate(codes)]
 
-    def greedy_completion(k: int, used: int) -> list[int]:
+    def greedy_completion(k: int, used: int, codes) -> list[int]:
         blocks = []
-        for kk in range(k, n):
+        for _ in range(k, n):
             best_b, best_v = None, -1
             for v in range(n):
                 if used >> v & 1:
                     continue
-                b = block_of(v, kk)
+                b = codes[v]
                 if best_b is None or b < best_b:
                     best_b, best_v = b, v
-            perm[kk] = best_v
             used |= 1 << best_v
+            codes = place(codes, best_v)
             blocks.append(best_b)
         return blocks
 
-    def rec(k: int, used: int):
+    def rec(k: int, used: int, codes):
         nonlocal best
-        if k == n:
-            return
         for v in range(n):
-            if used >> v & 1:
+            if used >> v & 1 or lower[v] & ~used:
                 continue
-            b = block_of(v, k)
+            b = codes[v]
             if b > best[k - 1]:
                 continue
-            perm[k] = v
+            if k + 1 == n:
+                best[k - 1] = b
+                continue
+            below = used | 1 << v
+            nxt = place(codes, v)
             if b < best[k - 1]:
-                completion = greedy_completion(k + 1, used | 1 << v)
-                best = best[: k - 1] + [b] + completion
-            rec(k + 1, used | 1 << v)
+                best = best[: k - 1] + [b] + greedy_completion(k + 1, below, nxt)
+            rec(k + 1, below, nxt)
 
     for v0 in range(n):
-        perm[0] = v0
-        rec(1, 1 << v0)
+        if not lower[v0]:
+            rec(1, 1 << v0, place([0] * n, v0))
     return _mask_from_blocks(best)
 
 
@@ -265,42 +251,52 @@ def canonical_mask(rows, n: int) -> int:
 # triangle-free enumeration
 # ---------------------------------------------------------------------------
 
-def triangle_free_canonical_masks(n: int, prefix_len: int = 0,
-                                  prefix_val: int = 0) -> list[int]:
+def triangle_free_canonical_masks(n: int, parents=None, canon=None) -> list[int]:
     """All triangle-free graphs on n vertices, one canonical mask per
     isomorphism class, in ascending mask order.
 
-    The compiled kernel walks the edge-mask tree directly; this fallback
-    grows graphs one vertex at a time (new neighborhoods must be
-    independent sets), canonicalizes, and deduplicates.  Output of the two
-    paths is identical.  Prefix partitioning is a no-op here: only the
-    (prefix_len=0) call enumerates, so worker splits fall back to one task.
+    Vertex growth: each canonical (k-1)-vertex graph gets a new vertex
+    whose neighbourhood is an independent set, and the children are
+    canonicalized and deduplicated.  Within each twin class of the parent
+    the neighbourhood takes members lowest index first; any other choice
+    is the image of one of these under a twin swap.
+
+    `parents` extends only the given (n-1)-vertex masks, so the union over
+    a partition of level n-1 is level n; that is the unit of parallel
+    work.  `canon(rows, k)` computes the canonical forms; the default is
+    this module's `canonical_mask`, looked up at call time.
     """
-    if prefix_len:
-        raise ValueError("prefix partitioning requires the compiled kernel")
-    if n == 0:
-        return [0]
-    level = {(0,)}
+    if canon is None:
+        canon = canonical_mask
+    if parents is not None:
+        if n < 1:
+            raise ValueError("parents need n >= 1")
+        return sorted(_children(n - 1, parents, canon))
+    level = {0}
     for k in range(1, n):
-        nxt = set()
-        for rows in level:
-            for s in _independent_subsets(rows, k):
-                new_rows = [r | ((s >> v & 1) << k) for v, r in enumerate(rows)]
-                new_rows.append(s)
-                canon = canonical_mask(new_rows, k + 1)
-                nxt.add(tuple(rows_from_mask(k + 1, canon)))
-        level = nxt
-    return sorted(mask_from_rows(rows, n) for rows in level)
+        level = _children(k, level, canon)
+    return sorted(level)
 
 
-def _independent_subsets(rows, k: int):
-    """All subsets of {0..k-1} spanning no edge of `rows`."""
+def _children(k: int, parents, canon) -> set[int]:
+    """Canonical masks of the (k+1)-vertex growths of the k-vertex masks."""
+    out = set()
+    bit = 1 << k
+    for mask in parents:
+        rows = rows_from_mask(k, mask)
+        for s in _independent_subsets(rows, k, _lower_twins(rows, k)):
+            child = [r | bit if s >> v & 1 else r for v, r in enumerate(rows)]
+            child.append(s)
+            out.add(canon(child, k + 1))
+    return out
+
+
+def _independent_subsets(rows, k: int, lower) -> list[int]:
+    """Subsets of {0..k-1} spanning no edge of `rows` that hold, with each
+    vertex v, all of v's lower twins `lower[v]`."""
     out = [0]
     for v in range(k):
-        add = []
-        row = rows[v]
-        for s in out:
-            if not (s & row):
-                add.append(s | 1 << v)
-        out.extend(add)
+        row, need = rows[v], lower[v]
+        out.extend([s | 1 << v for s in out
+                    if not s & row and s & need == need])
     return out

@@ -389,7 +389,7 @@ def optimize_weights(patternH: Graph, patternP: Graph,
     if cfg.workers > 1 and len(seeds) > 64:
         chunks = [seeds[i::cfg.workers] for i in range(cfg.workers)]
         args = [(plan, ch, g) for ch in chunks if ch]
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=len(args)) as pool:
             results = list(pool.map(_eval_seed_chunk, args))
     else:
         results = [_eval_seed_chunk((plan, seeds, g))]

@@ -61,7 +61,7 @@ def _map_first_vertex_chunks(chunk_fn, host: Graph, parents, workers: int) -> li
     """Run `chunk_fn` once per first-vertex chunk in a process pool; the
     results come back in chunk order."""
     chunks = _first_vertex_chunks(host.n, workers)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
         return list(pool.map(chunk_fn, [(host.rows, host.n, parents, mask)
                                         for mask in chunks]))
 

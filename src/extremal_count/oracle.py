@@ -3,8 +3,10 @@
 maximizers of pattern-copy counts over them.
 
 Canonical form: the lexicographically minimal adjacency bit-string over all
-vertex relabelings (staircase bit order; see _pykernels).  Enumeration and
-canonicalization dispatch to the compiled kernels when built.
+vertex relabelings (staircase bit order; see _pykernels).  Enumeration is
+one vertex-growth generator on both backends; its canonical forms run on
+the compiled kernel when built.  With workers > 1 it is split across the
+parent graphs on n-1 vertices.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .embeddings import count_automorphisms, count_embeddings
 from .graphs import Graph, is_bipartite, is_complete_bipartite
 
 ENUMERATION_BUDGET = 8
-_PREFIX_BITS = 10
 
 _enum_cache: dict[int, tuple[int, ...]] = {}
 
@@ -51,35 +52,39 @@ def _check_budget(n: int, allow_nine: bool) -> None:
                       "expect a long run", stacklevel=3)
 
 
-def _enum_task(args):
-    n, prefix_len, lo, hi = args
-    out = []
-    for val in range(lo, hi):
-        out.extend(kernels.triangle_free_canonical_masks(n, prefix_len, val))
-    return out
-
-
 def triangle_free_masks(n: int, allow_nine: bool = False,
                         workers: int = 1) -> tuple[int, ...]:
-    """Ascending canonical masks of all triangle-free graphs on n vertices."""
+    """Ascending canonical masks of all triangle-free graphs on n vertices.
+
+    With workers > 1 level n-1 is built in this process, dealt round-robin
+    into one chunk per worker, and each chunk's children come from one pool
+    task; the union is the same on both backends and at any worker count.
+    """
     _check_budget(n, allow_nine)
+    return _masks(n, workers)
+
+
+def _masks(n: int, workers: int = 1) -> tuple[int, ...]:
     if n in _enum_cache:
         return _enum_cache[n]
-    n_edges = n * (n - 1) // 2
-    if workers > 1 and kernels.supports_prefix_partition() and n_edges > _PREFIX_BITS:
-        prefix_len = _PREFIX_BITS
-        total = 1 << prefix_len
-        per = (total + workers - 1) // workers
-        tasks = [(n, prefix_len, lo, min(lo + per, total))
-                 for lo in range(0, total, per)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_enum_task, tasks))
-        masks = [m for part in parts for m in part]
+    chunks = []
+    if workers > 1 and n > 1:
+        parents = _masks(n - 1)
+        chunks = [c for c in (parents[i::workers] for i in range(workers)) if c]
+    if len(chunks) > 1:
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            parts = list(pool.map(_extend_task, [(n, c) for c in chunks]))
+        masks = sorted(set().union(*parts))
     else:
         masks = kernels.triangle_free_canonical_masks(n)
     result = tuple(masks)
     _enum_cache[n] = result
     return result
+
+
+def _extend_task(args):
+    n, parents = args
+    return kernels.triangle_free_canonical_masks(n, parents=parents)
 
 
 def enumerate_triangle_free(n: int, allow_nine: bool = False, workers: int = 1):
@@ -119,7 +124,7 @@ def find_maximizers(pattern: Graph, n: int, allow_nine: bool = False,
     masks = triangle_free_masks(n, allow_nine, workers)
     if workers > 1 and len(masks) >= 4 * workers:
         chunks = [masks[i::workers] for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             parts = list(pool.map(
                 _count_task, [(pattern.rows, n, ch) for ch in chunks]))
         pairs = sorted(p for part in parts for p in part)

@@ -1,15 +1,21 @@
-"""Kernel checks: compiled and pure kernels agree bit for bit, and the pure
-H-degree kernel matches the brute-force oracles."""
+"""Kernel checks: compiled and pure kernels agree bit for bit, the pure
+H-degree kernel and the twin-pruned canonical form match the brute-force
+oracles, and the enumerator's parent split covers each level exactly."""
 
 import random
+import types
 
 import pytest
 
 from extremal_count import _kernels, _pykernels
 from extremal_count.embeddings import _first_vertex_chunks, search_plan
-from extremal_count.graphs import Graph, disjoint_union, path_graph
+from extremal_count.graphs import (Graph, build_blowup, build_gps_example1,
+                                   complete_bipartite, cycle_graph,
+                                   disjoint_union, path_graph, star_graph)
+from extremal_count.oracle import triangle_free_masks
 
-from naive import naive_count_embeddings, naive_h_degree, random_graph
+from naive import (naive_count_embeddings, naive_h_degree,
+                   perm_canonical_mask, random_graph)
 
 needs_fast = pytest.mark.skipif(not _kernels.HAS_FAST,
                                 reason="compiled kernels not built")
@@ -107,28 +113,99 @@ def test_canonical_agreement():
         g = random_graph(rng, rng.randint(1, 8), 0.5)
         assert (_pykernels.canonical_mask(g.rows, g.n)
                 == _kernels.fast.canonical_mask(list(g.rows), g.n))
-        assert (_pykernels.is_min_canonical(g.rows, g.n)
-                == _kernels.fast.is_min_canonical(list(g.rows), g.n))
 
 
 @needs_fast
-def test_enumeration_agreement():
-    for n in range(0, 7):
-        assert (_pykernels.triangle_free_canonical_masks(n)
-                == _kernels.fast.triangle_free_canonical_masks(n))
+def test_generator_same_with_compiled_canonical_form():
+    for n in range(0, 8):
+        assert (_pykernels.triangle_free_canonical_masks(
+                    n, canon=_kernels.fast.canonical_mask)
+                == _pykernels.triangle_free_canonical_masks(n))
 
 
-@needs_fast
-def test_prefix_partition_covers_everything():
-    n = 6
-    n_edges = n * (n - 1) // 2
-    for prefix_len in (4, 10):
-        gathered = []
-        for val in range(1 << prefix_len):
-            gathered.extend(
-                _kernels.fast.triangle_free_canonical_masks(n, prefix_len, val))
-        assert gathered == _kernels.fast.triangle_free_canonical_masks(n)
-        assert prefix_len <= n_edges
+def test_dispatch_gives_generator_the_compiled_canonical_form(monkeypatch):
+    sizes = []
+
+    def compiled(rows, n):
+        assert isinstance(rows, list)
+        sizes.append(n)
+        return _pykernels.canonical_mask(rows, n)
+
+    monkeypatch.setattr(_kernels, "HAS_FAST", True)
+    monkeypatch.setattr(_kernels, "fast", types.SimpleNamespace(canonical_mask=compiled))
+    assert (_kernels.triangle_free_canonical_masks(6)
+            == _pykernels.triangle_free_canonical_masks(6))
+    assert max(sizes) == 6
+
+
+def _twin_rich_graphs():
+    """Graphs whose twin classes the pruned canonical form skips: edgeless
+    graphs, complete bipartite graphs (stars among them), isolated and
+    pendant twins, perfect matchings (adjacent twins) and C5 blow-ups, all
+    with n <= 8."""
+    c5 = cycle_graph(5)
+    graphs = [Graph(n) for n in range(1, 9)]
+    graphs += [complete_bipartite(a, b) for a in range(1, 5)
+               for b in range(a, 9 - a)]
+    graphs += [disjoint_union(complete_bipartite(2, 3), Graph(2)),
+               disjoint_union(path_graph(3), Graph(3)),
+               Graph(5, [(0, 1), (1, 2), (2, 3), (1, 4)]),
+               Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (4, 6)]),
+               build_gps_example1(4)]
+    matching = Graph(0)
+    for _ in range(4):
+        matching = disjoint_union(matching, path_graph(2))
+        graphs.append(matching)
+    graphs.append(disjoint_union(path_graph(2), star_graph(3)))
+    graphs += [build_blowup(c5, sizes) for sizes in
+               [(1, 1, 1, 1, 1), (2, 1, 1, 1, 1), (2, 2, 1, 1, 1),
+                (2, 1, 2, 1, 1), (3, 1, 1, 1, 1), (2, 2, 2, 1, 1),
+                (4, 1, 1, 1, 1)]]
+    return graphs
+
+
+def test_pruned_canonical_form_matches_permutation_oracle_on_twins():
+    rng = random.Random(347)
+    for g in _twin_rich_graphs():
+        assert g.n <= 8
+        expected = perm_canonical_mask(g.rows, g.n)
+        assert _pykernels.canonical_mask(g.rows, g.n) == expected
+        for _ in range(3):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            relabeled = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+            assert _pykernels.canonical_mask(relabeled.rows, g.n) == expected
+
+
+def test_twin_reduced_growth_reaches_every_child_class():
+    # per parent, so that a class reachable from several parents cannot
+    # hide a child lost from one of them
+    for k in range(1, 7):
+        for mask in triangle_free_masks(k):
+            rows = _pykernels.rows_from_mask(k, mask)
+            every = set()
+            for s in range(1 << k):
+                if any(s >> v & 1 and s & rows[v] for v in range(k)):
+                    continue
+                child = [r | (s >> v & 1) << k for v, r in enumerate(rows)]
+                every.add(_pykernels.canonical_mask(child + [s], k + 1))
+            assert _kernels.triangle_free_canonical_masks(
+                k + 1, parents=[mask]) == sorted(every)
+
+
+def test_parent_chunks_union_to_serial_level():
+    # at n = 8 only the finest split runs: any chunking is a union of
+    # single-parent extensions
+    for n in range(1, 9):
+        serial = triangle_free_masks(n)
+        parents = triangle_free_masks(n - 1) if n > 1 else (0,)
+        splits = [len(parents)] if n == 8 else sorted({1, 2, 3, len(parents)})
+        for k in splits:
+            union = set()
+            for i in range(k):
+                union.update(_kernels.triangle_free_canonical_masks(
+                    n, parents=parents[i::k]))
+            assert tuple(sorted(union)) == serial
 
 
 def test_mask_roundtrip():

@@ -138,8 +138,12 @@ def test_hypothesis_patterns_soft_expectation():
 
 def test_workers_do_not_change_enumeration():
     import extremal_count.oracle as oracle_mod
-    oracle_mod._enum_cache.pop(6, None)
-    serial = triangle_free_masks(6)
-    oracle_mod._enum_cache.pop(6, None)
-    parallel = triangle_free_masks(6, workers=4)
-    assert serial == parallel
+    cases = [(n, 2) for n in range(1, 9)] + [(6, 4)]
+    for n, workers in cases:
+        serial = triangle_free_masks(n)
+        oracle_mod._enum_cache.pop(n)
+        try:
+            assert triangle_free_masks(n, workers=workers) == serial
+        finally:
+            oracle_mod._enum_cache[n] = serial
+    assert len(triangle_free_masks(8)) == 410
