@@ -38,7 +38,7 @@ def bench_count(repeats):
     rows_out = [("count embeddings (8-vertex tree in K_{8,8})", "pure", pure_t, pure_v)]
     if _kernels.HAS_FAST:
         fast_t, fast_v = best_of(repeats, _kernels.fast.count_injective,
-                                 rows, host.n, parents, -1)
+                                 rows, host.n, parents)
         assert fast_v == pure_v
         rows_out.append(("count embeddings (8-vertex tree in K_{8,8})",
                          "compiled", fast_t, fast_v))

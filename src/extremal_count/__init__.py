@@ -2,8 +2,7 @@
 blow-up weight optimization, and inequality certificates."""
 
 from ._kernels import BACKEND, HAS_FAST
-from .blowup import (LeadingCoefficient, OptimizerConfig, SaturationReport,
-                     WeightedPattern, enumerate_homomorphisms,
+from .blowup import (LeadingCoefficient, SaturationReport, WeightedPattern,
                      leading_coefficient, optimize_weights, saturation_check,
                      saturation_converges, weighted_hom_sum)
 from .bounds import (ChainReport, EdgeBoundReport, SweepReport,

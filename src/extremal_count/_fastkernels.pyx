@@ -69,9 +69,8 @@ cdef int* _flatten_parents(list parents_py, int m, int* parent_start) except NUL
     return parent_flat
 
 
-def count_injective(list host_rows_py, int n_host, list parents_py,
-                    object first_mask):
-    """Injective embedding count; first_mask=-1 means unrestricted."""
+def count_injective(list host_rows_py, int n_host, list parents_py):
+    """Injective embedding count."""
     cdef int m = len(parents_py)
     if m == 0:
         return 1
@@ -87,23 +86,11 @@ def count_injective(list host_rows_py, int n_host, list parents_py,
         host_rows[i] = <uint64_t> host_rows_py[i]
     cdef int* parent_flat = _flatten_parents(parents_py, m, parent_start)
     cdef uint64_t full = (<uint64_t> 1 << n_host) - 1 if n_host < 64 else <uint64_t> 0xFFFFFFFFFFFFFFFF
-    cdef uint64_t fm = full
-    if first_mask is not None and first_mask != -1:
-        fm = <uint64_t> first_mask & full
     cdef uint64_t result = 0
-    cdef uint64_t cand0, bit
     try:
         with nogil:
-            if m == 1:
-                result = <uint64_t> ec_popcount(fm)
-            else:
-                cand0 = fm
-                while cand0:
-                    bit = cand0 & (0 - cand0)
-                    sel[0] = ec_ctz(bit)
-                    result += _count_rec(1, m, bit, full, host_rows,
-                                         parent_flat, parent_start, sel)
-                    cand0 &= cand0 - 1
+            result = _count_rec(0, m, 0, full, host_rows,
+                                parent_flat, parent_start, sel)
     finally:
         PyMem_Free(parent_flat)
     return result

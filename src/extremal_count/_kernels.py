@@ -38,13 +38,12 @@ def falling_factorial(n: int, m: int) -> int:
     return out
 
 
-def count_injective(host_rows, n_host: int, parents, first_mask=None) -> int:
+def count_injective(host_rows, n_host: int, parents) -> int:
     m = len(parents)
     if (HAS_FAST and n_host <= 64
             and falling_factorial(n_host, m) < 2 ** 63):
-        return fast.count_injective(list(host_rows), n_host, parents,
-                                    -1 if first_mask is None else first_mask)
-    return pure.count_injective(host_rows, n_host, parents, first_mask)
+        return fast.count_injective(list(host_rows), n_host, parents)
+    return pure.count_injective(host_rows, n_host, parents)
 
 
 def count_h_degrees(host_rows, n_host: int, parents,

@@ -31,13 +31,11 @@ BACKEND = "python"
 # injective embedding counting
 # ---------------------------------------------------------------------------
 
-def count_injective(host_rows, n_host: int, parents: list[list[int]],
-                    first_mask: int | None = None) -> int:
+def count_injective(host_rows, n_host: int, parents: list[list[int]]) -> int:
     """Count injective maps of a pattern into a host preserving pattern edges.
 
     `parents[i]` lists the earlier positions (in the fixed search order)
-    adjacent to the pattern vertex placed at position i.  `first_mask`
-    restricts the host image of position 0 (used to split work).
+    adjacent to the pattern vertex placed at position i.
     """
     m = len(parents)
     if m == 0:
@@ -62,18 +60,7 @@ def count_injective(host_rows, n_host: int, parents: list[list[int]],
             cand &= cand - 1
         return total
 
-    if first_mask is None:
-        return rec(0, 0)
-    if m == 1:
-        return (full & first_mask).bit_count()
-    total = 0
-    cand0 = full & first_mask
-    while cand0:
-        bit = cand0 & -cand0
-        sel[0] = bit.bit_length() - 1
-        total += rec(1, bit)
-        cand0 &= cand0 - 1
-    return total
+    return rec(0, 0)
 
 
 def count_h_degrees(host_rows, n_host: int, parents: list[list[int]],
@@ -81,10 +68,11 @@ def count_h_degrees(host_rows, n_host: int, parents: list[list[int]],
     """Injective embedding count and per-host-vertex H-degrees in one pass.
 
     Returns (total, h) where h[v] counts the embeddings whose image
-    contains host vertex v, so sum(h) == len(parents) * total.  Arguments
-    are as for `count_injective`; with `first_mask` both the total and h
-    cover only the embeddings whose position-0 image lies in the mask, so
-    partial results over a partition of the host add up exactly.
+    contains host vertex v, so sum(h) == len(parents) * total.  `parents`
+    is as for `count_injective`.  `first_mask` restricts the host image of
+    position 0: both the total and h then cover only the embeddings whose
+    position-0 image lies in the mask, so partial results over a partition
+    of the host add up exactly (used to split work).
 
     Each internal node adds its subtree's completion count to the H-degree
     of the vertex it placed.  Last-level candidate masks are tallied by

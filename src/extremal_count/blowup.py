@@ -190,44 +190,6 @@ def _backtrack_parents(H: Graph, verts):
                  for i, v in enumerate(order))
 
 
-def enumerate_homomorphisms(patternH: Graph, patternP: Graph,
-                            include_listing: bool = False):
-    """Exact count of edge-preserving maps V(H) -> V(P); injectivity is not
-    required.  Returns (count, listing), the listing only on request and
-    only for |V(H)| <= 20."""
-    count = weighted_hom_sum(patternH, patternP, [1] * patternP.n)
-    listing = None
-    if include_listing:
-        if patternH.n > 20:
-            raise ValueError("homomorphism listing capped at 20 pattern vertices")
-        listing = tuple(_homomorphism_listing(patternH, patternP))
-        if len(listing) != count:
-            raise RuntimeError("homomorphism listing disagrees with the count")
-    return count, listing
-
-
-def _homomorphism_listing(H: Graph, P: Graph):
-    k = P.n
-    full = (1 << k) - 1
-    image = [0] * H.n
-
-    def rec(v):
-        if v == H.n:
-            yield tuple(image)
-            return
-        cand = full
-        for u in H.neighbors(v):
-            if u < v:
-                cand &= P.rows[image[u]]
-        while cand:
-            bit = cand & -cand
-            image[v] = bit.bit_length() - 1
-            yield from rec(v + 1)
-            cand &= cand - 1
-
-    yield from rec(0)
-
-
 def leading_coefficient(patternH: Graph, wp: WeightedPattern) -> LeadingCoefficient:
     """The degree-m coefficient of count_embeddings(H, blow-up of P) in the
     blow-up size n, as an exact rational."""
@@ -308,14 +270,12 @@ def saturation_converges(patternH: Graph, wp: WeightedPattern,
 # minute.  k = 8 at grid 50 (2.6e8) is refused before any work.
 GRID_BUDGET = 10 ** 7
 
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    grid_resolution: int = 50
-    max_iterations: int = 200
-    tolerance: float = 1e-6
-    workers: int = 1
-    snap_denominator: int = 10 ** 6
+# The local ascent stops after MAX_ITERATIONS moves or once its step falls
+# below TOLERANCE; its float optimum is snapped to denominator
+# SNAP_DENOMINATOR before the exact evaluation.
+MAX_ITERATIONS = 200
+TOLERANCE = 1e-6
+SNAP_DENOMINATOR = 10 ** 6
 
 
 def automorphism_maps(g: Graph) -> list[tuple[int, ...]]:
@@ -357,14 +317,16 @@ def _eval_seed_chunk(args):
     return best_val, best_seed
 
 
-def optimize_weights(patternH: Graph, patternP: Graph,
-                     config: OptimizerConfig | None = None):
+def optimize_weights(patternH: Graph, patternP: Graph, grid: int = 50,
+                     workers: int = 1):
     """Heuristically maximize the leading coefficient over blob weights.
 
     Coarse grid seeding (with Aut(P) symmetry reduction) followed by local
     mass-transfer ascent with a shrinking step; floats inside the loop, one
     exact rational evaluation at the rationalized final point.  Global
-    optimality is not claimed.  Returns (WeightedPattern, LeadingCoefficient).
+    optimality is not claimed.  `grid` is the seeding resolution per simplex
+    coordinate; seeds are evaluated in up to `workers` processes.  Returns
+    (WeightedPattern, LeadingCoefficient).
 
     Raises ValueError on a grid resolution below 1 and BudgetExceededError
     when the grid has more than GRID_BUDGET compositions, before any work.
@@ -373,37 +335,35 @@ def optimize_weights(patternH: Graph, patternP: Graph,
         raise ValueError("blow-up patterns are capped at 8 vertices")
     if patternP.n == 0:
         raise ValueError("blow-up pattern needs at least one vertex")
-    cfg = config or OptimizerConfig()
-    g = cfg.grid_resolution
-    if g < 1:
-        raise ValueError(f"grid resolution must be at least 1, got {g}")
+    if grid < 1:
+        raise ValueError(f"grid resolution must be at least 1, got {grid}")
     k = patternP.n
-    points = math.comb(g + k - 1, k - 1)
+    points = math.comb(grid + k - 1, k - 1)
     if points > GRID_BUDGET:
         raise BudgetExceededError(
-            f"grid {g} on a {k}-vertex skeleton has {points} compositions, "
+            f"grid {grid} on a {k}-vertex skeleton has {points} compositions, "
             f"over the budget of {GRID_BUDGET}; use a coarser grid")
     plan = HomSumPlan(patternH, patternP)
-    seeds = _grid_seeds(patternP, g)
+    seeds = _grid_seeds(patternP, grid)
 
-    if cfg.workers > 1 and len(seeds) > 64:
-        chunks = [seeds[i::cfg.workers] for i in range(cfg.workers)]
-        args = [(plan, ch, g) for ch in chunks if ch]
+    if workers > 1 and len(seeds) > 64:
+        chunks = [seeds[i::workers] for i in range(workers)]
+        args = [(plan, ch, grid) for ch in chunks if ch]
         with ProcessPoolExecutor(max_workers=len(args)) as pool:
             results = list(pool.map(_eval_seed_chunk, args))
     else:
-        results = [_eval_seed_chunk((plan, seeds, g))]
+        results = [_eval_seed_chunk((plan, seeds, grid))]
 
     best_val, best_seed = -1.0, None
     for val, seed in results:
         if best_seed is None or val > best_val or (val == best_val and seed < best_seed):
             best_val, best_seed = val, seed
 
-    weights = [a / g for a in best_seed]
+    weights = [a / grid for a in best_seed]
     value = best_val
-    step = 1.0 / g
+    step = 1.0 / grid
     iterations = 0
-    while step >= cfg.tolerance and iterations < cfg.max_iterations:
+    while step >= TOLERANCE and iterations < MAX_ITERATIONS:
         iterations += 1
         best_move, best_move_val = None, value
         for i in range(k):
@@ -425,8 +385,8 @@ def optimize_weights(patternH: Graph, patternP: Graph,
         else:
             step /= 2
 
-    candidates = [_snap_to_simplex(weights, cfg.snap_denominator),
-                  tuple(Fraction(a, g) for a in best_seed)]
+    candidates = [_snap_to_simplex(weights, SNAP_DENOMINATOR),
+                  tuple(Fraction(a, grid) for a in best_seed)]
     best_exact, best_wp = None, None
     for cand in candidates:
         wp = WeightedPattern(patternP, cand)

@@ -222,6 +222,10 @@ def thm1_sweep(x_max: int = 300) -> SweepReport:
 # counterexample parameters (linear defect construction)
 # ---------------------------------------------------------------------------
 
+A_SCAN_DENOMINATOR = 1024
+C_HALVING_DEPTH = 60
+
+
 @dataclass(frozen=True)
 class Theorem2Params:
     lam: Fraction
@@ -263,14 +267,14 @@ def _p_power_exceeds(a: Fraction, b: Fraction, lam: Fraction, X: int,
     return lhs > rhs ** w
 
 
-def solve_theorem2_params(lam, a_scan_denominator: int = 1024,
-                          c_halving_depth: int = 60) -> Theorem2Params:
+def solve_theorem2_params(lam) -> Theorem2Params:
     """Rational (a, c, p, x_min) realizing the counterexample constraints.
 
-    a scans 1/2 + j/1024 keeping the exact maximizer of a^(lam+1)(1-a); c
-    halves from (1-a)/6 until a^(lam+1)(1-a-3c) clears (1/2)^(lam+2); x_min
-    is the least integer with p^x_min exceeding 2a(1-a-3c)^2/c^3, certified
-    by exact integer powering (no logarithms in the certificate).
+    a scans 1/2 + j/A_SCAN_DENOMINATOR keeping the exact maximizer of
+    a^(lam+1)(1-a); c halves from (1-a)/6 until a^(lam+1)(1-a-3c) clears
+    (1/2)^(lam+2); x_min is the least integer with p^x_min exceeding
+    2a(1-a-3c)^2/c^3, certified by exact integer powering (no logarithms
+    in the certificate).
     """
     lam = Fraction(lam)
     if lam <= 0:
@@ -278,8 +282,8 @@ def solve_theorem2_params(lam, a_scan_denominator: int = 1024,
     half_pow = _half_power(lam)
 
     best_a, best_margin = None, None
-    for j in range(1, a_scan_denominator // 2):
-        a = Fraction(1, 2) + Fraction(j, a_scan_denominator)
+    for j in range(1, A_SCAN_DENOMINATOR // 2):
+        a = Fraction(1, 2) + Fraction(j, A_SCAN_DENOMINATOR)
         margin = _power_margin(a, 1 - a, lam)
         if margin > half_pow and (best_margin is None or margin > best_margin):
             best_a, best_margin = a, margin
@@ -290,7 +294,7 @@ def solve_theorem2_params(lam, a_scan_denominator: int = 1024,
     a = best_a
 
     c = (1 - a) / 6
-    for _ in range(c_halving_depth):
+    for _ in range(C_HALVING_DEPTH):
         if _power_margin(a, 1 - a - 3 * c, lam) > half_pow:
             break
         c /= 2

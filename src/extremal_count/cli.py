@@ -19,8 +19,9 @@ import os
 import sys
 from fractions import Fraction
 
-from . import bounds, oracle
-from .blowup import OptimizerConfig, optimize_weights
+from . import _kernels as kernels
+from . import bounds
+from .blowup import optimize_weights
 from .bounds import frac_str
 from .embeddings import count_automorphisms, copies_from_counts, h_degrees
 from .graphs import (Graph, GraphFormatError, build_blowup, build_gps_example1,
@@ -185,8 +186,7 @@ def _load_blowup_pattern(spec_text: str) -> Graph:
 def cmd_optimize(args):
     pattern = read_graph_file(args.pattern)
     skeleton = _load_blowup_pattern(args.blowup_pattern)
-    config = OptimizerConfig(grid_resolution=args.grid, workers=args.workers)
-    wp, coeff = optimize_weights(pattern, skeleton, config)
+    wp, coeff = optimize_weights(pattern, skeleton, args.grid, args.workers)
     payload = {
         "command": "optimize",
         "pattern_file": args.pattern,
@@ -210,7 +210,8 @@ def cmd_search(args):
     for i, w in enumerate(report.witnesses):
         witnesses.append({
             "index": i,
-            "canonical_mask": oracle.canonical_form(w),
+            # each witness is built from its canonical mask
+            "canonical_mask": kernels.mask_from_rows(w.rows, w.n),
             "edges": [[u, v] for u, v in w.edges()],
         })
     if args.witness_dir:

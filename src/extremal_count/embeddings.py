@@ -2,9 +2,10 @@
 delete-and-clone symmetrization move.
 
 All counts are exact Python integers.  Counting backtracks over a static
-pattern-vertex order with bit-set candidate pruning; the work optionally
-splits by the host image of the first ordered vertex, and partial sums are
-combined by addition, so results are identical for any worker count.
+pattern-vertex order with bit-set candidate pruning.  The one-pass
+H-degree count optionally splits by the host image of the first ordered
+vertex, and partial results are combined by addition, so they are
+identical for any worker count.
 """
 
 from __future__ import annotations
@@ -39,15 +40,13 @@ def search_plan(pattern: Graph):
     return order, parents
 
 
-def count_embeddings(pattern: Graph, host: Graph, workers: int = 1) -> int:
+def count_embeddings(pattern: Graph, host: Graph) -> int:
     """Number of injective maps V(pattern) -> V(host) carrying every pattern
     edge to a host edge.  A pattern larger than the host yields 0."""
     if pattern.n > host.n:
         return 0
     _, parents = search_plan(pattern)
-    if workers <= 1 or pattern.n == 0 or host.n == 0:
-        return kernels.count_injective(host.rows, host.n, parents)
-    return sum(_map_first_vertex_chunks(_count_chunk, host, parents, workers))
+    return kernels.count_injective(host.rows, host.n, parents)
 
 
 def _first_vertex_chunks(n_host: int, workers: int) -> list[int]:
@@ -55,20 +54,6 @@ def _first_vertex_chunks(n_host: int, workers: int) -> list[int]:
     for v in range(n_host):
         masks[v % len(masks)] |= 1 << v
     return masks
-
-
-def _map_first_vertex_chunks(chunk_fn, host: Graph, parents, workers: int) -> list:
-    """Run `chunk_fn` once per first-vertex chunk in a process pool; the
-    results come back in chunk order."""
-    chunks = _first_vertex_chunks(host.n, workers)
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        return list(pool.map(chunk_fn, [(host.rows, host.n, parents, mask)
-                                        for mask in chunks]))
-
-
-def _count_chunk(args):
-    host_rows, n_host, parents, mask = args
-    return kernels.count_injective(host_rows, n_host, parents, mask)
 
 
 def _h_degree_chunk(args):
@@ -151,11 +136,14 @@ class HDegreeReport:
         if workers <= 1 or m == 0 or m > host.n:
             total, h = kernels.count_h_degrees(host.rows, host.n, parents)
         else:
+            chunks = _first_vertex_chunks(host.n, workers)
             total, h = 0, [0] * host.n
-            for part_total, part_h in _map_first_vertex_chunks(
-                    _h_degree_chunk, host, parents, workers):
-                total += part_total
-                h = [a + b for a, b in zip(h, part_h)]
+            with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+                for part_total, part_h in pool.map(
+                        _h_degree_chunk,
+                        [(host.rows, host.n, parents, mask) for mask in chunks]):
+                    total += part_total
+                    h = [a + b for a, b in zip(h, part_h)]
         self.total = total
         self.h = dict(enumerate(h))
         self._without_pair = {}

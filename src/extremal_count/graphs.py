@@ -341,6 +341,7 @@ def read_graph_text(text: str) -> Graph:
     n = None
     edges = []
     labels = {}
+    label_lines = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -355,6 +356,7 @@ def read_graph_text(text: str) -> Graph:
                 except ValueError:
                     raise GraphFormatError(lineno, f"bad label vertex {parts[1]!r}") from None
                 labels[v] = parts[2]
+                label_lines[v] = lineno
             continue
         if n is None:
             parts = line.split()
@@ -381,9 +383,9 @@ def read_graph_text(text: str) -> Graph:
         edges.append((u, v))
     if n is None:
         raise GraphFormatError(1, "missing header 'n <count>'")
-    for v in labels:
+    for v, lineno in label_lines.items():
         if not (0 <= v < n):
-            raise GraphFormatError(1, f"label vertex {v} out of range")
+            raise GraphFormatError(lineno, f"label vertex {v} out of range")
     return Graph(n, edges, labels)
 
 

@@ -6,10 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from extremal_count import (Graph, OptimizerConfig, WeightedPattern,
-                            build_gps_example1, build_theorem2_H,
-                            complete_graph, connected_components, cycle_graph,
-                            disjoint_union, enumerate_homomorphisms,
+from extremal_count import (Graph, WeightedPattern, build_gps_example1,
+                            build_theorem2_H, complete_graph,
+                            connected_components, cycle_graph, disjoint_union,
                             leading_coefficient, optimize_weights, path_graph,
                             saturation_check, saturation_converges,
                             star_graph, weighted_hom_sum)
@@ -33,24 +32,19 @@ def test_weighted_pattern_validation():
         WeightedPattern(K2, (Fraction(3, 2), Fraction(-1, 2)))
 
 
+def hom_count(patternH, patternP):
+    return weighted_hom_sum(patternH, patternP, [1] * patternP.n)
+
+
 def test_hom_count_examples():
-    count, _ = enumerate_homomorphisms(build_theorem2_H(1, 4), K2)
-    assert count == 2  # connected bipartite
-    count, _ = enumerate_homomorphisms(cycle_graph(5), cycle_graph(5))
-    assert count == 10
+    assert hom_count(build_theorem2_H(1, 4), K2) == 2  # connected bipartite
+    assert hom_count(cycle_graph(5), cycle_graph(5)) == 10
     for c in (1, 2, 3):
         pattern = Graph(2 * c, [(2 * i, 2 * i + 1) for i in range(c)])
-        count, _ = enumerate_homomorphisms(pattern, K2)
-        assert count == 2 ** c
-
-
-def test_hom_listing_matches_count():
-    count, listing = enumerate_homomorphisms(cycle_graph(4), K2,
-                                             include_listing=True)
-    assert count == 2 and len(listing) == 2
-    count, listing = enumerate_homomorphisms(path_graph(3), cycle_graph(5),
-                                             include_listing=True)
-    assert count == len(listing) == 5 * 2 * 2
+        assert hom_count(pattern, K2) == 2 ** c
+    cases = [(cycle_graph(4), K2, 2), (path_graph(3), cycle_graph(5), 5 * 2 * 2)]
+    for h, p, expected in cases:
+        assert hom_count(h, p) == naive_hom_sum(h, p, [1] * p.n) == expected
 
 
 def test_hom_sum_matches_naive_all_maps():
@@ -190,19 +184,16 @@ def test_optimize_c4_balanced():
 
 
 def test_optimize_balanced_tree_prefers_even_split():
-    wp, coeff = optimize_weights(build_theorem2_H(1, 4), K2,
-                                 OptimizerConfig(grid_resolution=20))
+    wp, coeff = optimize_weights(build_theorem2_H(1, 4), K2, grid=20)
     assert wp.weights == HALF
     assert coeff.value == 2 * Fraction(1, 2) ** 10
 
 
 def test_optimize_deterministic_across_workers():
-    cfg1 = OptimizerConfig(grid_resolution=10, workers=1)
-    cfg2 = OptimizerConfig(grid_resolution=10, workers=3)
     h = build_gps_example1(3)
     p = cycle_graph(5)
-    w1, c1 = optimize_weights(h, p, cfg1)
-    w2, c2 = optimize_weights(h, p, cfg2)
+    w1, c1 = optimize_weights(h, p, grid=10, workers=1)
+    w2, c2 = optimize_weights(h, p, grid=10, workers=3)
     assert w1.weights == w2.weights and c1.value == c2.value
 
 

@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from extremal_count import _kernels, cli, read_graph_file
+from extremal_count import (Graph, _kernels, canonical_form, cli,
+                            read_graph_file, triangle_free_masks)
 from extremal_count.graphs import (write_graph_file, cycle_graph, complete_bipartite,
                                    path_graph)
 
@@ -178,6 +179,20 @@ def test_search_reports_witnesses(tmp_path, capsys, c4_file):
     assert files == ["witness_000.graph"]
     witness = read_graph_file(wdir / files[0])
     assert witness.edge_count() == 9
+
+
+def test_search_witness_masks_are_canonical(tmp_path, capsys):
+    # a one-vertex pattern fits every host equally often, so every
+    # triangle-free class on n vertices is a witness
+    k1 = tmp_path / "k1.graph"
+    write_graph_file(Graph(1), k1)
+    for n in range(1, 8):
+        code, out = run(["search", str(k1), str(n)], capsys)
+        assert code == 0
+        witnesses = json.loads(out)["witnesses"]
+        assert len(witnesses) == len(triangle_free_masks(n))
+        for w in witnesses:
+            assert w["canonical_mask"] == canonical_form(Graph(n, w["edges"]))
 
 
 def test_search_budget_exit_2(c4_file, capsys):

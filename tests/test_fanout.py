@@ -4,12 +4,14 @@ An executor forks its worker processes up front, so a pool asked for more
 workers than it has tasks would start idle processes.  These tests swap in
 an in-process executor that records the requested size and starts none."""
 
+import itertools
+
 import pytest
 
-from extremal_count import (OptimizerConfig, blowup, complete_bipartite,
-                            count_embeddings, cycle_graph, embeddings,
-                            find_maximizers, h_degrees, optimize_weights,
-                            oracle, path_graph, star_graph, triangle_free_masks)
+from extremal_count import (blowup, cli, complete_bipartite, cycle_graph,
+                            embeddings, find_maximizers, h_degrees,
+                            optimize_weights, oracle, path_graph, star_graph,
+                            triangle_free_masks, write_graph_file)
 
 MANY = 1000
 
@@ -38,42 +40,65 @@ def pools(monkeypatch):
     return RecordingExecutor.sizes
 
 
+@pytest.fixture
+def k2_file(tmp_path):
+    path = tmp_path / "k2.graph"
+    write_graph_file(path_graph(2), path)
+    return str(path)
+
+
 def test_embedding_pool_is_capped_at_host_size(pools):
     host = complete_bipartite(3, 4)
-    assert count_embeddings(path_graph(3), host, workers=MANY) == \
-        count_embeddings(path_graph(3), host)
     assert h_degrees(star_graph(2), host, workers=MANY).h == \
         h_degrees(star_graph(2), host).h
-    assert pools == [host.n, host.n]
+    assert pools == [host.n]
 
 
-def test_enumeration_pool_is_capped_at_parent_count(pools, monkeypatch):
-    monkeypatch.setattr(oracle, "_enum_cache", {})
-    parents = triangle_free_masks(5)
-    assert triangle_free_masks(6, workers=MANY) == oracle._masks(6)
-    assert pools == [len(parents)]
-    monkeypatch.setattr(oracle, "_enum_cache", {})
-    assert triangle_free_masks(6, workers=4) == oracle._masks(6)
-    assert pools[1:] == [4]
-
-
-def test_maximizer_search_with_many_workers(pools, monkeypatch):
+def test_maximizer_search_with_many_workers(pools):
     serial = find_maximizers(path_graph(3), 6)
-    monkeypatch.setattr(oracle, "_enum_cache", {})
     assert find_maximizers(path_graph(3), 6, workers=MANY) == serial
-    # 14 parents on 5 vertices; 38 hosts are too few to split the scoring
+    # one pool, one task per non-empty chunk of the 14 parents on 5 vertices
     assert pools == [14]
-    monkeypatch.setattr(oracle, "_enum_cache", {})
     assert find_maximizers(path_graph(3), 6, workers=9) == serial
-    assert pools[1:] == [9, 9]
+    assert pools[1:] == [9]
+
+
+def test_search_opens_one_pool(pools, k2_file, capsys):
+    assert cli.main(["search", k2_file, "6"]) == 0
+    serial = capsys.readouterr().out
+    assert pools == []
+    for workers in (2, MANY):
+        pools.clear()
+        assert cli.main(["search", k2_file, "6", "--workers", str(workers)]) == 0
+        assert capsys.readouterr().out == serial
+        assert pools == [min(workers, len(triangle_free_masks(5)))]
+
+
+def test_disagreeing_pool_tasks_exit_3(pools, k2_file, capsys, monkeypatch):
+    # the two chunks share hosts; the second task adds two to every count,
+    # which keeps each count divisible by |Aut(K2)|
+    real = oracle._count_task
+    offsets = itertools.count(0, 2)
+
+    def skewed(args):
+        offset = next(offsets)
+        return [(mask, emb + offset) for mask, emb in real(args)]
+
+    monkeypatch.setattr(oracle, "_count_task", skewed)
+    code = cli.main(["search", k2_file, "6", "--workers", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ")
+    assert "two pool tasks" in captured.err
+    assert pools == [2]
 
 
 def test_optimizer_pool_is_capped_at_seed_count(pools):
     seeds = blowup._grid_seeds(cycle_graph(5), 10)
     assert 64 < len(seeds) < MANY
-    serial = optimize_weights(cycle_graph(4), cycle_graph(5),
-                              OptimizerConfig(grid_resolution=10))
-    parallel = optimize_weights(cycle_graph(4), cycle_graph(5),
-                                OptimizerConfig(grid_resolution=10, workers=MANY))
+    serial = optimize_weights(cycle_graph(4), cycle_graph(5), grid=10)
+    parallel = optimize_weights(cycle_graph(4), cycle_graph(5), grid=10,
+                                workers=MANY)
     assert parallel == serial
     assert pools == [len(seeds)]

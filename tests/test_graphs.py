@@ -196,6 +196,9 @@ def test_text_parse_errors_carry_line_numbers():
     with pytest.raises(GraphFormatError) as err:
         read_graph_text("n 2\n0 5\n")
     assert err.value.lineno == 2
+    with pytest.raises(GraphFormatError) as err:
+        read_graph_text("n 3\n0 1\n# label 7 x\n")
+    assert err.value.lineno == 3
 
 
 def test_labels_do_not_affect_equality_of_structure():

@@ -29,20 +29,7 @@ def test_count_injective_agreement():
         host = random_graph(rng, rng.randint(0, 8), 0.5)
         _, parents = search_plan(pattern)
         pure = _pykernels.count_injective(host.rows, host.n, parents)
-        fast = _kernels.fast.count_injective(list(host.rows), host.n, parents, -1)
-        assert pure == fast
-
-
-@needs_fast
-def test_count_injective_first_mask_agreement():
-    rng = random.Random(307)
-    for _ in range(50):
-        pattern = random_graph(rng, rng.randint(1, 4), 0.6)
-        host = random_graph(rng, rng.randint(1, 7), 0.5)
-        _, parents = search_plan(pattern)
-        mask = rng.randrange(1 << host.n)
-        pure = _pykernels.count_injective(host.rows, host.n, parents, mask)
-        fast = _kernels.fast.count_injective(list(host.rows), host.n, parents, mask)
+        fast = _kernels.fast.count_injective(list(host.rows), host.n, parents)
         assert pure == fast
 
 

@@ -136,14 +136,12 @@ def test_hypothesis_patterns_soft_expectation():
         print(f"all {checked} hypothesis-pattern maximizer sets complete bipartite")
 
 
-def test_workers_do_not_change_enumeration():
-    import extremal_count.oracle as oracle_mod
-    cases = [(n, 2) for n in range(1, 9)] + [(6, 4)]
-    for n, workers in cases:
-        serial = triangle_free_masks(n)
-        oracle_mod._enum_cache.pop(n)
-        try:
-            assert triangle_free_masks(n, workers=workers) == serial
-        finally:
-            oracle_mod._enum_cache[n] = serial
+def test_workers_do_not_change_maximizers():
+    # each pool task grows and scores one chunk of the parents on n - 1
+    # vertices; the merged scores must give the serial report
+    for pattern in (path_graph(2), path_graph(4), star_graph(3)):
+        for n in range(pattern.n, 9):
+            serial = find_maximizers(pattern, n)
+            for workers in (2, 3, 4):
+                assert find_maximizers(pattern, n, workers=workers) == serial
     assert len(triangle_free_masks(8)) == 410
