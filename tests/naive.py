@@ -43,15 +43,21 @@ def naive_pair_degree(pattern: Graph, host: Graph, u: int, v: int) -> int:
     return count
 
 
-def naive_hom_sum(patternH: Graph, patternP: Graph, weights):
+def naive_homomorphisms(patternH: Graph, patternP: Graph) -> list[tuple[int, ...]]:
+    """Every map V(H) -> V(P) that sends edges to edges, in lexicographic order."""
     edges = patternH.edges()
+    return [image
+            for image in itertools.product(range(patternP.n), repeat=patternH.n)
+            if all(patternP.has_edge(image[u], image[v]) for u, v in edges)]
+
+
+def naive_hom_sum(patternH: Graph, patternP: Graph, weights):
     total = 0
-    for image in itertools.product(range(patternP.n), repeat=patternH.n):
-        if all(patternP.has_edge(image[u], image[v]) for u, v in edges):
-            prod = 1
-            for q in image:
-                prod *= weights[q]
-            total += prod
+    for image in naive_homomorphisms(patternH, patternP):
+        prod = 1
+        for q in image:
+            prod *= weights[q]
+        total += prod
     return total
 
 

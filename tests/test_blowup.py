@@ -15,7 +15,7 @@ from extremal_count import (Graph, WeightedPattern, build_gps_example1,
 from extremal_count.blowup import GRID_BUDGET, _grid_seeds
 from extremal_count.oracle import BudgetExceededError
 
-from naive import (as_fractions, naive_grid_seeds, naive_hom_sum,
+from naive import (as_fractions, naive_grid_seeds, naive_hom_sum, naive_homomorphisms,
                    random_bipartite_with_components, random_graph)
 
 K2 = path_graph(2)
@@ -45,6 +45,17 @@ def test_hom_count_examples():
     cases = [(cycle_graph(4), K2, 2), (path_graph(3), cycle_graph(5), 5 * 2 * 2)]
     for h, p, expected in cases:
         assert hom_count(h, p) == naive_hom_sum(h, p, [1] * p.n) == expected
+
+
+def test_hom_listing_matches_count():
+    listing = naive_homomorphisms(cycle_graph(4), K2)
+    assert listing == [(0, 1, 0, 1), (1, 0, 1, 0)]
+    assert hom_count(cycle_graph(4), K2) == len(listing) == 2
+    p5 = cycle_graph(5)
+    listing = naive_homomorphisms(path_graph(3), p5)
+    assert len(set(listing)) == len(listing) == 5 * 2 * 2
+    assert all(p5.has_edge(a, b) and p5.has_edge(b, c) for a, b, c in listing)
+    assert hom_count(path_graph(3), p5) == len(listing)
 
 
 def test_hom_sum_matches_naive_all_maps():
