@@ -249,10 +249,17 @@ def triangle_free_canonical_masks(n: int, parents=None, canon=None) -> list[int]
     the neighbourhood takes members lowest index first; any other choice
     is the image of one of these under a twin swap.
 
-    `parents` extends only the given (n-1)-vertex masks, so the union over
-    a partition of level n-1 is level n; that is the unit of parallel
-    work.  `canon(rows, k)` computes the canonical forms; the default is
-    this module's `canonical_mask`, looked up at call time.
+    A child is kept only by its canonical parent, the graph whose mask is
+    the first (k-1)(k-2)/2 bits of the child's canonical mask (orderly
+    generation).  That prefix is the least canonical form over the
+    child's one-vertex deletions, so every class has exactly one
+    canonical parent and is reached from it.
+
+    `parents` extends only the given (n-1)-vertex masks, which must be
+    canonical; disjoint parent lists give disjoint outputs, and the union
+    over a partition of level n-1 is level n.  That is the unit of
+    parallel work.  `canon(rows, k)` computes the canonical forms; the
+    default is this module's `canonical_mask`, looked up at call time.
     """
     if canon is None:
         canon = canonical_mask
@@ -267,7 +274,8 @@ def triangle_free_canonical_masks(n: int, parents=None, canon=None) -> list[int]
 
 
 def _children(k: int, parents, canon) -> set[int]:
-    """Canonical masks of the (k+1)-vertex growths of the k-vertex masks."""
+    """Canonical masks of the (k+1)-vertex growths of the canonical
+    k-vertex masks, each kept only by its canonical parent."""
     out = set()
     bit = 1 << k
     for mask in parents:
@@ -275,7 +283,9 @@ def _children(k: int, parents, canon) -> set[int]:
         for s in _independent_subsets(rows, k, _lower_twins(rows, k)):
             child = [r | bit if s >> v & 1 else r for v, r in enumerate(rows)]
             child.append(s)
-            out.add(canon(child, k + 1))
+            child_mask = canon(child, k + 1)
+            if child_mask >> k == mask:
+                out.add(child_mask)
     return out
 
 

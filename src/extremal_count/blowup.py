@@ -307,14 +307,10 @@ def _grid_seeds(patternP: Graph, resolution: int) -> list[tuple[int, ...]]:
 
 
 def _eval_seed_chunk(args):
+    """(-value, seed) of the chunk's largest value, then smallest seed."""
     plan, seeds, resolution = args
-    best_val, best_seed = -1.0, None
-    for seed in seeds:
-        weights = [a / resolution for a in seed]
-        val = float(plan(weights))
-        if best_seed is None or val > best_val or (val == best_val and seed < best_seed):
-            best_val, best_seed = val, seed
-    return best_val, best_seed
+    return min((-float(plan([a / resolution for a in seed])), seed)
+               for seed in seeds)
 
 
 def optimize_weights(patternH: Graph, patternP: Graph, grid: int = 50,
@@ -354,13 +350,9 @@ def optimize_weights(patternH: Graph, patternP: Graph, grid: int = 50,
     else:
         results = [_eval_seed_chunk((plan, seeds, grid))]
 
-    best_val, best_seed = -1.0, None
-    for val, seed in results:
-        if best_seed is None or val > best_val or (val == best_val and seed < best_seed):
-            best_val, best_seed = val, seed
-
+    neg_value, best_seed = min(results)
     weights = [a / grid for a in best_seed]
-    value = best_val
+    value = -neg_value
     step = 1.0 / grid
     iterations = 0
     while step >= TOLERANCE and iterations < MAX_ITERATIONS:

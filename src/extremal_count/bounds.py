@@ -322,8 +322,6 @@ def solve_theorem2_params(lam) -> Theorem2Params:
                _power_margin(a, 1 - a, lam), half_pow, ">"),
         _check(f"g(c) > 0 as a^{u + w} b^{w} > (1/2)^{u + 2 * w}",
                _power_margin(a, b, lam), half_pow, ">"),
-        _check("p > 1 (same powering as g(c) > 0)",
-               _power_margin(a, b, lam), half_pow, ">"),
         _check(f"p^x_min > 2a b^2 / c^3 raised to the {w}-th power",
                a ** ((u + w) * x_min) * b ** (w * x_min)
                * Fraction(2) ** ((u + 2 * w) * x_min),

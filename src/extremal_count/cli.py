@@ -39,10 +39,6 @@ def _default_workers() -> int:
         return 1
 
 
-def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="extremal-count",
@@ -70,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--d", type=int, help="half-defect parameter")
     p_verify.add_argument("--sweep-max", type=int,
                           help="sweep all (x, d) hypothesis pairs up to this x (thm1-coeff)")
-    p_verify.add_argument("--lam", type=_parse_fraction,
+    p_verify.add_argument("--lam", type=Fraction,
                           help="defect ratio lambda as a fraction, e.g. 1 or 1/2")
     p_verify.set_defaults(func=cmd_verify)
 
@@ -85,8 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_search = sub.add_parser("search", parents=[common], help="exact maximizers over triangle-free hosts")
     p_search.add_argument("pattern", help="pattern graph file")
     p_search.add_argument("n", type=int, help="host vertex count")
-    p_search.add_argument("--budget-n", type=int, default=8,
-                          help="largest allowed host size (9 requires opting in)")
     p_search.add_argument("--witness-dir",
                           help="also write each witness as a graph file here")
     p_search.set_defaults(func=cmd_search)
@@ -132,9 +126,10 @@ def cmd_count(args):
 
 
 def _require(args, names):
+    what = args.theorem if args.command == "verify" else args.family
     for name in names:
         if getattr(args, name) is None:
-            raise ValueError(f"verify {args.theorem} requires --{name.replace('_', '-')}")
+            raise ValueError(f"{args.command} {what} requires --{name.replace('_', '-')}")
 
 
 def cmd_verify(args):
@@ -201,11 +196,7 @@ def cmd_optimize(args):
 
 def cmd_search(args):
     pattern = read_graph_file(args.pattern)
-    if args.n > args.budget_n:
-        raise BudgetExceededError(
-            f"n={args.n} exceeds the configured budget {args.budget_n}")
-    report = find_maximizers(pattern, args.n, allow_nine=args.budget_n >= 9,
-                             workers=args.workers)
+    report = find_maximizers(pattern, args.n, workers=args.workers)
     witnesses = []
     for i, w in enumerate(report.witnesses):
         witnesses.append({
@@ -235,38 +226,32 @@ def cmd_search(args):
 def cmd_gen(args):
     family = args.family
     if family == "turan2":
-        _require_gen(args, ["n"])
+        _require(args, ["n"])
         g = build_turan2(args.n)
     elif family == "complete-bipartite":
-        _require_gen(args, ["a", "b"])
+        _require(args, ["a", "b"])
         g = complete_bipartite(args.a, args.b)
     elif family == "path":
-        _require_gen(args, ["n"])
+        _require(args, ["n"])
         g = path_graph(args.n)
     elif family == "cycle":
-        _require_gen(args, ["n"])
+        _require(args, ["n"])
         g = cycle_graph(args.n)
     elif family == "star":
-        _require_gen(args, ["n"])
+        _require(args, ["n"])
         g = star_graph(args.n)
     elif family == "gps-example1":
-        _require_gen(args, ["k"])
+        _require(args, ["k"])
         g = build_gps_example1(args.k)
     elif family == "theorem2-h":
-        _require_gen(args, ["d", "x"])
+        _require(args, ["d", "x"])
         g = build_theorem2_H(args.d, args.x)
     else:  # blowup
-        _require_gen(args, ["pattern", "sizes"])
+        _require(args, ["pattern", "sizes"])
         base = _load_blowup_pattern(args.pattern)
         sizes = [int(s) for s in args.sizes.split(",")]
         g = build_blowup(base, sizes)
     return g, 0
-
-
-def _require_gen(args, names):
-    for name in names:
-        if getattr(args, name) is None:
-            raise ValueError(f"gen {args.family} requires --{name}")
 
 
 # ---------------------------------------------------------------------------

@@ -195,8 +195,17 @@ def test_search_witness_masks_are_canonical(tmp_path, capsys):
             assert w["canonical_mask"] == canonical_form(Graph(n, w["edges"]))
 
 
-def test_search_budget_exit_2(c4_file, capsys):
-    assert cli.main(["search", c4_file, "9"]) == 2
+def test_search_budget_exit_2(c4_file, capsys, monkeypatch):
+    # the budget is checked before any enumeration starts
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumeration started past the budget")
+
+    monkeypatch.setattr(_kernels, "triangle_free_canonical_masks", no_enumeration)
+    for workers in ("1", "2"):
+        assert cli.main(["search", c4_file, "10", "--workers", workers]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "capped at n=9" in captured.err
 
 
 def test_optimize_k2(tmp_path, capsys):

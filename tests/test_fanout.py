@@ -4,8 +4,6 @@ An executor forks its worker processes up front, so a pool asked for more
 workers than it has tasks would start idle processes.  These tests swap in
 an in-process executor that records the requested size and starts none."""
 
-import itertools
-
 import pytest
 
 from extremal_count import (blowup, cli, complete_bipartite, cycle_graph,
@@ -74,17 +72,17 @@ def test_search_opens_one_pool(pools, k2_file, capsys):
         assert pools == [min(workers, len(triangle_free_masks(5)))]
 
 
-def test_disagreeing_pool_tasks_exit_3(pools, k2_file, capsys, monkeypatch):
-    # the two chunks share hosts; the second task adds two to every count,
-    # which keeps each count divisible by |Aut(K2)|
+def test_host_from_two_pool_tasks_exit_3(pools, k2_file, capsys, monkeypatch):
+    # each host has one canonical parent, so no two chunks return the same
+    # host; make every task also return the empty graph (mask 0, which
+    # holds no copy of K2)
     real = oracle._count_task
-    offsets = itertools.count(0, 2)
 
-    def skewed(args):
-        offset = next(offsets)
-        return [(mask, emb + offset) for mask, emb in real(args)]
+    def leaky(args):
+        pairs = real(args)
+        return pairs if (0, 0) in pairs else [(0, 0)] + pairs
 
-    monkeypatch.setattr(oracle, "_count_task", skewed)
+    monkeypatch.setattr(oracle, "_count_task", leaky)
     code = cli.main(["search", k2_file, "6", "--workers", "2"])
     captured = capsys.readouterr()
     assert code == 3

@@ -165,8 +165,9 @@ def test_pruned_canonical_form_matches_permutation_oracle_on_twins():
 
 
 def test_twin_reduced_growth_reaches_every_child_class():
-    # per parent, so that a class reachable from several parents cannot
-    # hide a child lost from one of them
+    # per parent: each parent must keep exactly the child classes whose
+    # canonical masks start with its own, so a child lost from its one
+    # canonical parent shows here
     for k in range(1, 7):
         for mask in triangle_free_masks(k):
             rows = _pykernels.rows_from_mask(k, mask)
@@ -177,22 +178,23 @@ def test_twin_reduced_growth_reaches_every_child_class():
                 child = [r | (s >> v & 1) << k for v, r in enumerate(rows)]
                 every.add(_pykernels.canonical_mask(child + [s], k + 1))
             assert _kernels.triangle_free_canonical_masks(
-                k + 1, parents=[mask]) == sorted(every)
+                k + 1, parents=[mask]) == sorted(c for c in every if c >> k == mask)
 
 
 def test_parent_chunks_union_to_serial_level():
     # at n = 8 only the finest split runs: any chunking is a union of
-    # single-parent extensions
+    # single-parent extensions.  Chunks are pairwise disjoint, so their
+    # sizes add up to the level size.
     for n in range(1, 9):
         serial = triangle_free_masks(n)
         parents = triangle_free_masks(n - 1) if n > 1 else (0,)
         splits = [len(parents)] if n == 8 else sorted({1, 2, 3, len(parents)})
         for k in splits:
-            union = set()
-            for i in range(k):
-                union.update(_kernels.triangle_free_canonical_masks(
-                    n, parents=parents[i::k]))
+            parts = [_kernels.triangle_free_canonical_masks(n, parents=parents[i::k])
+                     for i in range(k)]
+            union = set().union(*parts)
             assert tuple(sorted(union)) == serial
+            assert sum(map(len, parts)) == len(serial)
 
 
 def test_mask_roundtrip():

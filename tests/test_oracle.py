@@ -72,9 +72,9 @@ def test_complete_bipartite_closure():
 
 def test_budget_guard():
     with pytest.raises(BudgetExceededError):
-        triangle_free_masks(9)
+        triangle_free_masks(10)
     with pytest.raises(BudgetExceededError):
-        triangle_free_masks(10, allow_nine=True)
+        list(enumerate_triangle_free(10))
 
 
 def test_find_maximizers_edge_pattern():
