@@ -11,31 +11,13 @@ positive sides to the w-th power.
 from __future__ import annotations
 
 import math
-import sys
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .blowup import WeightedPattern, leading_coefficient
 from .graphs import (Graph, build_theorem2_H, cycle_graph, degree_stats,
                      is_complete_bipartite, is_triangle_free, path_graph)
-
-
-def frac_str(q: Fraction) -> str:
-    """Exact "p/q" text of a rational.
-
-    Certificates carry rationals with tens of thousands of digits, past
-    CPython's int-to-str digit cap; the cap is lifted for this conversion
-    only and restored afterwards (interpreters before 3.10.7 have no cap).
-    """
-    q = Fraction(q)
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return f"{q.numerator}/{q.denominator}"
-    cap = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return f"{q.numerator}/{q.denominator}"
-    finally:
-        sys.set_int_max_str_digits(cap)
 
 
 @dataclass(frozen=True)
@@ -48,16 +30,14 @@ class CertCheck:
     relation: str  # "==", ">", ">=", "<="
     holds: bool
 
-    def as_dict(self):
-        return {"name": self.name, "lhs": frac_str(self.lhs),
-                "rhs": frac_str(self.rhs), "relation": self.relation,
-                "holds": self.holds}
+
+_RELATIONS = {"==": operator.eq, ">": operator.gt, ">=": operator.ge,
+              "<=": operator.le}
 
 
 def _check(name: str, lhs, rhs, relation: str) -> CertCheck:
     lhs, rhs = Fraction(lhs), Fraction(rhs)
-    ops = {"==": lhs == rhs, ">": lhs > rhs, ">=": lhs >= rhs, "<=": lhs <= rhs}
-    return CertCheck(name, lhs, rhs, relation, ops[relation])
+    return CertCheck(name, lhs, rhs, relation, _RELATIONS[relation](lhs, rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -72,12 +52,6 @@ class EdgeBoundReport:
     holds: bool
     equality: bool
     equality_is_complete_bipartite: bool | None
-
-    def as_dict(self):
-        return {"edges": self.edges, "max_degree": self.max_degree,
-                "bound": self.bound, "holds": self.holds,
-                "equality": self.equality,
-                "equality_is_complete_bipartite": self.equality_is_complete_bipartite}
 
 
 def edge_bound_check(g: Graph) -> EdgeBoundReport:
@@ -107,10 +81,6 @@ class Theorem1Coefficient:
     value: Fraction
     exceeds_two_fifths: bool
 
-    def as_dict(self):
-        return {"x": self.x, "d": self.d, "value": frac_str(self.value),
-                "exceeds_two_fifths": self.exceeds_two_fifths}
-
 
 def thm1_coefficient(x: int, d: int) -> Theorem1Coefficient:
     """(d+x-1)^(2d+2x-2) / (2 (2d+x-1)^(2d+x-1) (x-1)^(x-1)), exact."""
@@ -139,12 +109,6 @@ class ChainReport:
     expressions: tuple[Fraction, ...]
     steps: tuple[CertCheck, ...]
     all_hold: bool
-
-    def as_dict(self):
-        return {"x": self.x, "d": self.d, "hypothesis_ok": self.hypothesis_ok,
-                "expressions": [frac_str(e) for e in self.expressions],
-                "steps": [s.as_dict() for s in self.steps],
-                "all_hold": self.all_hold}
 
 
 def thm1_chain_check(x: int, d: int) -> ChainReport:
@@ -188,10 +152,6 @@ class SweepReport:
     pairs_checked: int
     violations: tuple[tuple[int, int, str], ...]
 
-    def as_dict(self):
-        return {"x_max": self.x_max, "pairs_checked": self.pairs_checked,
-                "violations": [list(v) for v in self.violations]}
-
 
 def sweep_pairs(x_max: int):
     """All (x, d) with 2 <= x <= x_max and 16 d^2 <= x-1."""
@@ -204,14 +164,17 @@ def sweep_pairs(x_max: int):
 
 def thm1_sweep(x_max: int = 300) -> SweepReport:
     """Exact sweep: every hypothesis pair has coefficient > 2/5 and a fully
-    valid chain; violations are collected, not suppressed."""
+    valid chain; violations are collected, not suppressed.  The chain's
+    first expression is the coefficient itself."""
+    if x_max < 2:
+        raise ValueError("x_max must be at least 2")
     violations = []
     checked = 0
     for x, d in sweep_pairs(x_max):
         checked += 1
-        if not thm1_coefficient(x, d).exceeds_two_fifths:
-            violations.append((x, d, "coefficient"))
         report = thm1_chain_check(x, d)
+        if not report.expressions[0] > Fraction(2, 5):
+            violations.append((x, d, "coefficient"))
         if not report.all_hold:
             bad = next(s.name for s in report.steps if not s.holds)
             violations.append((x, d, f"chain step: {bad}"))
@@ -228,23 +191,17 @@ C_HALVING_DEPTH = 60
 
 @dataclass(frozen=True)
 class Theorem2Params:
-    lam: Fraction
+    lam: Fraction = field(metadata={"json": "lambda"})
     a: Fraction
     b: Fraction
     c: Fraction
-    p_float: float
+    p_float: float = field(metadata={"json": "p"})
     x_min: int
     checks: tuple[CertCheck, ...]
 
     @property
     def all_hold(self) -> bool:
         return all(c.holds for c in self.checks)
-
-    def as_dict(self):
-        return {"lambda": frac_str(self.lam), "a": frac_str(self.a),
-                "b": frac_str(self.b), "c": frac_str(self.c),
-                "p": self.p_float, "x_min": self.x_min,
-                "checks": [c.as_dict() for c in self.checks]}
 
 
 def _power_margin(a: Fraction, b: Fraction, lam: Fraction) -> Fraction:
@@ -257,14 +214,6 @@ def _power_margin(a: Fraction, b: Fraction, lam: Fraction) -> Fraction:
 def _half_power(lam: Fraction) -> Fraction:
     u, w = lam.numerator, lam.denominator
     return Fraction(1, 2) ** (u + 2 * w)
-
-
-def _p_power_exceeds(a: Fraction, b: Fraction, lam: Fraction, X: int,
-                     rhs: Fraction) -> bool:
-    """Exact test of p^X > rhs for p = a^(lam+1) b 2^(lam+2)."""
-    u, w = lam.numerator, lam.denominator
-    lhs = a ** ((u + w) * X) * b ** (w * X) * Fraction(2) ** ((u + 2 * w) * X)
-    return lhs > rhs ** w
 
 
 def solve_theorem2_params(lam) -> Theorem2Params:
@@ -295,44 +244,44 @@ def solve_theorem2_params(lam) -> Theorem2Params:
 
     c = (1 - a) / 6
     for _ in range(C_HALVING_DEPTH):
-        if _power_margin(a, 1 - a - 3 * c, lam) > half_pow:
+        b = 1 - a - 3 * c
+        b_margin = _power_margin(a, b, lam)
+        if b_margin > half_pow:
             break
         c /= 2
     else:
         raise RuntimeError("no admissible c found within the halving depth")
-    b = 1 - a - 3 * c
 
     u, w = lam.numerator, lam.denominator
     p_float = float(a) ** (float(lam) + 1) * float(b) / 0.5 ** (float(lam) + 2)
     ratio = 2 * a * b * b / c ** 3
+    # p^w = a^(u+w) b^w 2^(u+2w); p^X > ratio is certified as p_w^X > ratio^w
+    p_w = b_margin / half_pow
+    ratio_w = ratio ** w
 
     # float seed for the threshold, then exact adjustment
     if ratio <= 1:
         x = 1
     else:
         x = max(1, math.ceil(math.log(float(ratio)) / math.log(p_float)) - 2)
-    while not _p_power_exceeds(a, b, lam, x, ratio):
+    while p_w ** x <= ratio_w:
         x += 1
-    while x > 1 and _p_power_exceeds(a, b, lam, x - 1, ratio):
+    while x > 1 and p_w ** (x - 1) > ratio_w:
         x -= 1
     x_min = x
 
     checks = [
         _check(f"f(a) > 0 as a^{u + w} (1-a)^{w} > (1/2)^{u + 2 * w}",
-               _power_margin(a, 1 - a, lam), half_pow, ">"),
+               best_margin, half_pow, ">"),
         _check(f"g(c) > 0 as a^{u + w} b^{w} > (1/2)^{u + 2 * w}",
-               _power_margin(a, b, lam), half_pow, ">"),
+               b_margin, half_pow, ">"),
         _check(f"p^x_min > 2a b^2 / c^3 raised to the {w}-th power",
-               a ** ((u + w) * x_min) * b ** (w * x_min)
-               * Fraction(2) ** ((u + 2 * w) * x_min),
-               ratio ** w, ">"),
+               p_w ** x_min, ratio_w, ">"),
     ]
     if x_min > 1:
         checks.append(_check(
             f"p^(x_min-1) <= 2a b^2 / c^3 raised to the {w}-th power",
-            a ** ((u + w) * (x_min - 1)) * b ** (w * (x_min - 1))
-            * Fraction(2) ** ((u + 2 * w) * (x_min - 1)),
-            ratio ** w, "<="))
+            p_w ** (x_min - 1), ratio_w, "<="))
     return Theorem2Params(lam, a, b, c, p_float, x_min, tuple(checks))
 
 
@@ -347,15 +296,6 @@ class Theorem2Certificate:
     single_hom: Fraction
     holds: bool
     checks: tuple[CertCheck, ...]
-
-    def as_dict(self):
-        return {"params": self.params.as_dict(), "x": self.x, "d": self.d,
-                "pattern_size": self.pattern_size,
-                "coeff_c5": frac_str(self.coeff_c5),
-                "coeff_k2": frac_str(self.coeff_k2),
-                "single_hom": frac_str(self.single_hom),
-                "holds": self.holds,
-                "checks": [c.as_dict() for c in self.checks]}
 
 
 def admissible_x(lam: Fraction, x_min: int) -> int:
@@ -413,4 +353,4 @@ def theorem2_end_to_end(lam, x: int | None = None) -> Theorem2Certificate:
                Fraction(2) ** w * Fraction(1, 2) ** (2 * x * w + 2 * u), ">"),
     )
     return Theorem2Certificate(params, x, d, m, coeff_c5, coeff_k2,
-                               single_hom, coeff_c5 > coeff_k2, checks)
+                               single_hom, checks[0].holds, checks)

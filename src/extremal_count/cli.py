@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -22,7 +23,6 @@ from fractions import Fraction
 from . import _kernels as kernels
 from . import bounds
 from .blowup import optimize_weights
-from .bounds import frac_str
 from .embeddings import count_automorphisms, copies_from_counts, h_degrees
 from .graphs import (Graph, GraphFormatError, build_blowup, build_gps_example1,
                      build_theorem2_H, build_turan2, complete_bipartite,
@@ -30,6 +30,15 @@ from .graphs import (Graph, GraphFormatError, build_blowup, build_gps_example1,
                      write_graph_file, write_graph_text)
 from .matchings import NotBipartiteError
 from .oracle import BudgetExceededError, find_maximizers
+
+
+def fraction(text: str) -> Fraction:
+    """Fraction parsing for argparse, which reports a ValueError, but not a
+    ZeroDivisionError, as a usage error."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _default_workers() -> int:
@@ -66,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--d", type=int, help="half-defect parameter")
     p_verify.add_argument("--sweep-max", type=int,
                           help="sweep all (x, d) hypothesis pairs up to this x (thm1-coeff)")
-    p_verify.add_argument("--lam", type=Fraction,
+    p_verify.add_argument("--lam", type=fraction,
                           help="defect ratio lambda as a fraction, e.g. 1 or 1/2")
     p_verify.set_defaults(func=cmd_verify)
 
@@ -136,35 +145,29 @@ def cmd_verify(args):
     theorem = args.theorem
     if theorem == "lemma2":
         _require(args, ["graph"])
-        report = bounds.edge_bound_check(read_graph_file(args.graph))
-        cert = report.as_dict()
-        ok = report.holds and (report.equality_is_complete_bipartite
-                               if report.equality else True)
+        cert = bounds.edge_bound_check(read_graph_file(args.graph))
+        ok = cert.holds and (cert.equality_is_complete_bipartite
+                             if cert.equality else True)
     elif theorem == "thm1-coeff":
         if args.sweep_max is not None:
-            report = bounds.thm1_sweep(args.sweep_max)
-            cert = report.as_dict()
-            ok = not report.violations
+            cert = bounds.thm1_sweep(args.sweep_max)
+            ok = not cert.violations
         else:
             _require(args, ["x", "d"])
-            coeff = bounds.thm1_coefficient(args.x, args.d)
-            cert = coeff.as_dict()
-            ok = coeff.exceeds_two_fifths
+            cert = bounds.thm1_coefficient(args.x, args.d)
+            ok = cert.exceeds_two_fifths
     elif theorem == "thm1-chain":
         _require(args, ["x", "d"])
-        report = bounds.thm1_chain_check(args.x, args.d)
-        cert = report.as_dict()
-        ok = report.all_hold
+        cert = bounds.thm1_chain_check(args.x, args.d)
+        ok = cert.all_hold
     elif theorem == "thm2-params":
         _require(args, ["lam"])
-        params = bounds.solve_theorem2_params(args.lam)
-        cert = params.as_dict()
-        ok = params.all_hold
+        cert = bounds.solve_theorem2_params(args.lam)
+        ok = cert.all_hold
     else:  # thm2-e2e
         _require(args, ["lam"])
-        certificate = bounds.theorem2_end_to_end(args.lam, args.x)
-        cert = certificate.as_dict()
-        ok = certificate.holds and certificate.params.all_hold
+        cert = bounds.theorem2_end_to_end(args.lam, args.x)
+        ok = cert.holds and cert.params.all_hold
     payload = {"command": "verify", "theorem": theorem,
                "certificate": cert, "all_hold": ok}
     return payload, 0 if ok else 1
@@ -187,8 +190,8 @@ def cmd_optimize(args):
         "pattern_file": args.pattern,
         "blowup_pattern": args.blowup_pattern,
         "grid_resolution": args.grid,
-        "weights": [frac_str(w) for w in wp.weights],
-        "coefficient": frac_str(coeff.value),
+        "weights": wp.weights,
+        "coefficient": coeff.value,
         "hom_count": coeff.hom_count,
     }
     return payload, 0
@@ -258,12 +261,45 @@ def cmd_gen(args):
 # output rendering
 # ---------------------------------------------------------------------------
 
+def frac_str(q: Fraction) -> str:
+    """Exact "p/q" text of a rational.
+
+    Certificates carry rationals with tens of thousands of digits, past
+    CPython's int-to-str digit cap; the cap is lifted for this conversion
+    only and restored afterwards (interpreters before 3.10.7 have no cap).
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return f"{q.numerator}/{q.denominator}"
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
+def _encode(node):
+    """A payload as plain JSON values: a dataclass becomes an object keyed
+    by field name (or by the field's "json" metadata), a Fraction exact
+    "p/q" text, and a tuple an array."""
+    if dataclasses.is_dataclass(node):
+        return {f.metadata.get("json", f.name): _encode(getattr(node, f.name))
+                for f in dataclasses.fields(node)}
+    if isinstance(node, Fraction):
+        return frac_str(node)
+    if isinstance(node, dict):
+        return {key: _encode(value) for key, value in node.items()}
+    if isinstance(node, (list, tuple)):
+        return [_encode(item) for item in node]
+    return node
+
+
 def _flatten(payload, prefix=""):
     rows = []
     if isinstance(payload, dict):
         for key in sorted(payload):
             rows.extend(_flatten(payload[key], f"{prefix}{key}."))
-    elif isinstance(payload, (list, tuple)):
+    elif isinstance(payload, list):
         for i, item in enumerate(payload):
             rows.extend(_flatten(item, f"{prefix}{i}."))
     else:
@@ -274,6 +310,7 @@ def _flatten(payload, prefix=""):
 def render(payload, fmt: str) -> str:
     if isinstance(payload, Graph):
         return write_graph_text(payload)
+    payload = _encode(payload)
     if fmt == "json":
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     buf = io.StringIO()
@@ -300,11 +337,15 @@ def main(argv=None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     text = render(payload, args.format)
-    if args.out:
+    if not args.out:
+        sys.stdout.write(text)
+        return code
+    try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

@@ -1,5 +1,6 @@
 """CLI contract: subcommands, formats, exit codes."""
 
+import hashlib
 import json
 import re
 import sys
@@ -141,6 +142,21 @@ def _fraction_strings(node):
         yield node
 
 
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# stdout digests of certificates whose bytes the encoder must preserve
+THM2_DIGESTS = {
+    ("thm2-params", "1/2"): "a1d83e228066a2a0dcb3a8b89d53cbc47b9312a37ba40f6c4ed0d412a7bbc4de",
+    ("thm2-params", "1/3"): "b9498fc7c70baf5808e1d3029cabd49adc331f60dbc1aac2dca369957807c597",
+    ("thm2-params", "2/3"): "542dd71134c053606106c44d1544d2eb23b95eaf21435a4317e3efb825fd9045",
+    ("thm2-e2e", "1/2"): "a6f038346817c1cf467e0254aa3ad5c4b58594b800c5257bad0037374d527ade",
+    ("thm2-e2e", "1/3"): "8bf6ce978ba25de71b5b4e2986d14e7faa61446df814b93318c9c8c834e1ee52",
+    ("thm2-e2e", "2/3"): "fa69733c64ad9abec931821c6593cd0ef4a29480ca3084deddec7188ea004112",
+}
+
+
 @pytest.mark.parametrize("theorem", ["thm2-params", "thm2-e2e"])
 @pytest.mark.parametrize("lam", ["1/2", "1/3", "2/3"])
 def test_verify_thm2_exact_past_digit_cap(theorem, lam, capsys):
@@ -149,6 +165,7 @@ def test_verify_thm2_exact_past_digit_cap(theorem, lam, capsys):
     cap = sys.get_int_max_str_digits()
     code, out = run(["verify", theorem, "--lam", lam], capsys)
     assert code == 0
+    assert sha256(out) == THM2_DIGESTS[theorem, lam]
     assert sys.get_int_max_str_digits() == cap
     payload = json.loads(out)
     assert payload["all_hold"] is True
@@ -164,8 +181,54 @@ def test_verify_thm2_exact_past_digit_cap(theorem, lam, capsys):
         sys.set_int_max_str_digits(cap)
 
 
+@pytest.mark.parametrize("args, digest", [
+    (["thm1-coeff", "--sweep-max", "300"],
+     "628a07f7a90908b8dc02424222ec807d822a4a1c534afe0e3b8b0d79b68db3ec"),
+    (["thm1-chain", "--x", "17", "--d", "1"],
+     "eef2534b1b8ffdd1f94e96b78bbcf9ce6d2c58dd41ad5732b0a016e5890c7ba6"),
+    (["lemma2", "--graph", "{k65}"],
+     "4fc8596416dcde97af23d3bf38a25d0f640de2f7c0e8d98ee05756c51587cadd"),
+    (["thm2-params", "--lam", "1", "--format", "csv"],
+     "84641435fafc20c1986a2084b04913bc07489dc01fac931a4f018d795e7fc433"),
+])
+def test_verify_certificate_bytes_golden(args, digest, tmp_path, capsys):
+    k65 = tmp_path / "k65.graph"
+    write_graph_file(complete_bipartite(6, 5), k65)
+    code, out = run(["verify"] + [a.format(k65=k65) for a in args], capsys)
+    assert code == 0
+    assert sha256(out) == digest
+
+
 def test_verify_missing_params_exit_2(capsys):
     assert cli.main(["verify", "thm1-chain", "--x", "5"]) == 2
+
+
+def test_verify_zero_denominator_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "thm2-params", "--lam", "1/0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --lam" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("sweep_max", ["1", "-3"])
+def test_verify_vacuous_sweep_exit_2(sweep_max, capsys):
+    code = cli.main(["verify", "thm1-coeff", "--sweep-max", sweep_max])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: x_max must be at least 2\n"
+
+
+@pytest.mark.parametrize("args", [["verify", "thm1-chain", "--x", "17", "--d", "1"],
+                                  ["gen", "cycle", "--n", "4"]])
+def test_unwritable_out_exit_2(args, tmp_path, capsys):
+    missing = tmp_path / "missing" / "report.out"
+    code = cli.main(args + ["--out", str(missing)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_search_reports_witnesses(tmp_path, capsys, c4_file):
