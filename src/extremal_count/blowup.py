@@ -223,15 +223,20 @@ def rounded_blob_sizes(weights, n: int) -> list[int]:
     return floors
 
 
-def saturation_check(patternH: Graph, wp: WeightedPattern, n: int,
-                     budget: int = 10 ** 8) -> SaturationReport:
+# Largest estimated work n^m of one saturation count; larger instances are
+# reported as infeasible instead of counted.
+SATURATION_BUDGET = 10 ** 8
+
+
+def saturation_check(patternH: Graph, wp: WeightedPattern,
+                     n: int) -> SaturationReport:
     """|count_embeddings(H, blow-up at size n) / n^m - coefficient|, exact.
 
-    Infeasible instances (estimated work n^m over budget) are reported, not
-    fatal.
+    Infeasible instances (estimated work n^m over SATURATION_BUDGET) are
+    reported, not fatal.
     """
     coeff = leading_coefficient(patternH, wp).value
-    if n > 0 and patternH.n > 0 and n ** patternH.n > budget:
+    if n > 0 and patternH.n > 0 and n ** patternH.n > SATURATION_BUDGET:
         return SaturationReport(n, False, None, None, coeff, None)
     sizes = rounded_blob_sizes(wp.weights, n)
     host = build_blowup(wp.pattern, sizes)
@@ -242,7 +247,7 @@ def saturation_check(patternH: Graph, wp: WeightedPattern, n: int,
 
 
 def saturation_converges(patternH: Graph, wp: WeightedPattern,
-                         n1: int, n2: int, budget: int = 10 ** 8):
+                         n1: int, n2: int):
     """Fit the O(1/n) constant across two sizes and check the error shrinks.
 
     Returns (C, holds, report1, report2) with C = max of error*n over the
@@ -251,8 +256,8 @@ def saturation_converges(patternH: Graph, wp: WeightedPattern,
     """
     if not n1 < n2:
         raise ValueError("need n1 < n2")
-    r1 = saturation_check(patternH, wp, n1, budget)
-    r2 = saturation_check(patternH, wp, n2, budget)
+    r1 = saturation_check(patternH, wp, n1)
+    r2 = saturation_check(patternH, wp, n2)
     if not (r1.feasible and r2.feasible):
         return None, False, r1, r2
     c = max(r1.abs_error * n1, r2.abs_error * n2)

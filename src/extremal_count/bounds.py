@@ -18,6 +18,7 @@ from fractions import Fraction
 from .blowup import WeightedPattern, leading_coefficient
 from .graphs import (Graph, build_theorem2_H, cycle_graph, degree_stats,
                      is_complete_bipartite, is_triangle_free, path_graph)
+from .oracle import BudgetExceededError
 
 
 @dataclass(frozen=True)
@@ -188,6 +189,14 @@ def thm1_sweep(x_max: int = 300) -> SweepReport:
 A_SCAN_DENOMINATOR = 1024
 C_HALVING_DEPTH = 60
 
+# Largest estimated size, in bits, of the exact power p_w^x_min that
+# certifies x_min: the float seed of x_min times the bit length of p_w.
+# Measured for thm2-params on pure Python: lambda = 1/4 estimates 0.34e6
+# bits and takes 1.0 s; 1/6 estimates 1.4e6 bits and takes 13-15 s, 1/5
+# 2.0e6 bits and 29 s, 1/8 2.8e6 bits and 51 s.  Over the budget, nothing
+# is powered.
+POWER_BUDGET = 10 ** 6
+
 
 @dataclass(frozen=True)
 class Theorem2Params:
@@ -257,13 +266,19 @@ def solve_theorem2_params(lam) -> Theorem2Params:
     ratio = 2 * a * b * b / c ** 3
     # p^w = a^(u+w) b^w 2^(u+2w); p^X > ratio is certified as p_w^X > ratio^w
     p_w = b_margin / half_pow
-    ratio_w = ratio ** w
 
     # float seed for the threshold, then exact adjustment
     if ratio <= 1:
         x = 1
     else:
         x = max(1, math.ceil(math.log(float(ratio)) / math.log(p_float)) - 2)
+    bits = x * max(p_w.numerator.bit_length(), p_w.denominator.bit_length())
+    if bits > POWER_BUDGET:
+        raise BudgetExceededError(
+            f"certifying x_min for lambda = {lam} needs p^{w} to the power "
+            f"of about {x}, an estimated {bits} bits, over the budget of "
+            f"{POWER_BUDGET} bits")
+    ratio_w = ratio ** w
     while p_w ** x <= ratio_w:
         x += 1
     while x > 1 and p_w ** (x - 1) > ratio_w:

@@ -54,20 +54,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Embedding counts in triangle-free graphs: exact "
                     "counting, maximizer search, blow-up weight "
                     "optimization, and inequality certificates.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--out", help="write the report here instead of stdout")
-    common.add_argument("--workers", type=int, default=_default_workers(),
-                        help="worker processes (default: EXTREMAL_COUNT_WORKERS or 1)")
+    # gen writes graph text; verify also renders a report; count, search
+    # and optimize also split their work over processes
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", help="write the output here instead of stdout")
+    report = argparse.ArgumentParser(add_help=False, parents=[output])
+    report.add_argument("--format", choices=("json", "csv"), default="json")
+    parallel = argparse.ArgumentParser(add_help=False, parents=[report])
+    parallel.add_argument("--workers", type=int, default=_default_workers(),
+                          help="worker processes (default: EXTREMAL_COUNT_WORKERS or 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_count = sub.add_parser("count", parents=[common],
+    p_count = sub.add_parser("count", parents=[parallel],
                              help="embeddings, automorphisms, copies, H-degrees")
     p_count.add_argument("pattern", help="pattern graph file")
     p_count.add_argument("host", help="host graph file")
     p_count.set_defaults(func=cmd_count)
 
-    p_verify = sub.add_parser("verify", parents=[common], help="emit an exact inequality certificate")
+    p_verify = sub.add_parser("verify", parents=[report], help="emit an exact inequality certificate")
     p_verify.add_argument("theorem", choices=("lemma2", "thm1-coeff", "thm1-chain",
                                               "thm2-params", "thm2-e2e"))
     p_verify.add_argument("--graph", help="graph file (lemma2)")
@@ -79,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="defect ratio lambda as a fraction, e.g. 1 or 1/2")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_opt = sub.add_parser("optimize", parents=[common], help="maximize the blow-up leading coefficient")
+    p_opt = sub.add_parser("optimize", parents=[parallel], help="maximize the blow-up leading coefficient")
     p_opt.add_argument("pattern", help="pattern graph file")
     p_opt.add_argument("blowup_pattern",
                        help="blow-up skeleton: k2, c5, or a graph file path")
@@ -87,14 +91,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="grid resolution per simplex coordinate")
     p_opt.set_defaults(func=cmd_optimize)
 
-    p_search = sub.add_parser("search", parents=[common], help="exact maximizers over triangle-free hosts")
+    p_search = sub.add_parser("search", parents=[parallel], help="exact maximizers over triangle-free hosts")
     p_search.add_argument("pattern", help="pattern graph file")
     p_search.add_argument("n", type=int, help="host vertex count")
     p_search.add_argument("--witness-dir",
                           help="also write each witness as a graph file here")
     p_search.set_defaults(func=cmd_search)
 
-    p_gen = sub.add_parser("gen", parents=[common], help="write a named construction as a graph file")
+    p_gen = sub.add_parser("gen", parents=[output], help="write a named construction as a graph file")
     p_gen.add_argument("family", choices=("turan2", "complete-bipartite", "path",
                                           "cycle", "star", "gps-example1",
                                           "theorem2-h", "blowup"))
@@ -307,7 +311,7 @@ def _flatten(payload, prefix=""):
     return rows
 
 
-def render(payload, fmt: str) -> str:
+def render(payload, fmt: str | None) -> str:
     if isinstance(payload, Graph):
         return write_graph_text(payload)
     payload = _encode(payload)
@@ -336,7 +340,7 @@ def main(argv=None) -> int:
         # a failed internal self-check, not a false inequality (exit 1)
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    text = render(payload, args.format)
+    text = render(payload, getattr(args, "format", None))
     if not args.out:
         sys.stdout.write(text)
         return code

@@ -11,6 +11,7 @@ identical for any worker count.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 from . import _kernels as kernels
 from .graphs import Graph, is_triangle_free
@@ -54,11 +55,6 @@ def _first_vertex_chunks(n_host: int, workers: int) -> list[int]:
     for v in range(n_host):
         masks[v % len(masks)] |= 1 << v
     return masks
-
-
-def _h_degree_chunk(args):
-    host_rows, n_host, parents, mask = args
-    return kernels.count_h_degrees(host_rows, n_host, parents, mask)
 
 
 def count_automorphisms(pattern: Graph) -> int:
@@ -137,11 +133,10 @@ class HDegreeReport:
             total, h = kernels.count_h_degrees(host.rows, host.n, parents)
         else:
             chunks = _first_vertex_chunks(host.n, workers)
+            count = partial(kernels.count_h_degrees, host.rows, host.n, parents)
             total, h = 0, [0] * host.n
             with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-                for part_total, part_h in pool.map(
-                        _h_degree_chunk,
-                        [(host.rows, host.n, parents, mask) for mask in chunks]):
+                for part_total, part_h in pool.map(count, chunks):
                     total += part_total
                     h = [a + b for a, b in zip(h, part_h)]
         self.total = total

@@ -87,9 +87,6 @@ class Graph:
             row &= row - 1
         return out
 
-    def with_labels(self, labels) -> "Graph":
-        return Graph.from_rows(self.rows, labels)
-
     def __eq__(self, other):
         return (isinstance(other, Graph) and self.n == other.n
                 and self.rows == other.rows and self.labels == other.labels)
@@ -127,6 +124,8 @@ class DegreeStats:
 
 def complete_bipartite(a: int, b: int) -> Graph:
     """K_{a,b} with the first a vertices on one side."""
+    if a < 0 or b < 0:
+        raise ValueError("side sizes must be non-negative")
     edges = [(u, a + v) for u in range(a) for v in range(b)]
     labels = {v: ("part0" if v < a else "part1") for v in range(a + b)}
     return Graph(a + b, edges, labels)
@@ -148,6 +147,8 @@ def cycle_graph(k: int) -> Graph:
 
 def star_graph(leaves: int) -> Graph:
     """K_{1,leaves} with the center at vertex 0."""
+    if leaves < 0:
+        raise ValueError("leaf count must be non-negative")
     return Graph(leaves + 1, [(0, i + 1) for i in range(leaves)])
 
 

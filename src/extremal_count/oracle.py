@@ -6,14 +6,16 @@ Canonical form: the lexicographically minimal adjacency bit-string over all
 vertex relabelings (staircase bit order; see _pykernels).  Enumeration is
 one vertex-growth generator on both backends; its canonical forms run on
 the compiled kernel when built.  Each class on n vertices is kept only by
-its canonical parent on n-1 vertices, so a parallel maximizer search that
-splits the parents into chunks grows and scores every host exactly once.
+its canonical parent on n-1 vertices, so a level grown in parallel from
+chunks of its parents holds every class exactly once.  Each level is
+enumerated at most once per process and cached.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 
 from . import _kernels as kernels
@@ -54,9 +56,26 @@ def triangle_free_masks(n: int) -> tuple[int, ...]:
     return _masks(n)
 
 
-def _masks(n: int) -> tuple[int, ...]:
-    if n not in _enum_cache:
-        _enum_cache[n] = tuple(kernels.triangle_free_canonical_masks(n))
+def _masks(n: int, workers: int = 1) -> tuple[int, ...]:
+    """Level n from the process cache.  A missing level is grown once: with
+    workers > 1, level n-1 is dealt round-robin into one chunk per worker
+    and one pool task grows each chunk's children.  Each class has one
+    canonical parent, so the chunks' outputs are disjoint; a host returned
+    by two tasks is a failed self-check."""
+    if n in _enum_cache:
+        return _enum_cache[n]
+    parents = _masks(n - 1) if workers > 1 and n > 1 else ()
+    chunks = [c for c in (parents[i::workers] for i in range(workers)) if c]
+    if len(chunks) > 1:
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            level = sorted(chain.from_iterable(pool.map(
+                partial(kernels.triangle_free_canonical_masks, n), chunks)))
+        for mask, nxt in zip(level, level[1:]):
+            if mask == nxt:
+                raise RuntimeError(f"host {mask} returned by two pool tasks")
+    else:
+        level = kernels.triangle_free_canonical_masks(n)
+    _enum_cache[n] = tuple(level)
     return _enum_cache[n]
 
 
@@ -77,18 +96,10 @@ class MaximizerReport:
     all_complete_bipartite: bool
 
 
-def _count_task(args):
-    pattern_rows, n, masks = args
-    pattern = Graph.from_rows(pattern_rows)
+def _count_task(pattern: Graph, n: int, masks) -> list[tuple[int, int]]:
+    """(mask, embedding count) for each n-vertex host mask."""
     return [(mask, count_embeddings(pattern, graph_from_canonical_mask(n, mask)))
             for mask in masks]
-
-
-def _grow_and_count_task(args):
-    """Score the n-vertex children of one chunk of (n-1)-vertex parents."""
-    pattern_rows, n, parents = args
-    return _count_task(
-        (pattern_rows, n, kernels.triangle_free_canonical_masks(n, parents=parents)))
 
 
 def find_maximizers(pattern: Graph, n: int, workers: int = 1) -> MaximizerReport:
@@ -96,28 +107,14 @@ def find_maximizers(pattern: Graph, n: int, workers: int = 1) -> MaximizerReport
     graphs on n vertices (embeddings and copies peak together since the
     automorphism count is fixed).
 
-    With workers > 1 level n-1 is built in this process and dealt
-    round-robin into one chunk per worker; one pool task per chunk grows
-    and scores that chunk's children.  Each host has one canonical parent,
-    so the chunks' hosts are disjoint; a host returned by two tasks is a
-    failed self-check.
+    Hosts are scored in this process.  `workers` matters only when level n
+    is not cached yet: it is then grown in up to `workers` processes.
     """
     if pattern.n > n:
         raise ValueError("pattern must not exceed the host size")
     _check_budget(n)
-    chunks = []
-    if workers > 1 and n > 1:
-        parents = _masks(n - 1)
-        chunks = [c for c in (parents[i::workers] for i in range(workers)) if c]
-    if len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            pairs = sorted(chain.from_iterable(pool.map(
-                _grow_and_count_task, [(pattern.rows, n, c) for c in chunks])))
-        for (mask, _), (nxt, _) in zip(pairs, pairs[1:]):
-            if mask == nxt:
-                raise RuntimeError(f"host {mask} returned by two pool tasks")
-    else:
-        pairs = _count_task((pattern.rows, n, triangle_free_masks(n)))
+    _masks(n, workers)  # fills the cache that triangle_free_masks reads
+    pairs = _count_task(pattern, n, triangle_free_masks(n))
     best = max(emb for _, emb in pairs)
     witnesses = tuple(graph_from_canonical_mask(n, mask)
                       for mask, emb in pairs if emb == best)

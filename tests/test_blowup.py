@@ -178,7 +178,7 @@ def test_saturation_c4():
 
 def test_saturation_budget():
     wp = WeightedPattern(K2, HALF)
-    report = saturation_check(build_gps_example1(5), wp, 50, budget=10 ** 6)
+    report = saturation_check(build_gps_example1(5), wp, 50)
     assert not report.feasible and report.count is None
 
 

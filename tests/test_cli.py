@@ -211,6 +211,39 @@ def test_verify_zero_denominator_exit_2(capsys):
     assert "error: argument --lam" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("theorem", ["thm2-params", "thm2-e2e"])
+def test_verify_thm2_small_lambda_budget_exit_2(theorem, capsys):
+    # the size of the exact x_min power is estimated before any powering
+    start = time.monotonic()
+    code = cli.main(["verify", theorem, "--lam", "1/10"])
+    assert time.monotonic() - start < 1.0
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "budget" in captured.err
+
+
+@pytest.mark.parametrize("args", [["verify", "thm1-chain", "--x", "17", "--d", "1",
+                                   "--workers", "2"],
+                                  ["gen", "cycle", "--n", "4", "--format", "csv"]])
+def test_option_without_effect_exit_2(args, capsys):
+    # verify runs in one process and gen always writes graph text
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [["complete-bipartite", "--a", "-1", "--b", "2"],
+                                  ["star", "--n", "-1"]])
+def test_gen_negative_size_exit_2(args, capsys):
+    code = cli.main(["gen"] + args)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("sweep_max", ["1", "-3"])
 def test_verify_vacuous_sweep_exit_2(sweep_max, capsys):
     code = cli.main(["verify", "thm1-coeff", "--sweep-max", sweep_max])

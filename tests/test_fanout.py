@@ -39,6 +39,13 @@ def pools(monkeypatch):
 
 
 @pytest.fixture
+def levels(monkeypatch):
+    """An empty enumeration cache, so the next search grows its level."""
+    monkeypatch.setattr(oracle, "_enum_cache", {})
+    return oracle._enum_cache
+
+
+@pytest.fixture
 def k2_file(tmp_path):
     path = tmp_path / "k2.graph"
     write_graph_file(path_graph(2), path)
@@ -52,37 +59,58 @@ def test_embedding_pool_is_capped_at_host_size(pools):
     assert pools == [host.n]
 
 
-def test_maximizer_search_with_many_workers(pools):
-    serial = find_maximizers(path_graph(3), 6)
-    assert find_maximizers(path_graph(3), 6, workers=MANY) == serial
-    # one pool, one task per non-empty chunk of the 14 parents on 5 vertices
+def test_maximizer_search_with_many_workers(pools, levels):
+    # one pool, one growth task per non-empty chunk of the 14 parents on
+    # 5 vertices
+    parallel = find_maximizers(path_graph(3), 6, workers=MANY)
     assert pools == [14]
-    assert find_maximizers(path_graph(3), 6, workers=9) == serial
+    level = levels.pop(6)
+    assert find_maximizers(path_graph(3), 6, workers=9) == parallel
     assert pools[1:] == [9]
+    assert levels[6] == level
+    levels.pop(6)
+    assert find_maximizers(path_graph(3), 6) == parallel
+    assert pools == [14, 9]
+    assert levels[6] == level
 
 
-def test_search_opens_one_pool(pools, k2_file, capsys):
+def test_cached_level_opens_no_pool(pools, levels, monkeypatch):
+    find_maximizers(path_graph(3), 6, workers=2)
+    assert pools == [2]
+
+    def no_growth(*args, **kwargs):
+        raise AssertionError("a cached level was grown again")
+
+    monkeypatch.setattr(oracle.kernels, "triangle_free_canonical_masks", no_growth)
+    for pattern in (path_graph(2), star_graph(3)):
+        for workers in (1, 2, MANY):
+            find_maximizers(pattern, 6, workers=workers)
+    assert pools == [2]
+
+
+def test_search_opens_one_pool(pools, levels, k2_file, capsys):
     assert cli.main(["search", k2_file, "6"]) == 0
     serial = capsys.readouterr().out
     assert pools == []
     for workers in (2, MANY):
         pools.clear()
+        levels.clear()
         assert cli.main(["search", k2_file, "6", "--workers", str(workers)]) == 0
         assert capsys.readouterr().out == serial
         assert pools == [min(workers, len(triangle_free_masks(5)))]
 
 
-def test_host_from_two_pool_tasks_exit_3(pools, k2_file, capsys, monkeypatch):
+def test_host_from_two_pool_tasks_exit_3(pools, levels, k2_file, capsys,
+                                         monkeypatch):
     # each host has one canonical parent, so no two chunks return the same
-    # host; make every task also return the empty graph (mask 0, which
-    # holds no copy of K2)
-    real = oracle._count_task
+    # host; make every growth task also return the empty graph (mask 0)
+    real = oracle.kernels.triangle_free_canonical_masks
 
-    def leaky(args):
-        pairs = real(args)
-        return pairs if (0, 0) in pairs else [(0, 0)] + pairs
+    def leaky(n, parents=None):
+        masks = real(n, parents)
+        return masks if 0 in masks else [0] + masks
 
-    monkeypatch.setattr(oracle, "_count_task", leaky)
+    monkeypatch.setattr(oracle.kernels, "triangle_free_canonical_masks", leaky)
     code = cli.main(["search", k2_file, "6", "--workers", "2"])
     captured = capsys.readouterr()
     assert code == 3
@@ -90,6 +118,7 @@ def test_host_from_two_pool_tasks_exit_3(pools, k2_file, capsys, monkeypatch):
     assert captured.err.startswith("internal error: ")
     assert "two pool tasks" in captured.err
     assert pools == [2]
+    assert 6 not in levels
 
 
 def test_optimizer_pool_is_capped_at_seed_count(pools):

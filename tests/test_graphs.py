@@ -45,6 +45,15 @@ def test_graph_rejects_loops_and_bad_edges():
         Graph.from_rows([0b10, 0b00])  # asymmetric
 
 
+def test_builders_reject_negative_sizes():
+    for a, b in ((-1, 2), (2, -1)):
+        with pytest.raises(ValueError):
+            complete_bipartite(a, b)
+    with pytest.raises(ValueError):
+        star_graph(-1)
+    assert complete_bipartite(0, 0).n == 0 and star_graph(0).n == 1
+
+
 def test_turan2_small():
     assert build_turan2(2).edge_count() == 1
     g5 = build_turan2(5)

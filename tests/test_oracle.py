@@ -9,7 +9,7 @@ from extremal_count import (BudgetExceededError, canonical_form,
                             enumerate_triangle_free, find_maximizers,
                             graph_from_canonical_mask, is_complete_bipartite,
                             is_isomorphic, is_triangle_free, path_graph,
-                            star_graph, triangle_free_masks)
+                            oracle, star_graph, triangle_free_masks)
 
 from naive import naive_triangle_free_classes, perm_canonical_mask, random_graph
 
@@ -137,11 +137,18 @@ def test_hypothesis_patterns_soft_expectation():
 
 
 def test_workers_do_not_change_maximizers():
-    # each pool task grows and scores one chunk of the parents on n - 1
-    # vertices; the merged scores must give the serial report
-    for pattern in (path_graph(2), path_graph(4), star_graph(3)):
-        for n in range(pattern.n, 9):
-            serial = find_maximizers(pattern, n)
-            for workers in (2, 3, 4):
-                assert find_maximizers(pattern, n, workers=workers) == serial
+    # level n is dropped before each worker count, so every count grows it
+    # again in a pool, one task per chunk of the parents on n - 1 vertices;
+    # the merged level and every report must equal the serial ones.  The
+    # level does not depend on the pattern, so one growth per worker count
+    # serves all three patterns.
+    patterns = (path_graph(2), path_graph(4), star_graph(3))
+    for n in range(2, 9):
+        serial = {p: find_maximizers(p, n) for p in patterns if p.n <= n}
+        level = triangle_free_masks(n)
+        for workers in (2, 3, 4):
+            oracle._enum_cache.pop(n)
+            for pattern, report in serial.items():
+                assert find_maximizers(pattern, n, workers=workers) == report
+            assert triangle_free_masks(n) == level
     assert len(triangle_free_masks(8)) == 410
