@@ -57,6 +57,12 @@ def count_h_degrees(host_rows, n_host: int, parents,
     return pure.count_h_degrees(host_rows, n_host, parents, first_mask)
 
 
+# the occupancy profile over a twin quotient is pure on both backends
+occupancy_profile = pure.occupancy_profile
+occupancy_total = pure.occupancy_total
+occupancy_moments = pure.occupancy_moments
+
+
 def canonical_mask(rows, n: int) -> int:
     if HAS_FAST and n <= 16:
         return fast.canonical_mask(list(rows), n)

@@ -17,15 +17,24 @@ of the final point.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from operator import itemgetter, sub
 
-from .embeddings import count_embeddings, embeddings_listing
-from .graphs import Graph, build_blowup, connected_components
-from .oracle import BudgetExceededError
+from .embeddings import count_blowup_embeddings, embeddings_listing
+from .graphs import (BudgetExceededError, Graph, connected_components,
+                     is_triangle_free)
+
+
+def __getattr__(name):
+    # the pool class is imported when a pool first opens; pools look it up
+    # through this module, where it can be replaced
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -206,11 +215,10 @@ def leading_coefficient(patternH: Graph, wp: WeightedPattern) -> LeadingCoeffici
 @dataclass(frozen=True)
 class SaturationReport:
     n: int
-    feasible: bool
-    count: int | None
-    normalized: Fraction | None
+    count: int
+    normalized: Fraction
     coefficient: Fraction
-    abs_error: Fraction | None
+    abs_error: Fraction
 
 
 def rounded_blob_sizes(weights, n: int) -> list[int]:
@@ -223,26 +231,19 @@ def rounded_blob_sizes(weights, n: int) -> list[int]:
     return floors
 
 
-# Largest estimated work n^m of one saturation count; larger instances are
-# reported as infeasible instead of counted.
-SATURATION_BUDGET = 10 ** 8
-
-
 def saturation_check(patternH: Graph, wp: WeightedPattern,
                      n: int) -> SaturationReport:
     """|count_embeddings(H, blow-up at size n) / n^m - coefficient|, exact.
 
-    Infeasible instances (estimated work n^m over SATURATION_BUDGET) are
-    reported, not fatal.
+    The blow-up of the skeleton at the rounded blob sizes is counted from
+    the occupancy profile of H over the skeleton; it is never built, so
+    the cost does not grow with n beyond the size of the integers.
     """
     coeff = leading_coefficient(patternH, wp).value
-    if n > 0 and patternH.n > 0 and n ** patternH.n > SATURATION_BUDGET:
-        return SaturationReport(n, False, None, None, coeff, None)
     sizes = rounded_blob_sizes(wp.weights, n)
-    host = build_blowup(wp.pattern, sizes)
-    count = count_embeddings(patternH, host)
+    count = count_blowup_embeddings(patternH, wp.pattern, sizes)
     normalized = Fraction(count, n ** patternH.n) if n else Fraction(count)
-    return SaturationReport(n, True, count, normalized, coeff,
+    return SaturationReport(n, count, normalized, coeff,
                             abs(normalized - coeff))
 
 
@@ -251,15 +252,13 @@ def saturation_converges(patternH: Graph, wp: WeightedPattern,
     """Fit the O(1/n) constant across two sizes and check the error shrinks.
 
     Returns (C, holds, report1, report2) with C = max of error*n over the
-    two sizes; holds iff both counts were feasible and the error at the
-    larger size does not exceed the error at the smaller one.
+    two sizes; holds iff the error at the larger size does not exceed the
+    error at the smaller one.
     """
     if not n1 < n2:
         raise ValueError("need n1 < n2")
     r1 = saturation_check(patternH, wp, n1)
     r2 = saturation_check(patternH, wp, n2)
-    if not (r1.feasible and r2.feasible):
-        return None, False, r1, r2
     c = max(r1.abs_error * n1, r2.abs_error * n2)
     return c, r2.abs_error <= r1.abs_error, r1, r2
 
@@ -329,9 +328,14 @@ def optimize_weights(patternH: Graph, patternP: Graph, grid: int = 50,
     coordinate; seeds are evaluated in up to `workers` processes.  Returns
     (WeightedPattern, LeadingCoefficient).
 
-    Raises ValueError on a grid resolution below 1 and BudgetExceededError
-    when the grid has more than GRID_BUDGET compositions, before any work.
+    Raises ValueError on a skeleton that contains a triangle (its blow-ups
+    are not triangle-free) or a grid resolution below 1, and
+    BudgetExceededError when the grid has more than GRID_BUDGET
+    compositions, before any work.
     """
+    if not is_triangle_free(patternP):
+        raise ValueError("blow-up skeleton contains a triangle; its blow-ups "
+                         "are not triangle-free")
     if patternP.n > 8:
         raise ValueError("blow-up patterns are capped at 8 vertices")
     if patternP.n == 0:
@@ -350,7 +354,8 @@ def optimize_weights(patternH: Graph, patternP: Graph, grid: int = 50,
     if workers > 1 and len(seeds) > 64:
         chunks = [seeds[i::workers] for i in range(workers)]
         args = [(plan, ch, grid) for ch in chunks if ch]
-        with ProcessPoolExecutor(max_workers=len(args)) as pool:
+        pool_class = sys.modules[__name__].ProcessPoolExecutor
+        with pool_class(max_workers=len(args)) as pool:
             results = list(pool.map(_eval_seed_chunk, args))
     else:
         results = [_eval_seed_chunk((plan, seeds, grid))]

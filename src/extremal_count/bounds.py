@@ -15,10 +15,9 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .blowup import WeightedPattern, leading_coefficient
-from .graphs import (Graph, build_theorem2_H, cycle_graph, degree_stats,
-                     is_complete_bipartite, is_triangle_free, path_graph)
-from .oracle import BudgetExceededError
+from .graphs import (BudgetExceededError, Graph, build_theorem2_H,
+                     cycle_graph, degree_stats, is_complete_bipartite,
+                     is_triangle_free, path_graph)
 
 
 @dataclass(frozen=True)
@@ -333,6 +332,8 @@ def theorem2_end_to_end(lam, x: int | None = None) -> Theorem2Certificate:
     inequality (the two disagree unless lam*x = 2*lam); neither is assumed,
     both are evaluated.
     """
+    from .blowup import WeightedPattern, leading_coefficient
+
     lam = Fraction(lam)
     params = solve_theorem2_params(lam)
     if x is None:

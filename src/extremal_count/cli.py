@@ -7,6 +7,9 @@ inequalities hold, 1 a verified inequality is false, 2 usage, parse, or
 budget errors, 3 a failed internal self-check.  Output depends only on the
 arguments, never on worker count, ordering of parallel partial results, or
 the clock.
+
+Each subcommand imports the modules it runs when it runs, so a command
+loads only its own part of the package.
 """
 
 from __future__ import annotations
@@ -20,16 +23,10 @@ import os
 import sys
 from fractions import Fraction
 
-from . import _kernels as kernels
-from . import bounds
-from .blowup import optimize_weights
-from .embeddings import count_automorphisms, copies_from_counts, h_degrees
 from .graphs import (Graph, GraphFormatError, build_blowup, build_gps_example1,
                      build_theorem2_H, build_turan2, complete_bipartite,
                      cycle_graph, path_graph, read_graph_file, star_graph,
                      write_graph_file, write_graph_text)
-from .matchings import NotBipartiteError
-from .oracle import BudgetExceededError, find_maximizers
 
 
 def fraction(text: str) -> Fraction:
@@ -41,7 +38,16 @@ def fraction(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
+def worker_count(text: str) -> int:
+    """--workers parsing for argparse: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _default_workers() -> int:
+    # a bad EXTREMAL_COUNT_WORKERS falls back to one process
     try:
         return max(1, int(os.environ.get("EXTREMAL_COUNT_WORKERS", "1")))
     except ValueError:
@@ -61,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     report = argparse.ArgumentParser(add_help=False, parents=[output])
     report.add_argument("--format", choices=("json", "csv"), default="json")
     parallel = argparse.ArgumentParser(add_help=False, parents=[report])
-    parallel.add_argument("--workers", type=int, default=_default_workers(),
+    parallel.add_argument("--workers", type=worker_count, default=_default_workers(),
                           help="worker processes (default: EXTREMAL_COUNT_WORKERS or 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -120,6 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def cmd_count(args):
+    from .embeddings import count_automorphisms, copies_from_counts, h_degrees
+
     pattern = read_graph_file(args.pattern)
     host = read_graph_file(args.host)
     report = h_degrees(pattern, host, args.workers)
@@ -146,6 +154,8 @@ def _require(args, names):
 
 
 def cmd_verify(args):
+    from . import bounds
+
     theorem = args.theorem
     if theorem == "lemma2":
         _require(args, ["graph"])
@@ -186,6 +196,8 @@ def _load_blowup_pattern(spec_text: str) -> Graph:
 
 
 def cmd_optimize(args):
+    from .blowup import optimize_weights
+
     pattern = read_graph_file(args.pattern)
     skeleton = _load_blowup_pattern(args.blowup_pattern)
     wp, coeff = optimize_weights(pattern, skeleton, args.grid, args.workers)
@@ -202,6 +214,9 @@ def cmd_optimize(args):
 
 
 def cmd_search(args):
+    from . import _kernels as kernels
+    from .oracle import find_maximizers
+
     pattern = read_graph_file(args.pattern)
     report = find_maximizers(pattern, args.n, workers=args.workers)
     witnesses = []
@@ -333,7 +348,8 @@ def main(argv=None) -> int:
     except GraphFormatError as exc:
         print(f"error: parse failure at {exc}", file=sys.stderr)
         return 2
-    except (BudgetExceededError, NotBipartiteError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
+        # budget and not-bipartite errors are ValueErrors too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

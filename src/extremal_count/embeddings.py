@@ -1,20 +1,33 @@
 """Exact injective-embedding counting, automorphisms, H-degrees, and the
 delete-and-clone symmetrization move.
 
-All counts are exact Python integers.  Counting backtracks over a static
-pattern-vertex order with bit-set candidate pruning.  The one-pass
-H-degree count optionally splits by the host image of the first ordered
-vertex, and partial results are combined by addition, so they are
-identical for any worker count.
+All counts are exact Python integers.  A host with false twins (vertices
+with equal rows) is the blow-up of its twin quotient Q, and is counted
+through Q: the occupancy profile of the pattern's homomorphisms into Q is
+evaluated at the class sizes, which also gives every H-degree and pair
+degree by exact division, in one process.  A twin-free host is counted by
+backtracking over its vertices along a static pattern-vertex order with
+bit-set candidate pruning; its one-pass H-degree count optionally splits
+by the host image of the first ordered vertex, and partial results are
+combined by addition, so they are identical for any worker count.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from functools import partial
 
 from . import _kernels as kernels
-from .graphs import Graph, is_triangle_free
+from .graphs import Graph, is_triangle_free, twin_quotient
+
+
+def __getattr__(name):
+    # the pool class is imported when a pool first opens; pools look it up
+    # through this module, where it can be replaced
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def search_plan(pattern: Graph):
@@ -46,8 +59,19 @@ def count_embeddings(pattern: Graph, host: Graph) -> int:
     edge to a host edge.  A pattern larger than the host yields 0."""
     if pattern.n > host.n:
         return 0
+    skeleton, sizes, _ = twin_quotient(host)
+    if skeleton.n < host.n:
+        return count_blowup_embeddings(pattern, skeleton, sizes)
     _, parents = search_plan(pattern)
     return kernels.count_injective(host.rows, host.n, parents)
+
+
+def count_blowup_embeddings(pattern: Graph, skeleton: Graph, sizes) -> int:
+    """count_embeddings(pattern, build_blowup(skeleton, sizes)), from the
+    occupancy profile over the skeleton, without building the blow-up."""
+    _, parents = search_plan(pattern)
+    profile = kernels.occupancy_profile(skeleton.rows, sizes, parents)
+    return kernels.occupancy_total(profile, sizes)
 
 
 def _first_vertex_chunks(n_host: int, workers: int) -> list[int]:
@@ -73,11 +97,16 @@ def count_copies(pattern: Graph, host: Graph) -> int:
 def copies_from_counts(emb: int, aut: int) -> int:
     """Copy count from an embedding count and the pattern's automorphism
     count; a remainder means a counting bug and raises RuntimeError."""
-    q, r = divmod(emb, aut)
+    return _exact_division(emb, aut, "embedding count", "automorphism count")
+
+
+def _exact_division(num: int, den: int, num_name: str, den_name: str) -> int:
+    """num // den for a division that is exact by construction; a remainder
+    means a counting bug and raises RuntimeError."""
+    q, r = divmod(num, den)
     if r:
-        raise RuntimeError(
-            f"embedding count {emb} not divisible by automorphism count {aut}; "
-            "this indicates a counting bug")
+        raise RuntimeError(f"{num_name} {num} not divisible by {den_name} "
+                           f"{den}; this indicates a counting bug")
     return q
 
 
@@ -116,12 +145,14 @@ def embeddings_listing(pattern: Graph, host: Graph):
 class HDegreeReport:
     """Per-vertex H-degrees of a host, with lazy pair lookups.
 
-    h(v) counts embeddings whose image contains v; the total and every h(v)
-    come from one backtracking pass, split over `workers` processes by the
-    host image of the first ordered pattern vertex.  Pair values h(u, v)
-    come from inclusion-exclusion with one search of the doubly-deleted
-    host per pair.  Satisfies sum_v h(v) = m * total exactly (checked at
-    construction).
+    h(v) counts embeddings whose image contains v.  A host with twins gets
+    the total, every h(v) and every pair value h(u, v) from the first and
+    second occupancy moments over its twin quotient (one profile, no pool).
+    On a twin-free host the total and every h(v) come from one backtracking
+    pass, split over `workers` processes by the host image of the first
+    ordered pattern vertex, and pair values from inclusion-exclusion with
+    one search of the doubly-deleted host per pair.  Satisfies
+    sum_v h(v) = m * total exactly (checked at construction).
     """
 
     def __init__(self, pattern: Graph, host: Graph, workers: int = 1):
@@ -129,13 +160,25 @@ class HDegreeReport:
         self.host = host
         m = pattern.n
         _, parents = search_plan(pattern)
-        if workers <= 1 or m == 0 or m > host.n:
+        skeleton, self._sizes, self._classes = twin_quotient(host)
+        self._second = None
+        if skeleton.n < host.n:
+            profile = kernels.occupancy_profile(skeleton.rows, self._sizes,
+                                                parents)
+            total, first, self._second = kernels.occupancy_moments(
+                profile, self._sizes)
+            per_class = [_exact_division(f, s, "first occupancy moment",
+                                         "class size")
+                         for f, s in zip(first, self._sizes)]
+            h = [per_class[q] for q in self._classes]
+        elif workers <= 1 or m == 0 or m > host.n:
             total, h = kernels.count_h_degrees(host.rows, host.n, parents)
         else:
             chunks = _first_vertex_chunks(host.n, workers)
             count = partial(kernels.count_h_degrees, host.rows, host.n, parents)
             total, h = 0, [0] * host.n
-            with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            pool_class = sys.modules[__name__].ProcessPoolExecutor
+            with pool_class(max_workers=len(chunks)) as pool:
                 for part_total, part_h in pool.map(count, chunks):
                     total += part_total
                     h = [a + b for a, b in zip(h, part_h)]
@@ -149,6 +192,11 @@ class HDegreeReport:
         """h(u, v): embeddings whose image contains both u and v."""
         if u == v:
             return self.h[u]
+        if self._second is not None:
+            q, r = self._classes[u], self._classes[v]
+            den = self._sizes[q] * (self._sizes[r] - (q == r))
+            return _exact_division(self._second[q][r], den,
+                                   "second occupancy moment", "class size product")
         key = (min(u, v), max(u, v))
         if key not in self._without_pair:
             sub = _delete_vertices(self.host, key)

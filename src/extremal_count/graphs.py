@@ -11,6 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+class BudgetExceededError(ValueError):
+    """Raised before an exponential computation whose estimated size
+    exceeds its documented budget."""
+
+
 class GraphFormatError(ValueError):
     """Raised on malformed graph text; carries the offending line number."""
 
@@ -185,6 +190,31 @@ def build_blowup(pattern: Graph, sizes) -> Graph:
         for i in range(s):
             labels[start[v] + i] = f"blob{v}"
     return Graph(total, edges, labels)
+
+
+def twin_quotient(g: Graph):
+    """(Q, sizes, classes): g as a blow-up of its false-twin quotient.
+
+    Vertices with equal adjacency rows (hence non-adjacent) form one class;
+    classes are numbered by their smallest vertex, `classes[v]` is the
+    class of v, `sizes[q]` the size of class q, and Q joins two classes
+    when their vertices are adjacent.  build_blowup(Q, sizes) is g up to
+    the vertex order.
+    """
+    index: dict[int, int] = {}
+    classes = [index.setdefault(row, len(index)) for row in g.rows]
+    sizes = [0] * len(index)
+    for q in classes:
+        sizes[q] += 1
+    q_rows = []
+    for row in index:  # one row per class, in class order
+        q_row = 0
+        while row:
+            bit = row & -row
+            q_row |= 1 << classes[bit.bit_length() - 1]
+            row ^= bit
+        q_rows.append(q_row)
+    return _rebuild_graph(len(q_rows), tuple(q_rows), {}), sizes, classes
 
 
 def build_gps_example1(k: int) -> Graph:

@@ -13,22 +13,28 @@ enumerated at most once per process and cached.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 
 from . import _kernels as kernels
 from .embeddings import count_automorphisms, copies_from_counts, count_embeddings
-from .graphs import Graph, is_bipartite, is_complete_bipartite
+from .graphs import (BudgetExceededError, Graph, is_bipartite,
+                     is_complete_bipartite)
 
 ENUMERATION_BUDGET = 9
 
 _enum_cache: dict[int, tuple[int, ...]] = {}
 
 
-class BudgetExceededError(ValueError):
-    pass
+def __getattr__(name):
+    # the pool class is imported when a pool first opens; pools look it up
+    # through this module, where it can be replaced
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def canonical_form(g: Graph) -> int:
@@ -67,7 +73,8 @@ def _masks(n: int, workers: int = 1) -> tuple[int, ...]:
     parents = _masks(n - 1) if workers > 1 and n > 1 else ()
     chunks = [c for c in (parents[i::workers] for i in range(workers)) if c]
     if len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        pool_class = sys.modules[__name__].ProcessPoolExecutor
+        with pool_class(max_workers=len(chunks)) as pool:
             level = sorted(chain.from_iterable(pool.map(
                 partial(kernels.triangle_free_canonical_masks, n), chunks)))
         for mask, nxt in zip(level, level[1:]):

@@ -6,16 +6,19 @@ from fractions import Fraction
 
 import pytest
 
-from extremal_count import (Graph, WeightedPattern, build_gps_example1,
-                            build_theorem2_H, complete_graph,
-                            connected_components, cycle_graph, disjoint_union,
-                            leading_coefficient, optimize_weights, path_graph,
-                            saturation_check, saturation_converges,
-                            star_graph, weighted_hom_sum)
-from extremal_count.blowup import GRID_BUDGET, _grid_seeds
+from extremal_count import (Graph, WeightedPattern, build_blowup,
+                            build_gps_example1, build_theorem2_H,
+                            complete_graph, connected_components,
+                            count_embeddings, cycle_graph, disjoint_union,
+                            is_bipartite, leading_coefficient,
+                            optimize_weights, path_graph, saturation_check,
+                            saturation_converges, star_graph,
+                            weighted_hom_sum)
+from extremal_count.blowup import GRID_BUDGET, _grid_seeds, rounded_blob_sizes
 from extremal_count.oracle import BudgetExceededError
 
-from naive import (as_fractions, naive_grid_seeds, naive_hom_sum, naive_homomorphisms,
+from naive import (as_fractions, naive_count_embeddings, naive_grid_seeds,
+                   naive_hom_sum, naive_homomorphisms,
                    random_bipartite_with_components, random_graph)
 
 K2 = path_graph(2)
@@ -156,7 +159,7 @@ def test_tree_dp_agrees_with_backtracking_on_cycles():
 def test_saturation_k2():
     wp = WeightedPattern(K2, HALF)
     report = saturation_check(K2, wp, 10)
-    assert report.feasible and report.count == 50
+    assert report.count == 50
     assert report.normalized == Fraction(1, 2)
     assert report.abs_error == 0
 
@@ -176,10 +179,40 @@ def test_saturation_c4():
     assert holds and r2.abs_error < r1.abs_error
 
 
-def test_saturation_budget():
-    wp = WeightedPattern(K2, HALF)
-    report = saturation_check(build_gps_example1(5), wp, 50)
-    assert not report.feasible and report.count is None
+def test_saturation_counts_past_the_old_budget():
+    # 50^10 > 10^8 used to be refused; K_{25,25} now costs the tree's two
+    # homomorphisms into K2, one per side assignment
+    pattern = build_gps_example1(5)
+    side0, side1 = is_bipartite(pattern)
+    report = saturation_check(pattern, WeightedPattern(K2, HALF), 50)
+    expected = 2 * math.perm(25, len(side0)) * math.perm(25, len(side1))
+    assert report.count == expected
+    assert report.normalized == Fraction(expected, 50 ** 10)
+
+
+def test_saturation_matches_built_blowup():
+    rng = random.Random(211)
+    skeletons = (K2, path_graph(3), cycle_graph(4), cycle_graph(5),
+                 star_graph(3), complete_graph(3))
+    for _ in range(40):
+        skeleton = rng.choice(skeletons)
+        parts = [rng.randint(0, 3) for _ in range(skeleton.n)]
+        if not sum(parts):
+            continue
+        wp = WeightedPattern(skeleton, [Fraction(a, sum(parts)) for a in parts])
+        pattern = random_graph(rng, rng.randint(0, 4), 0.6)
+        n = rng.randint(0, 7)
+        host = build_blowup(skeleton, rounded_blob_sizes(wp.weights, n))
+        count = saturation_check(pattern, wp, n).count
+        assert count == count_embeddings(pattern, host)
+        assert count == naive_count_embeddings(pattern, host)
+
+
+def test_saturation_converges_at_hundreds():
+    wp = WeightedPattern(cycle_graph(5), (Fraction(1, 5),) * 5)
+    c, holds, r1, r2 = saturation_converges(build_gps_example1(4), wp, 200, 400)
+    assert holds and 0 < r2.abs_error < r1.abs_error
+    assert r1.abs_error * 200 <= c and r2.abs_error * 400 <= c
 
 
 def test_optimize_k2_balanced():

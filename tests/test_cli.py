@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -72,7 +74,11 @@ def test_count_workers_byte_identical(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
-def test_count_failed_self_check_exit_3(c4_file, k22_file, capsys, monkeypatch):
+def test_count_failed_self_check_exit_3(tmp_path, capsys, monkeypatch):
+    # C5 has no twins, so its H-degrees come from the backtracking kernel
+    pattern, host = tmp_path / "p3.graph", tmp_path / "c5.graph"
+    write_graph_file(path_graph(3), pattern)
+    write_graph_file(cycle_graph(5), host)
     real = _kernels.count_h_degrees
 
     def wrong_h(*args, **kwargs):
@@ -80,11 +86,29 @@ def test_count_failed_self_check_exit_3(c4_file, k22_file, capsys, monkeypatch):
         return total, [h[0] + 1] + h[1:]
 
     monkeypatch.setattr(_kernels, "count_h_degrees", wrong_h)
+    code = cli.main(["count", str(pattern), str(host)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: ")
+
+
+def test_count_inexact_moment_exit_3(c4_file, k22_file, capsys, monkeypatch):
+    # K_{2,2} is counted through its twin quotient; a first occupancy moment
+    # that its class size does not divide is a counting bug
+    real = _kernels.occupancy_moments
+
+    def off_by_one(profile, sizes):
+        total, first, second = real(profile, sizes)
+        return total, [first[0] + 1] + first[1:], second
+
+    monkeypatch.setattr(_kernels, "occupancy_moments", off_by_one)
     code = cli.main(["count", c4_file, k22_file])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
     assert captured.err.startswith("internal error: ")
+    assert "not divisible" in captured.err
 
 
 def test_count_parse_error_exit_2(tmp_path, capsys):
@@ -352,3 +376,81 @@ def test_workers_env_default(monkeypatch):
     parser = cli.build_parser()
     args = parser.parse_args(["search", "x", "5"])
     assert args.workers == 4
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+@pytest.mark.parametrize("command", ["count", "search", "optimize"])
+def test_workers_below_one_exit_2(command, workers, c4_file, k22_file, capsys):
+    args = {"count": ["count", c4_file, k22_file],
+            "search": ["search", c4_file, "5"],
+            "optimize": ["optimize", c4_file, "k2", "--grid", "10"]}[command]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args + ["--workers", workers])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --workers: must be at least 1" in captured.err
+
+
+@pytest.mark.parametrize("value", ["-2", "0", "many"])
+def test_bad_workers_env_falls_back_to_one(value, monkeypatch):
+    monkeypatch.setenv("EXTREMAL_COUNT_WORKERS", value)
+    args = cli.build_parser().parse_args(["count", "p", "h"])
+    assert args.workers == 1
+
+
+def test_optimize_triangle_skeleton_exit_2(tmp_path, c4_file, capsys):
+    k3 = tmp_path / "k3.graph"
+    write_graph_file(Graph(3, [(0, 1), (1, 2), (0, 2)]), k3)
+    assert cli.main(["optimize", c4_file, str(k3), "--grid", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "triangle" in captured.err
+
+
+# Modules each command must not load: `count` opens no process pool on
+# the paths it runs serially and needs no certificate or search code, and
+# `verify lemma2` needs only the graph predicates.
+IMPORT_SCOPE = {
+    "count": ("multiprocessing", "concurrent.futures.process",
+              "extremal_count.bounds", "extremal_count.blowup",
+              "extremal_count.oracle"),
+    "lemma2": ("extremal_count.blowup", "extremal_count.oracle",
+               "extremal_count.embeddings"),
+}
+
+SCOPE_PROBE = """
+import json, sys
+from extremal_count import cli
+code = cli.main(sys.argv[1:])
+sys.stdout.flush()
+print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("command", sorted(IMPORT_SCOPE))
+def test_command_import_scope(command, tmp_path):
+    pattern, host = tmp_path / "p4.graph", tmp_path / "k33.graph"
+    write_graph_file(path_graph(4), pattern)
+    write_graph_file(complete_bipartite(3, 3), host)
+    args = {"count": ["count", str(pattern), str(host)],
+            "lemma2": ["verify", "lemma2", "--graph", str(host)]}[command]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(cli.__file__))]
+        + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", SCOPE_PROBE, *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+    code, loaded = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert code == 0
+    assert not set(IMPORT_SCOPE[command]) & set(loaded)
+
+
+def test_every_package_export_resolves():
+    import extremal_count
+
+    assert extremal_count.BACKEND in ("compiled", "python")
+    for name in extremal_count.__all__:
+        assert getattr(extremal_count, name) is not None, name
+    assert set(extremal_count.__all__) <= set(dir(extremal_count))
+    with pytest.raises(AttributeError):
+        extremal_count.no_such_name

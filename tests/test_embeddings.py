@@ -1,14 +1,18 @@
 """Embedding counts, H-degrees, and the clone move."""
 
+import math
 import random
+import time
 
 import pytest
 
-from extremal_count import (Graph, build_theorem2_H, clone_move,
-                            complete_bipartite, count_automorphisms,
-                            count_copies, count_embeddings, cycle_graph,
-                            h_degrees, is_isomorphic, is_triangle_free,
-                            path_graph, star_graph)
+from extremal_count import (Graph, _kernels, build_blowup, build_theorem2_H,
+                            clone_move, complete_bipartite,
+                            count_automorphisms, count_copies,
+                            count_embeddings, cycle_graph, disjoint_union,
+                            h_degrees, is_bipartite, is_isomorphic,
+                            is_triangle_free, path_graph, star_graph)
+from extremal_count.graphs import twin_quotient
 
 from naive import (naive_count_embeddings, naive_h_degree, naive_pair_degree,
                    random_graph, random_triangle_free)
@@ -169,3 +173,97 @@ def test_star_copies_formula():
     host = complete_bipartite(2, 6)
     # one K_{1,3} per choice of a center and 3 of its neighbors
     assert count_copies(star_graph(3), host) == 2 * 20
+
+
+# ---------------------------------------------------------------------------
+# counting through the twin quotient
+# ---------------------------------------------------------------------------
+
+def _random_tree(rng, n):
+    return Graph(n, [(v, rng.randrange(v)) for v in range(1, n)])
+
+
+def _check_quotient_against_naive(rng, pattern, host):
+    """Total, every h(v) and a sample of pair values, including a pair
+    inside one twin class, against the brute-force oracles."""
+    _, _, classes = twin_quotient(host)
+    report = h_degrees(pattern, host)
+    assert report.total == count_embeddings(pattern, host)
+    assert report.total == naive_count_embeddings(pattern, host)
+    for v in range(host.n):
+        assert report.h[v] == naive_h_degree(pattern, host, v)
+    pairs = [(u, v) for u in range(host.n) for v in range(u + 1, host.n)]
+    sample = rng.sample(pairs, min(4, len(pairs)))
+    sample += [(u, v) for u, v in pairs if classes[u] == classes[v]][:1]
+    for u, v in sample:
+        assert report.pair(u, v) == naive_pair_degree(pattern, host, u, v)
+        assert report.pair(v, u) == report.pair(u, v)
+
+
+def test_quotient_counts_match_naive_on_blowups():
+    # blow-ups of random triangle-free skeletons on 2-6 vertices with blob
+    # sizes 1-3; hosts over 9 vertices are redrawn to keep the oracle fast
+    rng = random.Random(137)
+    checked = 0
+    while checked < 30:
+        k = rng.randint(2, 6)
+        sizes = [rng.randint(1, 3) for _ in range(k)]
+        if sum(sizes) > 9:
+            continue
+        host = build_blowup(random_triangle_free(rng, k), sizes)
+        if twin_quotient(host)[0].n == host.n:
+            continue
+        pattern = rng.choice([_random_tree(rng, rng.randint(1, 5)), cycle_graph(4)])
+        _check_quotient_against_naive(rng, pattern, host)
+        checked += 1
+
+
+def test_quotient_counts_with_isolated_vertices():
+    rng = random.Random(139)
+    for _ in range(10):
+        k = rng.randint(2, 4)
+        host = build_blowup(random_triangle_free(rng, k),
+                            [rng.randint(1, 2) for _ in range(k)])
+        host = disjoint_union(host, Graph(rng.randint(1, 2)))
+        for pattern in (_random_tree(rng, rng.randint(1, 4)), Graph(2),
+                        disjoint_union(path_graph(2), Graph(1))):
+            _check_quotient_against_naive(rng, pattern, host)
+
+
+def test_quotient_counts_on_host_with_triangle():
+    rng = random.Random(149)
+    k3 = Graph(3, [(0, 1), (1, 2), (0, 2)])
+    host = disjoint_union(build_blowup(k3, [2, 1, 2]), cycle_graph(4))
+    assert not is_triangle_free(host)
+    for pattern in (k3, path_graph(3), cycle_graph(4), star_graph(3)):
+        _check_quotient_against_naive(rng, pattern, host)
+
+
+def test_tree_in_k10_10_counts_through_the_quotient():
+    # a 10-vertex tree with sides of 3 and 7: 2 * (10)_3 * (10)_7
+    # embeddings.  Backtracking over the 20 host vertices took minutes
+    tree = Graph(10, [(0, 3), (3, 1), (1, 4), (4, 2), (0, 5), (0, 6), (1, 7),
+                      (2, 8), (2, 9)])
+    host = complete_bipartite(10, 10)
+    start = time.monotonic()
+    assert count_embeddings(tree, host) == 870_912_000
+    assert time.monotonic() - start < 1.0
+    rng = random.Random(151)
+    for _ in range(5):
+        tree = _random_tree(rng, 10)
+        side0, side1 = is_bipartite(tree)
+        assert count_embeddings(tree, host) == \
+            2 * math.perm(10, len(side0)) * math.perm(10, len(side1))
+
+
+def test_inexact_second_moment_raises(monkeypatch):
+    real = _kernels.occupancy_moments
+
+    def off_by_one(profile, sizes):
+        total, first, second = real(profile, sizes)
+        return total, first, [[x + 1 for x in row] for row in second]
+
+    monkeypatch.setattr(_kernels, "occupancy_moments", off_by_one)
+    report = h_degrees(path_graph(3), complete_bipartite(3, 3))
+    with pytest.raises(RuntimeError, match="not divisible"):
+        report.pair(0, 1)

@@ -53,10 +53,19 @@ def k2_file(tmp_path):
 
 
 def test_embedding_pool_is_capped_at_host_size(pools):
-    host = complete_bipartite(3, 4)
+    # C6 has no twins, so its H-degrees come from the pooled backtracking
+    host = cycle_graph(6)
     assert h_degrees(star_graph(2), host, workers=MANY).h == \
         h_degrees(star_graph(2), host).h
     assert pools == [host.n]
+
+
+def test_twin_quotient_opens_no_pool(pools):
+    # K_{3,4} is counted through its two-class twin quotient in-process
+    host = complete_bipartite(3, 4)
+    assert h_degrees(star_graph(2), host, workers=MANY).h == \
+        h_degrees(star_graph(2), host).h
+    assert pools == []
 
 
 def test_maximizer_search_with_many_workers(pools, levels):

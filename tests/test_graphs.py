@@ -12,6 +12,7 @@ from extremal_count import (Graph, GraphFormatError, build_blowup,
                             is_complete_bipartite, is_isomorphic,
                             is_triangle_free, path_graph, read_graph_text,
                             star_graph, write_graph_text)
+from extremal_count.graphs import twin_quotient
 
 from naive import perm_canonical_mask, random_graph
 
@@ -249,3 +250,22 @@ def test_is_complete_bipartite_large_families():
             if a >= 2:
                 missing_edge = Graph(a + b, kab.edges()[1:])
                 assert not is_complete_bipartite(_relabeled(missing_edge, rng))
+
+
+def test_twin_quotient_inverts_blowup():
+    rng = random.Random(61)
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(0, 8), rng.choice([0.2, 0.5, 0.8]))
+        if rng.random() < 0.5 and g.n:
+            g = build_blowup(g, [rng.randint(1, 3) for _ in range(g.n)])
+        q, sizes, classes = twin_quotient(g)
+        assert sum(sizes) == g.n and len(classes) == g.n
+        assert sizes == [classes.count(c) for c in range(q.n)]
+        for u in range(g.n):
+            for v in range(g.n):
+                assert (classes[u] == classes[v]) == (g.rows[u] == g.rows[v])
+                assert g.has_edge(u, v) == q.has_edge(classes[u], classes[v])
+        # classes are numbered by their smallest vertex
+        assert [classes.index(c) for c in range(q.n)] == sorted(
+            classes.index(c) for c in range(q.n))
+        assert twin_quotient(q)[0].n == q.n  # the quotient is twin-free
