@@ -29,8 +29,7 @@ _EXPORTS = {
                "read_graph_file", "read_graph_text", "star_graph",
                "write_graph_file", "write_graph_text"),
     "matchings": ("HypothesisVerdict", "MatchingReport", "NotBipartiteError",
-                  "check_theorem1_hypothesis", "maximum_matching",
-                  "remove_isolated_vertices"),
+                  "check_theorem1_hypothesis", "maximum_matching"),
     "oracle": ("MaximizerReport", "canonical_form", "enumerate_triangle_free",
                "find_maximizers", "graph_from_canonical_mask", "is_isomorphic",
                "triangle_free_masks"),

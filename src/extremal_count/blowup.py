@@ -8,10 +8,12 @@ fractions w is the weighted homomorphism sum
 
 computed here exactly over the rationals.  Tree components are evaluated by
 dynamic programming (mandatory for the large trees the counterexample
-construction produces); cyclic components backtrack with zero-weight
-pruning.  A simplex optimizer searches for the blob weights maximizing the
-coefficient: float evaluation inside the search, exact rational evaluation
-of the final point.
+construction produces); each cyclic component is tallied once into its
+homomorphism polynomial, {occupancy vector: number of homomorphisms into
+P}, and evaluated from it at every weight vector.  A simplex optimizer
+searches for the blob weights maximizing the coefficient: every integer
+grid seed is scored exactly, the ascent from the best seed runs in floats,
+and the final point is evaluated exactly over the rationals.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from operator import itemgetter, sub
+from operator import add, itemgetter, sub
 
+from . import _kernels as kernels
 from .embeddings import count_blowup_embeddings, embeddings_listing
 from .graphs import (BudgetExceededError, Graph, connected_components,
                      is_triangle_free)
@@ -79,19 +82,22 @@ class HomSumPlan:
     """The weight-independent part of weighted_hom_sum(H, P, .), built once
     and evaluated at many weight vectors.
 
-    Holds the components of H in vertex order, each either a tree (DFS order
-    with child positions, evaluated by bottom-up DP) or a cyclic component
-    (connectivity-first order with earlier-neighbor positions, evaluated by
-    backtracking).  Evaluation performs the same arithmetic operations in
-    the same order for every weight vector, so float results are
-    reproducible bit for bit.
+    Holds the components of H in vertex order.  A tree component keeps its
+    DFS order with child positions and is evaluated by bottom-up DP.  A
+    cyclic component keeps its homomorphism polynomial: the occupancy
+    profile of its homomorphisms into P (how many component vertices land
+    on each vertex of P, with the number of homomorphisms doing so), built
+    once.  It is evaluated as sum mult * prod_q w_q^occ_q over the profile,
+    one path for int, float and Fraction weights; the profile has at most
+    as many terms as the component has homomorphisms.  Evaluation
+    performs the same arithmetic operations in the same order for every
+    weight vector, so float results are reproducible bit for bit.
     """
 
-    __slots__ = ("k", "p_rows", "p_nbrs", "components")
+    __slots__ = ("k", "p_nbrs", "components")
 
     def __init__(self, patternH: Graph, patternP: Graph):
         self.k = patternP.n
-        self.p_rows = patternP.rows
         self.p_nbrs = tuple(tuple(patternP.neighbors(q)) for q in range(patternP.n))
         components = []
         _, comps = connected_components(patternH)
@@ -101,7 +107,13 @@ class HomSumPlan:
             if edges_in == len(comp) - 1:
                 components.append((True, _tree_children(patternH, comp)))
             else:
-                components.append((False, _backtrack_parents(patternH, comp)))
+                # caps of len(comp) never bind
+                profile = kernels.occupancy_profile(
+                    patternP.rows, (len(comp),) * self.k,
+                    _cyclic_parents(patternH, comp))
+                components.append((False, tuple(
+                    (mult, tuple((q, o) for q, o in enumerate(occ) if o))
+                    for occ, mult in profile.items())))
         self.components = tuple(components)
 
     def __call__(self, weights):
@@ -112,7 +124,7 @@ class HomSumPlan:
             if is_tree:
                 total *= self._tree_sum(structure, weights)
             else:
-                total *= self._backtrack_sum(structure, weights)
+                total *= _polynomial_sum(structure, weights)
         return total
 
     def _tree_sum(self, children, weights):
@@ -132,34 +144,16 @@ class HomSumPlan:
             table[i] = vals
         return sum(table[0])
 
-    def _backtrack_sum(self, parents, weights):
-        """Backtracking over a (small, cyclic) component, skipping
-        zero-weight images."""
-        rows = self.p_rows
-        last = len(parents) - 1
-        nonzero = 0
-        for q, w in enumerate(weights):
-            if w != 0:
-                nonzero |= 1 << q
-        sel = [0] * len(parents)
 
-        def rec(i, prod):
-            cand = nonzero
-            for p in parents[i]:
-                cand &= rows[sel[p]]
-            total = 0
-            while cand:
-                bit = cand & -cand
-                q = bit.bit_length() - 1
-                cand ^= bit
-                if i == last:
-                    total += prod * weights[q]
-                else:
-                    sel[i] = q
-                    total += rec(i + 1, prod * weights[q])
-            return total
-
-        return rec(0, 1)
+def _polynomial_sum(terms, weights):
+    """sum of mult * prod_q w_q^occ_q over a homomorphism polynomial's
+    terms (mult, ((q, occ_q) for each occupied q))."""
+    total = 0
+    for mult, factors in terms:
+        for q, o in factors:
+            mult = mult * weights[q] ** o
+        total += mult
+    return total
 
 
 def _tree_children(H: Graph, verts):
@@ -183,7 +177,7 @@ def _tree_children(H: Graph, verts):
     return tuple(tuple(c) for c in children)
 
 
-def _backtrack_parents(H: Graph, verts):
+def _cyclic_parents(H: Graph, verts):
     """Earlier-neighbor positions of each vertex of a component in a
     connectivity-first order (most placed neighbors, then smallest index)."""
     order = [verts[0]]
@@ -268,9 +262,11 @@ def saturation_converges(patternH: Graph, wp: WeightedPattern,
 # ---------------------------------------------------------------------------
 
 # Largest number of grid compositions C(g + k - 1, k - 1) optimize_weights
-# accepts.  Measured on pure Python: seeding costs 1.3-1.6 us per
-# composition, and a whole run of C4 on a C6 skeleton at grid 50 (3.48e6
-# compositions) about 4 us per composition, so the cap keeps a run near a
+# accepts.  Measured on pure Python 3.11 (2 vCPU) at grid 50 (3.48e6
+# compositions) on six-vertex skeletons (C6, P6, K1,5, and P6 plus the chord
+# 0-3, with 12, 2, 120 and 2 automorphisms): seeding costs 0.5-2.0 us per
+# composition, and a whole run of C4 0.9-4.2 us per composition, most where
+# the fewest compositions share an orbit, so the cap keeps a run under a
 # minute.  k = 8 at grid 50 (2.6e8) is refused before any work.
 GRID_BUDGET = 10 ** 7
 
@@ -288,44 +284,63 @@ def automorphism_maps(g: Graph) -> list[tuple[int, ...]]:
 
 
 def _grid_seeds(patternP: Graph, resolution: int) -> list[tuple[int, ...]]:
-    """Integer weight compositions, one representative per Aut(P) orbit.
+    """Integer weight compositions, one representative per Aut(P) orbit, in
+    ascending lexicographic order.
 
-    Compositions are streamed in ascending lexicographic order as the gaps
-    between non-decreasing cut points (stars and bars); a composition is
-    kept unless some automorphism maps it to a lexicographically smaller
-    tuple, so the kept one is the orbit minimum.
+    A composition is kept unless some automorphism maps it to a
+    lexicographically smaller tuple, so the kept one is the orbit minimum.
+    An orbit minimum puts no more weight on vertex 0 than on any vertex of
+    the orbit O of vertex 0, so only such compositions are built: for each
+    first part a0 in turn, the rest are streamed as the gaps between
+    non-decreasing cut points (stars and bars) of what is left after a0 on
+    every vertex of O, then lifted by a0 on O.
     """
     k = patternP.n
+    if k == 1:
+        return [(resolution,)]
+    auts = automorphism_maps(patternP)
     identity = tuple(range(k))
-    moves = [itemgetter(*a) for a in automorphism_maps(patternP) if a != identity]
-    head, tail = (0,), (resolution,)
+    moves = [itemgetter(*a) for a in auts if a != identity]
+    orbit = {a[0] for a in auts}
     seeds = []
-    for cuts in combinations_with_replacement(range(resolution + 1), k - 1):
-        comp = tuple(map(sub, cuts + tail, head + cuts))
-        for move in moves:
-            if move(comp) < comp:
-                break
-        else:
-            seeds.append(comp)
+    for a0 in range(resolution // len(orbit) + 1):
+        free = resolution - a0 * len(orbit)
+        lift = tuple(a0 if j in orbit else 0 for j in range(1, k))
+        lifted = any(lift)
+        head, tail = (0,), (free,)
+        for cuts in combinations_with_replacement(range(free + 1), k - 2):
+            gaps = map(sub, cuts + tail, head + cuts)
+            comp = (a0, *(map(add, gaps, lift) if lifted else gaps))
+            for move in moves:
+                if move(comp) < comp:
+                    break
+            else:
+                seeds.append(comp)
     return seeds
 
 
 def _eval_seed_chunk(args):
-    """(-value, seed) of the chunk's largest value, then smallest seed."""
-    plan, seeds, resolution = args
-    return min((-float(plan([a / resolution for a in seed])), seed)
-               for seed in seeds)
+    """(-value, seed) of the chunk's largest exact value, then smallest seed.
+
+    Seeds are scored on the integer composition itself: the sum is
+    homogeneous of degree |V(H)|, so integer values order the seeds as
+    their exact coefficients do."""
+    plan, seeds = args
+    return min((-plan(seed), seed) for seed in seeds)
 
 
 def optimize_weights(patternH: Graph, patternP: Graph, grid: int = 50,
                      workers: int = 1):
     """Heuristically maximize the leading coefficient over blob weights.
 
-    Coarse grid seeding (with Aut(P) symmetry reduction) followed by local
-    mass-transfer ascent with a shrinking step; floats inside the loop, one
-    exact rational evaluation at the rationalized final point.  Global
-    optimality is not claimed.  `grid` is the seeding resolution per simplex
-    coordinate; seeds are evaluated in up to `workers` processes.  Returns
+    Every integer composition of `grid` into one part per vertex of P, one
+    per Aut(P) orbit, is scored exactly; the seed is the largest, the
+    smallest composition on a tie, so it is the exact argmax over all grid
+    points for any worker count.  A local mass-transfer ascent with a
+    shrinking step runs from it in floats, and the rationalized final point
+    and the seed are compared exactly.  Global optimality is not claimed.
+    `grid` is the seeding resolution per simplex coordinate; seeds are
+    scored in up to `workers` processes.  Returns
     (WeightedPattern, LeadingCoefficient).
 
     Raises ValueError on a skeleton that contains a triangle (its blow-ups
@@ -353,16 +368,16 @@ def optimize_weights(patternH: Graph, patternP: Graph, grid: int = 50,
 
     if workers > 1 and len(seeds) > 64:
         chunks = [seeds[i::workers] for i in range(workers)]
-        args = [(plan, ch, grid) for ch in chunks if ch]
+        args = [(plan, ch) for ch in chunks if ch]
         pool_class = sys.modules[__name__].ProcessPoolExecutor
         with pool_class(max_workers=len(args)) as pool:
             results = list(pool.map(_eval_seed_chunk, args))
     else:
-        results = [_eval_seed_chunk((plan, seeds, grid))]
+        results = [_eval_seed_chunk((plan, seeds))]
 
-    neg_value, best_seed = min(results)
+    _, best_seed = min(results)
     weights = [a / grid for a in best_seed]
-    value = -neg_value
+    value = float(plan(weights))
     step = 1.0 / grid
     iterations = 0
     while step >= TOLERANCE and iterations < MAX_ITERATIONS:

@@ -59,10 +59,17 @@ def count_embeddings(pattern: Graph, host: Graph) -> int:
     edge to a host edge.  A pattern larger than the host yields 0."""
     if pattern.n > host.n:
         return 0
+    _, parents = search_plan(pattern)
+    return _count_planned(parents, host)
+
+
+def _count_planned(parents, host: Graph) -> int:
+    """count_embeddings for a pattern given by its search-plan parents, no
+    larger than the host; lets a caller scoring many hosts plan once."""
     skeleton, sizes, _ = twin_quotient(host)
     if skeleton.n < host.n:
-        return count_blowup_embeddings(pattern, skeleton, sizes)
-    _, parents = search_plan(pattern)
+        profile = kernels.occupancy_profile(skeleton.rows, sizes, parents)
+        return kernels.occupancy_total(profile, sizes)
     return kernels.count_injective(host.rows, host.n, parents)
 
 

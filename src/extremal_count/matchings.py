@@ -113,19 +113,3 @@ def check_theorem1_hypothesis(pattern: Graph) -> HypothesisVerdict:
         lam = Fraction(2 * report.d, x)
     return HypothesisVerdict(thm1, gps, lam)
 
-
-def remove_isolated_vertices(pattern: Graph) -> tuple[Graph, int]:
-    """Drop isolated vertices, preserving the relative order of the rest.
-
-    Callers rescale embedding counts by the falling factorial
-    (n - m')(n - m' - 1)... over the removed count, where m' is the reduced
-    pattern size.
-    """
-    keep = [v for v in range(pattern.n) if pattern.rows[v]]
-    removed = pattern.n - len(keep)
-    if removed == 0:
-        return pattern, 0
-    index = {v: i for i, v in enumerate(keep)}
-    edges = [(index[u], index[v]) for u, v in pattern.edges()]
-    labels = {index[v]: lab for v, lab in pattern.labels.items() if v in index}
-    return Graph(len(keep), edges, labels), removed

@@ -19,7 +19,8 @@ from functools import partial
 from itertools import chain
 
 from . import _kernels as kernels
-from .embeddings import count_automorphisms, copies_from_counts, count_embeddings
+from .embeddings import (_count_planned, copies_from_counts, count_automorphisms,
+                         search_plan)
 from .graphs import (BudgetExceededError, Graph, is_bipartite,
                      is_complete_bipartite)
 
@@ -103,9 +104,10 @@ class MaximizerReport:
     all_complete_bipartite: bool
 
 
-def _count_task(pattern: Graph, n: int, masks) -> list[tuple[int, int]]:
-    """(mask, embedding count) for each n-vertex host mask."""
-    return [(mask, count_embeddings(pattern, graph_from_canonical_mask(n, mask)))
+def _count_task(parents, n: int, masks) -> list[tuple[int, int]]:
+    """(mask, embedding count) for each n-vertex host mask, for the pattern
+    with search-plan `parents`."""
+    return [(mask, _count_planned(parents, graph_from_canonical_mask(n, mask)))
             for mask in masks]
 
 
@@ -121,7 +123,8 @@ def find_maximizers(pattern: Graph, n: int, workers: int = 1) -> MaximizerReport
         raise ValueError("pattern must not exceed the host size")
     _check_budget(n)
     _masks(n, workers)  # fills the cache that triangle_free_masks reads
-    pairs = _count_task(pattern, n, triangle_free_masks(n))
+    _, parents = search_plan(pattern)
+    pairs = _count_task(parents, n, triangle_free_masks(n))
     best = max(emb for _, emb in pairs)
     witnesses = tuple(graph_from_canonical_mask(n, mask)
                       for mask, emb in pairs if emb == best)

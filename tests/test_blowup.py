@@ -1,5 +1,6 @@
 """Leading coefficients, homomorphism sums, saturation, and the optimizer."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,13 +9,15 @@ import pytest
 
 from extremal_count import (Graph, WeightedPattern, build_blowup,
                             build_gps_example1, build_theorem2_H,
-                            complete_graph, connected_components,
-                            count_embeddings, cycle_graph, disjoint_union,
+                            complete_bipartite, complete_graph,
+                            connected_components, count_embeddings,
+                            cycle_graph, disjoint_union,
                             is_bipartite, leading_coefficient,
                             optimize_weights, path_graph, saturation_check,
                             saturation_converges, star_graph,
                             weighted_hom_sum)
-from extremal_count.blowup import GRID_BUDGET, _grid_seeds, rounded_blob_sizes
+from extremal_count.blowup import (GRID_BUDGET, HomSumPlan, _eval_seed_chunk,
+                                   _grid_seeds, rounded_blob_sizes)
 from extremal_count.oracle import BudgetExceededError
 
 from naive import (as_fractions, naive_count_embeddings, naive_grid_seeds,
@@ -148,8 +151,8 @@ def test_hom_sum_homogeneity():
 
 
 def test_tree_dp_agrees_with_backtracking_on_cycles():
-    # C4 is handled by backtracking, its spanning tree by DP; check the
-    # cyclic value directly against the naive sum
+    # C4 is evaluated from its homomorphism polynomial, its spanning tree
+    # by DP; check the cyclic value directly against the naive sum
     weights = as_fractions(("1/3", "1/3", "1/3"))
     p = complete_graph(3)
     assert weighted_hom_sum(cycle_graph(4), p, weights) == naive_hom_sum(
@@ -242,9 +245,37 @@ def test_optimize_deterministic_across_workers():
 
 
 def test_grid_seeds_match_naive_orbit_minima():
-    for p in (K2, path_graph(3), cycle_graph(4), star_graph(3), cycle_graph(5)):
-        for grid in range(1, 13):
+    # the orbit of vertex 0 is {0} on K1 (one part) and on the star K1,3,
+    # {0, 3} on P4, {0, 1} on K2,3 and on the disconnected K2 + K1, and
+    # every vertex on K2 and the cycles.  The naive oracle walks
+    # (grid + 1)^k tuples, so six-vertex skeletons stop at grid 8.
+    for p in (Graph(1), K2, path_graph(3), path_graph(4), cycle_graph(4),
+              star_graph(3), cycle_graph(5), complete_bipartite(2, 3),
+              cycle_graph(6), disjoint_union(K2, Graph(1))):
+        for grid in range(1, 13 if p.n < 6 else 9):
             assert _grid_seeds(p, grid) == naive_grid_seeds(p, grid)
+
+
+def test_optimizer_seed_is_the_exact_grid_argmax():
+    # the seed the ascent starts from is the smallest composition with the
+    # largest naive hom sum, taken over every composition (no orbit
+    # reduction); integer parts give the exact order by homogeneity
+    patterns = (cycle_graph(4), path_graph(4), star_graph(3),
+                build_theorem2_H(1, 3))
+    for p in (K2, path_graph(3), cycle_graph(4), cycle_graph(5)):
+        for h in patterns:
+            plan = HomSumPlan(h, p)
+            homs = naive_homomorphisms(h, p)
+            for grid in range(1, 9):
+                comps = [c for c in itertools.product(range(grid + 1), repeat=p.n)
+                         if sum(c) == grid]
+                # naive_hom_sum over the listing, walked once per (H, P)
+                values = {c: sum(math.prod(c[q] for q in image) for image in homs)
+                          for c in comps}
+                best = max(values.values())
+                expected = min(c for c in comps if values[c] == best)
+                _, seed = _eval_seed_chunk((plan, _grid_seeds(p, grid)))
+                assert seed == expected, (h.edges(), p.edges(), grid)
 
 
 def test_optimize_grid_budget():

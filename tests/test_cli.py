@@ -342,9 +342,9 @@ def test_optimize_c4_c5_golden(c4_file, capsys):
     code, out = run(["optimize", c4_file, "c5", "--grid", "50"], capsys)
     assert code == 0
     payload = json.loads(out)
-    assert payload["weights"] == ["0/1", "0/1", "1/10", "1/2", "2/5"]
+    assert payload["weights"] == ["0/1", "0/1", "0/1", "1/2", "1/2"]
     assert payload["coefficient"] == "1/8"
-    assert payload["hom_count"] == 8
+    assert payload["hom_count"] == 2
     assert payload["grid_resolution"] == 50
 
 
