@@ -1,10 +1,11 @@
 # cython: language_level=3, boundscheck=False, wraparound=False, cdivision=True
 """Compiled kernels for the hot inner loops: injective-embedding counting
-(with one-pass H-degrees) and canonical-form minimization.
+and canonical-form minimization.
 
 Mirrors `_pykernels` exactly (same mask packing); see that module for the
 conventions.  Triangle-free enumeration has no compiled twin: the pure
-generator runs on the compiled `canonical_mask`.  Limits: hosts up to 64
+generator runs on the compiled `canonical_mask`.  H-degrees come from the
+pure occupancy profile on both backends.  Limits: hosts up to 64
 vertices and counts below 2**63 for the counter, 16 vertices for canonical
 forms.  Callers dispatch to the pure kernels beyond these.
 """
@@ -94,82 +95,6 @@ def count_injective(list host_rows_py, int n_host, list parents_py):
     finally:
         PyMem_Free(parent_flat)
     return result
-
-
-cdef uint64_t _h_rec(int level, int m, uint64_t used, uint64_t full,
-                     uint64_t* host_rows, int* parent_flat,
-                     int* parent_start, int* sel, uint64_t* h) nogil:
-    # completions below the placed prefix; adds each placed vertex's share to h
-    cdef uint64_t cand = full & ~used
-    cdef uint64_t total = 0
-    cdef uint64_t bit, sub
-    cdef int i
-    for i in range(parent_start[level], parent_start[level + 1]):
-        cand &= host_rows[sel[parent_flat[i]]]
-    if level == m - 1:
-        total = <uint64_t> ec_popcount(cand)
-        while cand:
-            h[ec_ctz(cand)] += 1
-            cand &= cand - 1
-        return total
-    while cand:
-        bit = cand & (0 - cand)
-        sel[level] = ec_ctz(bit)
-        sub = _h_rec(level + 1, m, used | bit, full,
-                     host_rows, parent_flat, parent_start, sel, h)
-        h[sel[level]] += sub
-        total += sub
-        cand &= cand - 1
-    return total
-
-
-def count_h_degrees(list host_rows_py, int n_host, list parents_py,
-                    object first_mask):
-    """(total, h) as in `_pykernels.count_h_degrees`; first_mask=-1 means
-    unrestricted.  The caller keeps m * total below 2**63."""
-    cdef int m = len(parents_py)
-    if n_host > 64:
-        raise ValueError("compiled kernel supports hosts up to 64 vertices")
-    if m == 0:
-        return 1, [0] * n_host
-    if m > n_host:
-        return 0, [0] * n_host
-    cdef uint64_t host_rows[64]
-    cdef uint64_t h[64]
-    cdef int sel[64]
-    cdef int parent_start[65]
-    cdef int i
-    for i in range(n_host):
-        host_rows[i] = <uint64_t> host_rows_py[i]
-        h[i] = 0
-    cdef int* parent_flat = _flatten_parents(parents_py, m, parent_start)
-    cdef uint64_t full = (<uint64_t> 1 << n_host) - 1 if n_host < 64 else <uint64_t> 0xFFFFFFFFFFFFFFFF
-    cdef uint64_t fm = full
-    if first_mask is not None and first_mask != -1:
-        fm = <uint64_t> first_mask & full
-    cdef uint64_t result = 0
-    cdef uint64_t cand0, bit, sub
-    try:
-        with nogil:
-            if m == 1:
-                result = <uint64_t> ec_popcount(fm)
-                cand0 = fm
-                while cand0:
-                    h[ec_ctz(cand0)] += 1
-                    cand0 &= cand0 - 1
-            else:
-                cand0 = fm
-                while cand0:
-                    bit = cand0 & (0 - cand0)
-                    sel[0] = ec_ctz(bit)
-                    sub = _h_rec(1, m, bit, full, host_rows,
-                                 parent_flat, parent_start, sel, h)
-                    h[sel[0]] += sub
-                    result += sub
-                    cand0 &= cand0 - 1
-    finally:
-        PyMem_Free(parent_flat)
-    return result, [h[i] for i in range(n_host)]
 
 
 # ---------------------------------------------------------------------------

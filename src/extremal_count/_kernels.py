@@ -6,12 +6,15 @@ Both backends produce bit-identical results.  The compiled kernels are
 limited to hosts with at most 64 vertices, counts below 2**63 and
 16-vertex canonical forms; the dispatchers below check these limits.
 Triangle-free enumeration has one generator, the pure one in `_pykernels`;
-with the extension built it runs on the compiled canonical form.
+with the extension built it runs on the compiled canonical form.  The
+occupancy profile, which gives every H-degree and pair degree, is pure on
+both backends.
 """
 
 from __future__ import annotations
 
 import os
+from math import perm
 
 from . import _pykernels as pure
 
@@ -31,30 +34,11 @@ mask_from_rows = pure.mask_from_rows
 rows_from_mask = pure.rows_from_mask
 
 
-def falling_factorial(n: int, m: int) -> int:
-    out = 1
-    for i in range(m):
-        out *= n - i
-    return out
-
-
 def count_injective(host_rows, n_host: int, parents) -> int:
-    m = len(parents)
-    if (HAS_FAST and n_host <= 64
-            and falling_factorial(n_host, m) < 2 ** 63):
+    # the count is at most the falling factorial (n_host)_m
+    if HAS_FAST and n_host <= 64 and perm(n_host, len(parents)) < 2 ** 63:
         return fast.count_injective(list(host_rows), n_host, parents)
     return pure.count_injective(host_rows, n_host, parents)
-
-
-def count_h_degrees(host_rows, n_host: int, parents,
-                    first_mask=None) -> tuple[int, list[int]]:
-    # total <= falling_factorial(n_host, m) and sum(h) == m * total
-    m = len(parents)
-    if (HAS_FAST and n_host <= 64
-            and m * falling_factorial(n_host, m) < 2 ** 63):
-        return fast.count_h_degrees(list(host_rows), n_host, parents,
-                                    -1 if first_mask is None else first_mask)
-    return pure.count_h_degrees(host_rows, n_host, parents, first_mask)
 
 
 # the occupancy profile over a twin quotient is pure on both backends

@@ -1,13 +1,14 @@
 """Pure-Python kernels: injective-embedding counting, occupancy profiles
 over a twin quotient, canonical forms, and triangle-free enumeration.
 
-The counting kernels and the canonical form mirror the compiled kernels in
+`count_injective` and the canonical form mirror the compiled kernels in
 `_fastkernels` and are selected at import time when the extension is
 unavailable (or when EXTREMAL_COUNT_FORCE_PYTHON is set).  Counts use
 Python integers, so this path has no host-size or count-magnitude limits,
 only speed ones.  Triangle-free enumeration is one vertex-growth generator
 for both backends; it takes the canonical form to use as an argument.  The
-occupancy profile has no compiled twin.
+occupancy profile, the one source of H-degrees and pair degrees, has no
+compiled twin.
 
 Twins are vertices u, v with N(u) - v == N(v) - u.  Swapping two twins is
 an automorphism that fixes every other vertex, so both the canonical-form
@@ -65,64 +66,6 @@ def count_injective(host_rows, n_host: int, parents: list[list[int]]) -> int:
     return rec(0, 0)
 
 
-def count_h_degrees(host_rows, n_host: int, parents: list[list[int]],
-                    first_mask: int | None = None) -> tuple[int, list[int]]:
-    """Injective embedding count and per-host-vertex H-degrees in one pass.
-
-    Returns (total, h) where h[v] counts the embeddings whose image
-    contains host vertex v, so sum(h) == len(parents) * total.  `parents`
-    is as for `count_injective`.  `first_mask` restricts the host image of
-    position 0: both the total and h then cover only the embeddings whose
-    position-0 image lies in the mask, so partial results over a partition
-    of the host add up exactly (used to split work).
-
-    Each internal node adds its subtree's completion count to the H-degree
-    of the vertex it placed.  Last-level candidate masks are tallied by
-    multiplicity and their bits expanded once at the end, so the leaf level
-    costs one bit_count per node, as in `count_injective`.
-    """
-    m = len(parents)
-    h = [0] * n_host
-    if m == 0:
-        return 1, h
-    if m > n_host:
-        return 0, h
-    full = (1 << n_host) - 1
-    sel = [0] * m
-    last = m - 1
-    leaves = defaultdict(int)
-
-    def rec(level: int, used: int, cand: int) -> int:
-        # `cand` holds the admissible images of position `level`
-        if level == last:
-            leaves[cand] += 1
-            return cand.bit_count()
-        nxt = level + 1
-        nxt_parents = parents[nxt]
-        total = 0
-        while cand:
-            bit = cand & -cand
-            v = bit.bit_length() - 1
-            sel[level] = v
-            below = used | bit
-            sub = full & ~below
-            for p in nxt_parents:
-                sub &= host_rows[sel[p]]
-            count = rec(nxt, below, sub)
-            h[v] += count
-            total += count
-            cand &= cand - 1
-        return total
-
-    total = rec(0, 0, full if first_mask is None else full & first_mask)
-    for cand, mult in leaves.items():
-        while cand:
-            bit = cand & -cand
-            h[bit.bit_length() - 1] += mult
-            cand &= cand - 1
-    return total, h
-
-
 # ---------------------------------------------------------------------------
 # occupancy profiles: counting in a blow-up through its skeleton
 # ---------------------------------------------------------------------------
@@ -141,7 +84,11 @@ def occupancy_profile(q_rows, caps, parents: list[list[int]]) -> dict[tuple[int,
     Backtracks pattern positions over Q, keeping the occupancy packed into
     one integer (`width` bits per vertex of Q) and the mask of vertices
     still below their cap.  Last-position candidate masks are tallied per
-    occupancy and expanded once at the end, as in `count_h_degrees`.
+    occupancy and expanded once at the end, so the last level costs one
+    dictionary update per node.  Every graph is the blow-up of its twin
+    quotient, so with caps = the class sizes this one profile gives the
+    embedding count, every H-degree and every pair degree of any host; a
+    twin-free host is its own quotient with caps all 1.
     """
     k = len(q_rows)
     m = len(parents)

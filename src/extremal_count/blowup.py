@@ -351,8 +351,6 @@ def optimize_weights(patternH: Graph, patternP: Graph, grid: int = 50,
     if not is_triangle_free(patternP):
         raise ValueError("blow-up skeleton contains a triangle; its blow-ups "
                          "are not triangle-free")
-    if patternP.n > 8:
-        raise ValueError("blow-up patterns are capped at 8 vertices")
     if patternP.n == 0:
         raise ValueError("blow-up pattern needs at least one vertex")
     if grid < 1:

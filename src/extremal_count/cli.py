@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Embedding counts in triangle-free graphs: exact "
                     "counting, maximizer search, blow-up weight "
                     "optimization, and inequality certificates.")
-    # gen writes graph text; verify also renders a report; count, search
+    # gen writes graph text; count and verify also render a report; search
     # and optimize also split their work over processes
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--out", help="write the output here instead of stdout")
@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="worker processes (default: EXTREMAL_COUNT_WORKERS or 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_count = sub.add_parser("count", parents=[parallel],
+    p_count = sub.add_parser("count", parents=[report],
                              help="embeddings, automorphisms, copies, H-degrees")
     p_count.add_argument("pattern", help="pattern graph file")
     p_count.add_argument("host", help="host graph file")
@@ -130,7 +130,7 @@ def cmd_count(args):
 
     pattern = read_graph_file(args.pattern)
     host = read_graph_file(args.host)
-    report = h_degrees(pattern, host, args.workers)
+    report = h_degrees(pattern, host)
     automorphisms = count_automorphisms(pattern)
     payload = {
         "command": "count",

@@ -1,29 +1,24 @@
 """Exact injective-embedding counting, automorphisms, H-degrees, and the
 delete-and-clone symmetrization move.
 
-All counts are exact Python integers.  A host with false twins (vertices
-with equal rows) is the blow-up of its twin quotient Q, and is counted
-through Q: the occupancy profile of the pattern's homomorphisms into Q is
-evaluated at the class sizes, which also gives every H-degree and pair
-degree by exact division, in one process.  A twin-free host is counted by
-backtracking over its vertices along a static pattern-vertex order with
-bit-set candidate pruning; its one-pass H-degree count optionally splits
-by the host image of the first ordered vertex, and partial results are
-combined by addition, so they are identical for any worker count.
+All counts are exact Python integers.  Every host is the blow-up of its
+twin quotient Q (classes of vertices with equal rows; a twin-free host is
+its own quotient, with classes of size 1).  H-degrees and pair degrees
+always come from the occupancy profile of the pattern's homomorphisms into
+Q, evaluated at the class sizes, by exact division.  A bare embedding
+count goes through Q when Q is smaller than the host, and otherwise
+backtracks over the host's vertices along a static pattern-vertex order
+with bit-set candidate pruning.
 """
 
 from __future__ import annotations
-
-import sys
-from functools import partial
 
 from . import _kernels as kernels
 from .graphs import Graph, is_triangle_free, twin_quotient
 
 
 def __getattr__(name):
-    # the pool class is imported when a pool first opens; pools look it up
-    # through this module, where it can be replaced
+    # no pool opens here; the name stays for perfbench/spans.py POOL_MODULES
     if name == "ProcessPoolExecutor":
         from concurrent.futures import ProcessPoolExecutor
         return ProcessPoolExecutor
@@ -79,13 +74,6 @@ def count_blowup_embeddings(pattern: Graph, skeleton: Graph, sizes) -> int:
     _, parents = search_plan(pattern)
     profile = kernels.occupancy_profile(skeleton.rows, sizes, parents)
     return kernels.occupancy_total(profile, sizes)
-
-
-def _first_vertex_chunks(n_host: int, workers: int) -> list[int]:
-    masks = [0] * min(workers, n_host)
-    for v in range(n_host):
-        masks[v % len(masks)] |= 1 << v
-    return masks
 
 
 def count_automorphisms(pattern: Graph) -> int:
@@ -150,81 +138,47 @@ def embeddings_listing(pattern: Graph, host: Graph):
 
 
 class HDegreeReport:
-    """Per-vertex H-degrees of a host, with lazy pair lookups.
+    """Per-vertex H-degrees of a host, with pair lookups.
 
-    h(v) counts embeddings whose image contains v.  A host with twins gets
-    the total, every h(v) and every pair value h(u, v) from the first and
-    second occupancy moments over its twin quotient (one profile, no pool).
-    On a twin-free host the total and every h(v) come from one backtracking
-    pass, split over `workers` processes by the host image of the first
-    ordered pattern vertex, and pair values from inclusion-exclusion with
-    one search of the doubly-deleted host per pair.  Satisfies
-    sum_v h(v) = m * total exactly (checked at construction).
+    h(v) counts embeddings whose image contains v.  The total, every h(v)
+    and every pair value h(u, v) come from the first and second occupancy
+    moments over the host's twin quotient (one profile, in this process);
+    on a twin-free host the classes have size 1 and the divisions are
+    trivial.  Satisfies sum_v h(v) = m * total exactly (checked at
+    construction).
     """
 
-    def __init__(self, pattern: Graph, host: Graph, workers: int = 1):
-        self.pattern = pattern
-        self.host = host
-        m = pattern.n
+    def __init__(self, pattern: Graph, host: Graph):
         _, parents = search_plan(pattern)
         skeleton, self._sizes, self._classes = twin_quotient(host)
-        self._second = None
-        if skeleton.n < host.n:
-            profile = kernels.occupancy_profile(skeleton.rows, self._sizes,
-                                                parents)
-            total, first, self._second = kernels.occupancy_moments(
-                profile, self._sizes)
-            per_class = [_exact_division(f, s, "first occupancy moment",
-                                         "class size")
-                         for f, s in zip(first, self._sizes)]
-            h = [per_class[q] for q in self._classes]
-        elif workers <= 1 or m == 0 or m > host.n:
-            total, h = kernels.count_h_degrees(host.rows, host.n, parents)
-        else:
-            chunks = _first_vertex_chunks(host.n, workers)
-            count = partial(kernels.count_h_degrees, host.rows, host.n, parents)
-            total, h = 0, [0] * host.n
-            pool_class = sys.modules[__name__].ProcessPoolExecutor
-            with pool_class(max_workers=len(chunks)) as pool:
-                for part_total, part_h in pool.map(count, chunks):
-                    total += part_total
-                    h = [a + b for a, b in zip(h, part_h)]
+        profile = kernels.occupancy_profile(skeleton.rows, self._sizes, parents)
+        total, first, self._second = kernels.occupancy_moments(profile,
+                                                               self._sizes)
+        per_class = [_exact_division(f, s, "first occupancy moment",
+                                     "class size")
+                     for f, s in zip(first, self._sizes)]
+        h = [per_class[q] for q in self._classes]
         self.total = total
         self.h = dict(enumerate(h))
-        self._without_pair = {}
-        if sum(h) != m * total:
+        if sum(h) != pattern.n * total:
             raise RuntimeError("H-degree double counting identity violated")
 
     def pair(self, u: int, v: int) -> int:
         """h(u, v): embeddings whose image contains both u and v."""
         if u == v:
             return self.h[u]
-        if self._second is not None:
-            q, r = self._classes[u], self._classes[v]
-            den = self._sizes[q] * (self._sizes[r] - (q == r))
-            return _exact_division(self._second[q][r], den,
-                                   "second occupancy moment", "class size product")
-        key = (min(u, v), max(u, v))
-        if key not in self._without_pair:
-            sub = _delete_vertices(self.host, key)
-            self._without_pair[key] = count_embeddings(self.pattern, sub)
-        return self.h[u] + self.h[v] - self.total + self._without_pair[key]
+        q, r = self._classes[u], self._classes[v]
+        den = self._sizes[q] * (self._sizes[r] - (q == r))
+        return _exact_division(self._second[q][r], den,
+                               "second occupancy moment", "class size product")
 
     def complement(self, u: int, v: int) -> int:
         """h(u, v-bar): embeddings containing u but not v."""
         return self.h[u] - self.pair(u, v)
 
 
-def h_degrees(pattern: Graph, host: Graph, workers: int = 1) -> HDegreeReport:
-    return HDegreeReport(pattern, host, workers)
-
-
-def _delete_vertices(g: Graph, removed) -> Graph:
-    keep = [v for v in range(g.n) if v not in removed]
-    index = {v: i for i, v in enumerate(keep)}
-    edges = [(index[u], index[v]) for u, v in g.edges()
-             if u in index and v in index]
-    return Graph(len(keep), edges)
+def h_degrees(pattern: Graph, host: Graph) -> HDegreeReport:
+    return HDegreeReport(pattern, host)
 
 
 def clone_move(host: Graph, u: int, v: int) -> Graph:

@@ -286,6 +286,14 @@ def test_optimize_grid_budget():
         optimize_weights(K2, cycle_graph(8))
 
 
+def test_optimize_nine_vertex_skeleton():
+    # the grid budget, not the skeleton's vertex count, limits optimize:
+    # C9 at grid 6 has C(14, 8) = 3003 compositions
+    c4, c9 = cycle_graph(4), cycle_graph(9)
+    wp, coeff = optimize_weights(c4, c9, grid=6)
+    assert coeff.value == naive_hom_sum(c4, c9, wp.weights)
+
+
 def test_example1_blowup_beats_balanced_bipartite():
     k = 20
     h = build_gps_example1(k)

@@ -63,34 +63,39 @@ def test_count_output_fields(c4_file, k22_file, capsys):
     assert payload["h_degrees"] == [8, 8, 8, 8]
 
 
-def test_count_workers_byte_identical(tmp_path, capsys):
-    pattern = tmp_path / "p4.graph"
-    host = tmp_path / "k33.graph"
-    write_graph_file(path_graph(4), pattern)
-    write_graph_file(complete_bipartite(3, 3), host)
-    outputs = [run(["count", str(pattern), str(host), "--workers", w], capsys)
-               for w in ("1", "2")]
-    assert outputs[0][0] == 0
-    assert outputs[0] == outputs[1]
-
-
-def test_count_failed_self_check_exit_3(tmp_path, capsys, monkeypatch):
-    # C5 has no twins, so its H-degrees come from the backtracking kernel
+def test_count_twin_free_golden(tmp_path, capsys):
+    # C5 has no twins: it is its own quotient, with classes of size 1
     pattern, host = tmp_path / "p3.graph", tmp_path / "c5.graph"
     write_graph_file(path_graph(3), pattern)
     write_graph_file(cycle_graph(5), host)
-    real = _kernels.count_h_degrees
+    code, out = run(["count", str(pattern), str(host)], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["embeddings"] == 10
+    assert payload["automorphisms"] == 2
+    assert payload["copies"] == 5
+    assert payload["h_degrees"] == [6, 6, 6, 6, 6]
 
-    def wrong_h(*args, **kwargs):
-        total, h = real(*args, **kwargs)
-        return total, [h[0] + 1] + h[1:]
 
-    monkeypatch.setattr(_kernels, "count_h_degrees", wrong_h)
+def test_count_failed_self_check_exit_3(tmp_path, capsys, monkeypatch):
+    # on C5 every class size is 1, so a first occupancy moment one too
+    # large divides exactly and only the sum identity catches it
+    pattern, host = tmp_path / "p3.graph", tmp_path / "c5.graph"
+    write_graph_file(path_graph(3), pattern)
+    write_graph_file(cycle_graph(5), host)
+    real = _kernels.occupancy_moments
+
+    def off_by_one(profile, sizes):
+        total, first, second = real(profile, sizes)
+        return total, [first[0] + 1] + first[1:], second
+
+    monkeypatch.setattr(_kernels, "occupancy_moments", off_by_one)
     code = cli.main(["count", str(pattern), str(host)])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
     assert captured.err.startswith("internal error: ")
+    assert "double counting identity" in captured.err
 
 
 def test_count_inexact_moment_exit_3(c4_file, k22_file, capsys, monkeypatch):
@@ -379,10 +384,9 @@ def test_workers_env_default(monkeypatch):
 
 
 @pytest.mark.parametrize("workers", ["0", "-2"])
-@pytest.mark.parametrize("command", ["count", "search", "optimize"])
-def test_workers_below_one_exit_2(command, workers, c4_file, k22_file, capsys):
-    args = {"count": ["count", c4_file, k22_file],
-            "search": ["search", c4_file, "5"],
+@pytest.mark.parametrize("command", ["search", "optimize"])
+def test_workers_below_one_exit_2(command, workers, c4_file, capsys):
+    args = {"search": ["search", c4_file, "5"],
             "optimize": ["optimize", c4_file, "k2", "--grid", "10"]}[command]
     with pytest.raises(SystemExit) as exc:
         cli.main(args + ["--workers", workers])
@@ -395,7 +399,7 @@ def test_workers_below_one_exit_2(command, workers, c4_file, k22_file, capsys):
 @pytest.mark.parametrize("value", ["-2", "0", "many"])
 def test_bad_workers_env_falls_back_to_one(value, monkeypatch):
     monkeypatch.setenv("EXTREMAL_COUNT_WORKERS", value)
-    args = cli.build_parser().parse_args(["count", "p", "h"])
+    args = cli.build_parser().parse_args(["search", "x", "5"])
     assert args.workers == 1
 
 
@@ -408,9 +412,9 @@ def test_optimize_triangle_skeleton_exit_2(tmp_path, c4_file, capsys):
     assert captured.err.startswith("error: ") and "triangle" in captured.err
 
 
-# Modules each command must not load: `count` opens no process pool on
-# the paths it runs serially and needs no certificate or search code, and
-# `verify lemma2` needs only the graph predicates.
+# Modules each command must not load: `count` opens no process pool and
+# needs no certificate or search code, and `verify lemma2` needs only the
+# graph predicates.
 IMPORT_SCOPE = {
     "count": ("multiprocessing", "concurrent.futures.process",
               "extremal_count.bounds", "extremal_count.blowup",

@@ -52,19 +52,12 @@ def k2_file(tmp_path):
     return str(path)
 
 
-def test_embedding_pool_is_capped_at_host_size(pools):
-    # C6 has no twins, so its H-degrees come from the pooled backtracking
-    host = cycle_graph(6)
-    assert h_degrees(star_graph(2), host, workers=MANY).h == \
-        h_degrees(star_graph(2), host).h
-    assert pools == [host.n]
-
-
 def test_twin_quotient_opens_no_pool(pools):
-    # K_{3,4} is counted through its two-class twin quotient in-process
-    host = complete_bipartite(3, 4)
-    assert h_degrees(star_graph(2), host, workers=MANY).h == \
-        h_degrees(star_graph(2), host).h
+    # every host is counted through its twin quotient in this process: the
+    # two classes of K_{3,4}, and the six size-1 classes of the twin-free C6
+    assert h_degrees(star_graph(2), complete_bipartite(3, 4)).h == \
+        {v: 28 if v < 3 else 24 for v in range(7)}
+    assert h_degrees(star_graph(2), cycle_graph(6)).h == dict.fromkeys(range(6), 6)
     assert pools == []
 
 

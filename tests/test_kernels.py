@@ -1,20 +1,22 @@
-"""Kernel checks: compiled and pure kernels agree bit for bit, the pure
-H-degree kernel and the twin-pruned canonical form match the brute-force
-oracles, and the enumerator's parent split covers each level exactly."""
+"""Kernel checks: compiled and pure kernels agree bit for bit, H-degrees
+and pair degrees from the occupancy profile and the twin-pruned canonical
+form match the brute-force oracles, and the enumerator's parent split
+covers each level exactly."""
 
+import itertools
 import random
 import types
 
 import pytest
 
 from extremal_count import _kernels, _pykernels
-from extremal_count.embeddings import _first_vertex_chunks, search_plan
+from extremal_count.embeddings import h_degrees, search_plan
 from extremal_count.graphs import (Graph, build_blowup, build_gps_example1,
                                    complete_bipartite, cycle_graph,
                                    disjoint_union, path_graph, star_graph)
 from extremal_count.oracle import triangle_free_masks
 
-from naive import (naive_count_embeddings, naive_h_degree,
+from naive import (naive_count_embeddings, naive_h_degree, naive_pair_degree,
                    perm_canonical_mask, random_graph)
 
 needs_fast = pytest.mark.skipif(not _kernels.HAS_FAST,
@@ -31,23 +33,6 @@ def test_count_injective_agreement():
         pure = _pykernels.count_injective(host.rows, host.n, parents)
         fast = _kernels.fast.count_injective(list(host.rows), host.n, parents)
         assert pure == fast
-
-
-@needs_fast
-def test_count_h_degrees_agreement():
-    rng = random.Random(317)
-    for _ in range(150):
-        pattern = random_graph(rng, rng.randint(0, 5), 0.5)
-        host = random_graph(rng, rng.randint(0, 8), 0.5)
-        _, parents = search_plan(pattern)
-        pure = _pykernels.count_h_degrees(host.rows, host.n, parents)
-        fast = _kernels.fast.count_h_degrees(list(host.rows), host.n, parents, -1)
-        assert pure == fast
-        if pattern.n and host.n:
-            mask = rng.randrange(1 << host.n)
-            assert (_pykernels.count_h_degrees(host.rows, host.n, parents, mask)
-                    == _kernels.fast.count_h_degrees(list(host.rows), host.n,
-                                                     parents, mask))
 
 
 def _h_degree_cases():
@@ -69,28 +54,14 @@ def _h_degree_cases():
 
 
 def test_count_h_degrees_matches_naive():
+    # every host, twin-free or not, is counted through its twin quotient
     for pattern, host in _h_degree_cases():
-        _, parents = search_plan(pattern)
-        total, h = _pykernels.count_h_degrees(host.rows, host.n, parents)
-        assert total == naive_count_embeddings(pattern, host)
-        assert h == [naive_h_degree(pattern, host, v) for v in range(host.n)]
-
-
-def test_count_h_degrees_first_mask_partitions_add_up():
-    rng = random.Random(337)
-    for pattern, host in _h_degree_cases():
-        if not pattern.n or not host.n:
-            continue
-        _, parents = search_plan(pattern)
-        whole = _pykernels.count_h_degrees(host.rows, host.n, parents)
-        mask = rng.randrange(1 << host.n)
-        splits = [[mask, ((1 << host.n) - 1) ^ mask],
-                  _first_vertex_chunks(host.n, 2), _first_vertex_chunks(host.n, 3)]
-        for chunks in splits:
-            parts = [_pykernels.count_h_degrees(host.rows, host.n, parents, c)
-                     for c in chunks]
-            assert sum(t for t, _ in parts) == whole[0]
-            assert [sum(col) for col in zip(*(h for _, h in parts))] == whole[1]
+        report = h_degrees(pattern, host)
+        assert report.total == naive_count_embeddings(pattern, host)
+        assert ([report.h[v] for v in range(host.n)]
+                == [naive_h_degree(pattern, host, v) for v in range(host.n)])
+        for u, v in itertools.combinations(range(host.n), 2):
+            assert report.pair(u, v) == naive_pair_degree(pattern, host, u, v)
 
 
 @needs_fast
