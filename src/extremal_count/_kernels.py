@@ -45,6 +45,7 @@ def count_injective(host_rows, n_host: int, parents) -> int:
 occupancy_profile = pure.occupancy_profile
 occupancy_total = pure.occupancy_total
 occupancy_moments = pure.occupancy_moments
+occupancy_second_moment = pure.occupancy_second_moment
 
 
 def canonical_mask(rows, n: int) -> int:

@@ -146,20 +146,42 @@ def occupancy_total(profile, sizes) -> int:
 
 
 def occupancy_moments(profile, sizes):
-    """(total, first, second) of an occupancy profile at blob sizes `sizes`.
+    """(total, first) of an occupancy profile at blob sizes `sizes`.
 
     Each occupancy vector occ weighs w = mult * prod_q (s_q)_{occ_q};
-    total = sum w, first[q] = sum w * occ_q and
-    second[q][r] = sum w * occ_q * (occ_r - [q == r]).  In the blow-up,
-    total is the injective embedding count, and by exchangeability of a
-    blob's vertices first[q] / s_q is the H-degree of each vertex of blob q
-    and second[q][r] / (s_q * (s_r - [q == r])) the pair degree of two
-    distinct vertices of blobs q and r.
+    total = sum w and first[q] = sum w * occ_q.  In the blow-up, total is
+    the injective embedding count, and by exchangeability of a blob's
+    vertices first[q] / s_q is the H-degree of each vertex of blob q.
+    """
+    total = 0
+    first = [0] * len(sizes)
+    for occ, w, support in _weighted_terms(profile, sizes):
+        total += w
+        for q in support:
+            first[q] += w * occ[q]
+    return total, first
+
+
+def occupancy_second_moment(profile, sizes):
+    """second[q][r] = sum w * occ_q * (occ_r - [q == r]) over an occupancy
+    profile at blob sizes `sizes`, with w as in `occupancy_moments`.
+
+    By exchangeability, second[q][r] / (s_q * (s_r - [q == r])) is the pair
+    degree of two distinct vertices of blobs q and r.
     """
     k = len(sizes)
-    total = 0
-    first = [0] * k
     second = [[0] * k for _ in range(k)]
+    for occ, w, support in _weighted_terms(profile, sizes):
+        for q in support:
+            wq = w * occ[q]
+            row = second[q]
+            for r in support:
+                row[r] += wq * (occ[r] - (q == r))
+    return second
+
+
+def _weighted_terms(profile, sizes):
+    """(occ, w, support) for each occupancy vector of nonzero weight w."""
     for occ, mult in profile.items():
         w = mult
         support = []
@@ -167,16 +189,8 @@ def occupancy_moments(profile, sizes):
             if o:
                 w *= perm(sizes[q], o)
                 support.append(q)
-        if not w:
-            continue
-        total += w
-        for q in support:
-            wq = w * occ[q]
-            first[q] += wq
-            row = second[q]
-            for r in support:
-                row[r] += wq * (occ[r] - (q == r))
-    return total, first, second
+        if w:
+            yield occ, w, support
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 from operator import add, itemgetter, sub
 
 from . import _kernels as kernels
@@ -270,6 +270,21 @@ def saturation_converges(patternH: Graph, wp: WeightedPattern,
 # minute.  k = 8 at grid 50 (2.6e8) is refused before any work.
 GRID_BUDGET = 10 ** 7
 
+# Largest skeleton optimize_weights accepts: the grid budget alone admits
+# any vertex count at a coarse grid, while the ascent scores k(k - 1) moves
+# per step.  Ten vertices admit every twin-free maximal triangle-free
+# skeleton up to the exact search's frontier; C4 on the Petersen graph
+# runs in 0.03 s at grid 6 and 0.2 s at grid 10.
+MAX_SKELETON_VERTICES = 10
+
+# Largest automorphism group the grid seeding lists for its orbit
+# reduction: 8!, that of the edgeless 8-vertex skeleton.  Measured on pure
+# Python 3.11 (2 vCPU), seeding the edgeless 8-vertex skeleton at grid 12
+# takes 0.7 s and 12 MB above start-up, the edgeless 9-vertex one (9!) at
+# grid 6 3.3 s and 109 MB.  The listing stops at the first automorphism
+# past the budget, about 0.1 s in.
+AUT_BUDGET = math.factorial(8)
+
 # The local ascent stops after MAX_ITERATIONS moves or once its step falls
 # below TOLERANCE; its float optimum is snapped to denominator
 # SNAP_DENOMINATOR before the exact evaluation.
@@ -279,8 +294,16 @@ SNAP_DENOMINATOR = 10 ** 6
 
 
 def automorphism_maps(g: Graph) -> list[tuple[int, ...]]:
-    """All automorphisms of a small graph as image tuples."""
-    return [image for image in embeddings_listing(g, g)]
+    """All automorphisms of a small graph as image tuples.
+
+    Raises BudgetExceededError, having listed AUT_BUDGET + 1 of them, when
+    the graph has more than AUT_BUDGET."""
+    auts = list(islice(embeddings_listing(g, g), AUT_BUDGET + 1))
+    if len(auts) > AUT_BUDGET:
+        raise BudgetExceededError(
+            f"the {g.n}-vertex skeleton has more than {AUT_BUDGET} "
+            f"automorphisms, over the budget for grid seeding")
+    return auts
 
 
 def _grid_seeds(patternP: Graph, resolution: int) -> list[tuple[int, ...]]:
@@ -344,15 +367,20 @@ def optimize_weights(patternH: Graph, patternP: Graph, grid: int = 50,
     (WeightedPattern, LeadingCoefficient).
 
     Raises ValueError on a skeleton that contains a triangle (its blow-ups
-    are not triangle-free) or a grid resolution below 1, and
+    are not triangle-free) or has more than MAX_SKELETON_VERTICES vertices,
+    or a grid resolution below 1, before any work.  Raises
     BudgetExceededError when the grid has more than GRID_BUDGET
-    compositions, before any work.
+    compositions, before any work, or the skeleton more than AUT_BUDGET
+    automorphisms, before any seed is built or scored.
     """
     if not is_triangle_free(patternP):
         raise ValueError("blow-up skeleton contains a triangle; its blow-ups "
                          "are not triangle-free")
     if patternP.n == 0:
         raise ValueError("blow-up pattern needs at least one vertex")
+    if patternP.n > MAX_SKELETON_VERTICES:
+        raise ValueError(f"blow-up skeletons are capped at "
+                         f"{MAX_SKELETON_VERTICES} vertices, got {patternP.n}")
     if grid < 1:
         raise ValueError(f"grid resolution must be at least 1, got {grid}")
     k = patternP.n
@@ -361,8 +389,8 @@ def optimize_weights(patternH: Graph, patternP: Graph, grid: int = 50,
         raise BudgetExceededError(
             f"grid {grid} on a {k}-vertex skeleton has {points} compositions, "
             f"over the budget of {GRID_BUDGET}; use a coarser grid")
-    plan = HomSumPlan(patternH, patternP)
     seeds = _grid_seeds(patternP, grid)
+    plan = HomSumPlan(patternH, patternP)
 
     if workers > 1 and len(seeds) > 64:
         chunks = [seeds[i::workers] for i in range(workers)]

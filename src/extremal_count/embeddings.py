@@ -144,16 +144,17 @@ class HDegreeReport:
     and every pair value h(u, v) come from the first and second occupancy
     moments over the host's twin quotient (one profile, in this process);
     on a twin-free host the classes have size 1 and the divisions are
-    trivial.  Satisfies sum_v h(v) = m * total exactly (checked at
-    construction).
+    trivial.  The second moment is computed at the first pair lookup.
+    Satisfies sum_v h(v) = m * total exactly (checked at construction).
     """
 
     def __init__(self, pattern: Graph, host: Graph):
         _, parents = search_plan(pattern)
         skeleton, self._sizes, self._classes = twin_quotient(host)
-        profile = kernels.occupancy_profile(skeleton.rows, self._sizes, parents)
-        total, first, self._second = kernels.occupancy_moments(profile,
-                                                               self._sizes)
+        self._profile = kernels.occupancy_profile(skeleton.rows, self._sizes,
+                                                  parents)
+        self._second = None
+        total, first = kernels.occupancy_moments(self._profile, self._sizes)
         per_class = [_exact_division(f, s, "first occupancy moment",
                                      "class size")
                      for f, s in zip(first, self._sizes)]
@@ -167,6 +168,9 @@ class HDegreeReport:
         """h(u, v): embeddings whose image contains both u and v."""
         if u == v:
             return self.h[u]
+        if self._second is None:
+            self._second = kernels.occupancy_second_moment(self._profile,
+                                                           self._sizes)
         q, r = self._classes[u], self._classes[v]
         den = self._sizes[q] * (self._sizes[r] - (q == r))
         return _exact_division(self._second[q][r], den,

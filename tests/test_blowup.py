@@ -16,8 +16,9 @@ from extremal_count import (Graph, WeightedPattern, build_blowup,
                             optimize_weights, path_graph, saturation_check,
                             saturation_converges, star_graph,
                             weighted_hom_sum)
-from extremal_count.blowup import (GRID_BUDGET, HomSumPlan, _eval_seed_chunk,
-                                   _grid_seeds, rounded_blob_sizes)
+from extremal_count.blowup import (AUT_BUDGET, GRID_BUDGET, HomSumPlan,
+                                   _eval_seed_chunk, _grid_seeds,
+                                   rounded_blob_sizes)
 from extremal_count.oracle import BudgetExceededError
 
 from naive import (as_fractions, naive_count_embeddings, naive_grid_seeds,
@@ -287,11 +288,21 @@ def test_optimize_grid_budget():
 
 
 def test_optimize_nine_vertex_skeleton():
-    # the grid budget, not the skeleton's vertex count, limits optimize:
-    # C9 at grid 6 has C(14, 8) = 3003 compositions
+    # C9 at grid 6 has C(14, 8) = 3003 compositions and 18 automorphisms
     c4, c9 = cycle_graph(4), cycle_graph(9)
     wp, coeff = optimize_weights(c4, c9, grid=6)
     assert coeff.value == naive_hom_sum(c4, c9, wp.weights)
+
+
+def test_optimize_skeleton_limits():
+    # the edgeless 8-vertex skeleton has exactly AUT_BUDGET automorphisms
+    assert math.factorial(8) == AUT_BUDGET
+    wp, coeff = optimize_weights(K2, Graph(8), grid=2)
+    assert coeff.value == 0
+    # the edgeless 9-vertex skeleton has 9!, and a coarse grid does not
+    # admit it
+    with pytest.raises(BudgetExceededError, match="automorphisms"):
+        optimize_weights(K2, Graph(9), grid=1)
 
 
 def test_example1_blowup_beats_balanced_bipartite():

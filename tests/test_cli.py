@@ -14,7 +14,7 @@ import pytest
 from extremal_count import (Graph, _kernels, canonical_form, cli,
                             read_graph_file, triangle_free_masks)
 from extremal_count.graphs import (write_graph_file, cycle_graph, complete_bipartite,
-                                   path_graph)
+                                   path_graph, star_graph)
 
 
 @pytest.fixture
@@ -86,8 +86,8 @@ def test_count_failed_self_check_exit_3(tmp_path, capsys, monkeypatch):
     real = _kernels.occupancy_moments
 
     def off_by_one(profile, sizes):
-        total, first, second = real(profile, sizes)
-        return total, [first[0] + 1] + first[1:], second
+        total, first = real(profile, sizes)
+        return total, [first[0] + 1] + first[1:]
 
     monkeypatch.setattr(_kernels, "occupancy_moments", off_by_one)
     code = cli.main(["count", str(pattern), str(host)])
@@ -104,8 +104,8 @@ def test_count_inexact_moment_exit_3(c4_file, k22_file, capsys, monkeypatch):
     real = _kernels.occupancy_moments
 
     def off_by_one(profile, sizes):
-        total, first, second = real(profile, sizes)
-        return total, [first[0] + 1] + first[1:], second
+        total, first = real(profile, sizes)
+        return total, [first[0] + 1] + first[1:]
 
     monkeypatch.setattr(_kernels, "occupancy_moments", off_by_one)
     code = cli.main(["count", c4_file, k22_file])
@@ -401,6 +401,21 @@ def test_bad_workers_env_falls_back_to_one(value, monkeypatch):
     monkeypatch.setenv("EXTREMAL_COUNT_WORKERS", value)
     args = cli.build_parser().parse_args(["search", "x", "5"])
     assert args.workers == 1
+
+
+@pytest.mark.parametrize("leaves, message", [(13, "capped at 10 vertices"),
+                                             (9, "automorphisms")])
+def test_optimize_large_star_exit_2(tmp_path, c4_file, capsys, leaves, message):
+    # one grid composition per vertex passes the grid budget; the 13-leaf
+    # star is over the vertex cap, K_{1,9} over the automorphism budget
+    star = tmp_path / "star.graph"
+    write_graph_file(star_graph(leaves), star)
+    start = time.monotonic()
+    assert cli.main(["optimize", c4_file, str(star), "--grid", "1"]) == 2
+    assert time.monotonic() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
 
 
 def test_optimize_triangle_skeleton_exit_2(tmp_path, c4_file, capsys):

@@ -257,13 +257,12 @@ def test_tree_in_k10_10_counts_through_the_quotient():
 
 
 def test_inexact_second_moment_raises(monkeypatch):
-    real = _kernels.occupancy_moments
+    real = _kernels.occupancy_second_moment
 
     def off_by_one(profile, sizes):
-        total, first, second = real(profile, sizes)
-        return total, first, [[x + 1 for x in row] for row in second]
+        return [[x + 1 for x in row] for row in real(profile, sizes)]
 
-    monkeypatch.setattr(_kernels, "occupancy_moments", off_by_one)
+    monkeypatch.setattr(_kernels, "occupancy_second_moment", off_by_one)
     report = h_degrees(path_graph(3), complete_bipartite(3, 3))
     with pytest.raises(RuntimeError, match="not divisible"):
         report.pair(0, 1)
