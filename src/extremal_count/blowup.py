@@ -6,7 +6,9 @@ fractions w is the weighted homomorphism sum
 
     sum over homomorphisms phi: H -> P of  prod_v w(phi(v)),
 
-computed here exactly over the rationals.  Tree components are evaluated by
+computed here exactly: rational weights are scaled to integers over one
+common denominator, which the integer sum is divided by once at the end
+(homogeneity of degree |V(H)|).  Tree components are evaluated by
 dynamic programming (mandatory for the large trees the counterexample
 construction produces); each cyclic component is tallied once into its
 homomorphism polynomial, {occupancy vector: number of homomorphisms into
@@ -22,8 +24,10 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, islice
+from collections import deque
+from itertools import chain, combinations_with_replacement, islice
 from operator import add, itemgetter, sub
+from typing import Iterator
 
 from . import _kernels as kernels
 from .embeddings import count_blowup_embeddings, embeddings_listing
@@ -87,17 +91,24 @@ class HomSumPlan:
     cyclic component keeps its homomorphism polynomial: the occupancy
     profile of its homomorphisms into P (how many component vertices land
     on each vertex of P, with the number of homomorphisms doing so), built
-    once.  It is evaluated as sum mult * prod_q w_q^occ_q over the profile,
-    one path for int, float and Fraction weights; the profile has at most
-    as many terms as the component has homomorphisms.  Evaluation
-    performs the same arithmetic operations in the same order for every
-    weight vector, so float results are reproducible bit for bit.
+    once.  It is evaluated as sum mult * prod_q w_q^occ_q over the profile;
+    the profile has at most as many terms as the component has
+    homomorphisms.
+
+    Int and float weights are used as they are.  Fraction weights (mixed
+    with ints or not) are scaled to integer numerators over their least
+    common denominator D, summed in plain ints, and divided once by
+    D^|V(H)|, which is exact because the sum is homogeneous of degree
+    |V(H)|; no Fraction is formed inside the loops.  Evaluation performs
+    the same arithmetic operations in the same order for every weight
+    vector, so float results are reproducible bit for bit.
     """
 
-    __slots__ = ("k", "p_nbrs", "components")
+    __slots__ = ("k", "m", "p_nbrs", "components")
 
     def __init__(self, patternH: Graph, patternP: Graph):
         self.k = patternP.n
+        self.m = patternH.n
         self.p_nbrs = tuple(tuple(patternP.neighbors(q)) for q in range(patternP.n))
         components = []
         _, comps = connected_components(patternH)
@@ -119,6 +130,16 @@ class HomSumPlan:
     def __call__(self, weights):
         if len(weights) != self.k:
             raise ValueError("one weight per pattern-P vertex required")
+        kinds = set(map(type, weights))
+        if Fraction in kinds and kinds <= {int, Fraction}:
+            den = math.lcm(*(w.denominator for w in weights))
+            total = self._sum([w.numerator * (den // w.denominator)
+                               for w in weights])
+            return Fraction(total, den ** self.m)
+        return self._sum(weights)
+
+    def _sum(self, weights):
+        """The sum at weights used as given, without the length check."""
         total = 1
         for is_tree, structure in self.components:
             if is_tree:
@@ -285,6 +306,14 @@ MAX_SKELETON_VERTICES = 10
 # past the budget, about 0.1 s in.
 AUT_BUDGET = math.factorial(8)
 
+# With workers > 1, grid seeds are scored in a process pool only when there
+# are at least POOL_MIN_SEEDS of them.  The pool takes them in chunks of
+# SEED_CHUNK, at 1-4 us a seed enough work to outweigh a task's round trip,
+# with at most two chunks per process in flight, so memory does not grow
+# with the grid.
+POOL_MIN_SEEDS = 65
+SEED_CHUNK = 1024
+
 # The local ascent stops after MAX_ITERATIONS moves or once its step falls
 # below TOLERANCE; its float optimum is snapped to denominator
 # SNAP_DENOMINATOR before the exact evaluation.
@@ -306,9 +335,9 @@ def automorphism_maps(g: Graph) -> list[tuple[int, ...]]:
     return auts
 
 
-def _grid_seeds(patternP: Graph, resolution: int) -> list[tuple[int, ...]]:
+def _grid_seeds(patternP: Graph, resolution: int) -> Iterator[tuple[int, ...]]:
     """Integer weight compositions, one representative per Aut(P) orbit, in
-    ascending lexicographic order.
+    ascending lexicographic order, generated one at a time.
 
     A composition is kept unless some automorphism maps it to a
     lexicographically smaller tuple, so the kept one is the orbit minimum.
@@ -320,12 +349,12 @@ def _grid_seeds(patternP: Graph, resolution: int) -> list[tuple[int, ...]]:
     """
     k = patternP.n
     if k == 1:
-        return [(resolution,)]
+        yield (resolution,)
+        return
     auts = automorphism_maps(patternP)
     identity = tuple(range(k))
     moves = [itemgetter(*a) for a in auts if a != identity]
     orbit = {a[0] for a in auts}
-    seeds = []
     for a0 in range(resolution // len(orbit) + 1):
         free = resolution - a0 * len(orbit)
         lift = tuple(a0 if j in orbit else 0 for j in range(1, k))
@@ -338,8 +367,28 @@ def _grid_seeds(patternP: Graph, resolution: int) -> list[tuple[int, ...]]:
                 if move(comp) < comp:
                     break
             else:
-                seeds.append(comp)
-    return seeds
+                yield comp
+
+
+def _pool_best_seed(plan, stream, workers: int):
+    """_eval_seed_chunk over a seed stream, cut into chunks of SEED_CHUNK
+    seeds and scored by a pool of at most `workers` processes, no more
+    than the chunks of its first round; at most two chunks per process are
+    in flight at a time."""
+    chunks = iter(lambda: tuple(islice(stream, SEED_CHUNK)), ())
+    first = list(islice(chunks, workers))
+    pool_class = sys.modules[__name__].ProcessPoolExecutor
+    with pool_class(max_workers=len(first)) as pool:
+        pending = deque(pool.submit(_eval_seed_chunk, (plan, chunk))
+                        for chunk in chain(first, islice(chunks, len(first))))
+        best = None
+        while pending:
+            result = pending.popleft().result()
+            if best is None or result < best:
+                best = result
+            for chunk in islice(chunks, 1):
+                pending.append(pool.submit(_eval_seed_chunk, (plan, chunk)))
+    return best
 
 
 def _eval_seed_chunk(args):
@@ -349,7 +398,7 @@ def _eval_seed_chunk(args):
     homogeneous of degree |V(H)|, so integer values order the seeds as
     their exact coefficients do."""
     plan, seeds = args
-    return min((-plan(seed), seed) for seed in seeds)
+    return min((-plan._sum(seed), seed) for seed in seeds)
 
 
 def optimize_weights(patternH: Graph, patternP: Graph, grid: int = 50,
@@ -363,7 +412,7 @@ def optimize_weights(patternH: Graph, patternP: Graph, grid: int = 50,
     shrinking step runs from it in floats, and the rationalized final point
     and the seed are compared exactly.  Global optimality is not claimed.
     `grid` is the seeding resolution per simplex coordinate; seeds are
-    scored in up to `workers` processes.  Returns
+    scored as they are generated, in up to `workers` processes.  Returns
     (WeightedPattern, LeadingCoefficient).
 
     Raises ValueError on a skeleton that contains a triangle (its blow-ups
@@ -391,19 +440,14 @@ def optimize_weights(patternH: Graph, patternP: Graph, grid: int = 50,
             f"over the budget of {GRID_BUDGET}; use a coarser grid")
     seeds = _grid_seeds(patternP, grid)
     plan = HomSumPlan(patternH, patternP)
-
-    if workers > 1 and len(seeds) > 64:
-        chunks = [seeds[i::workers] for i in range(workers)]
-        args = [(plan, ch) for ch in chunks if ch]
-        pool_class = sys.modules[__name__].ProcessPoolExecutor
-        with pool_class(max_workers=len(args)) as pool:
-            results = list(pool.map(_eval_seed_chunk, args))
+    head = tuple(islice(seeds, POOL_MIN_SEEDS))
+    stream = chain(head, seeds)
+    if workers > 1 and len(head) == POOL_MIN_SEEDS:
+        _, best_seed = _pool_best_seed(plan, stream, workers)
     else:
-        results = [_eval_seed_chunk((plan, seeds))]
-
-    _, best_seed = min(results)
+        _, best_seed = _eval_seed_chunk((plan, stream))
     weights = [a / grid for a in best_seed]
-    value = float(plan(weights))
+    value = float(plan._sum(weights))
     step = 1.0 / grid
     iterations = 0
     while step >= TOLERANCE and iterations < MAX_ITERATIONS:
@@ -419,7 +463,7 @@ def optimize_weights(patternH: Graph, patternP: Graph, grid: int = 50,
                 cand = list(weights)
                 cand[i] -= t
                 cand[j] += t
-                v = float(plan(cand))
+                v = float(plan._sum(cand))
                 if v > best_move_val or (v == best_move_val and best_move is not None
                                          and cand < best_move):
                     best_move_val, best_move = v, cand

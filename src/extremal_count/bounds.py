@@ -3,9 +3,14 @@ the minimum-degree coefficient chain, and the counterexample parameters.
 
 Every certificate is exact rational arithmetic; floats appear only as
 search seeds (locating the integer threshold before the exact powering
-check confirms it).  Fractional exponents never arise: an inequality
-involving t^(lambda+1) with lambda = u/w is certified by raising both
-positive sides to the w-th power.
+check confirms it).  The Theorem-1 chain is evaluated in plain integers:
+each expression is an unreduced (numerator, denominator) pair read off its
+displayed form, with a positive denominator, and every relation between
+two of them is decided by cross-multiplication (by the numerators alone
+over equal denominators); a reduced Fraction is formed only where a
+report holds the value.  Fractional exponents never
+arise: an inequality involving t^(lambda+1) with lambda = u/w is
+certified by raising both positive sides to the w-th power.
 """
 
 from __future__ import annotations
@@ -84,13 +89,16 @@ class Theorem1Coefficient:
 
 def thm1_coefficient(x: int, d: int) -> Theorem1Coefficient:
     """(d+x-1)^(2d+2x-2) / (2 (2d+x-1)^(2d+x-1) (x-1)^(x-1)), exact."""
-    if x < 2:
-        raise ValueError("x must be at least 2")
-    if d < 0:
-        raise ValueError("d must be non-negative")
-    value = Fraction((d + x - 1) ** (2 * d + 2 * x - 2),
-                     2 * (2 * d + x - 1) ** (2 * d + x - 1) * (x - 1) ** (x - 1))
-    return Theorem1Coefficient(x, d, value, value > Fraction(2, 5))
+    _require_x_d(x, d)
+    value = _coefficient_pair(x, d)
+    return Theorem1Coefficient(x, d, Fraction(*value),
+                               _holds(value, _TWO_FIFTHS, ">"))
+
+
+def _coefficient_pair(x: int, d: int) -> tuple[int, int]:
+    """thm1_coefficient's value as its unreduced (numerator, denominator)."""
+    y, e = x - 1, 2 * d + x - 1
+    return (d + y) ** (2 * d + 2 * y), 2 * e ** e * y ** y
 
 
 def optimal_Delta_fraction(x: int, d: int) -> Fraction:
@@ -111,6 +119,74 @@ class ChainReport:
     all_hold: bool
 
 
+# The chain's steps: step i relates expression i to expression i + 1, and
+# the last step relates the last expression to 2/5.
+_CHAIN_STEPS = (
+    ("raw equals factored", "=="),
+    ("denominator relaxation", ">="),
+    ("exponent split", "=="),
+    ("difference of squares", "=="),
+    ("Bernoulli lower bounds", ">="),
+    ("defect bound substitution", ">="),
+    ("numeric tail exceeds 2/5", ">"),
+)
+_TWO_FIFTHS = (2, 5)
+
+
+def _require_x_d(x: int, d: int) -> None:
+    if x < 2:
+        raise ValueError("x must be at least 2")
+    if d < 0:
+        raise ValueError("d must be non-negative")
+
+
+def _holds(lhs: tuple[int, int], rhs: tuple[int, int], relation: str) -> bool:
+    """lhs relation rhs for (numerator, positive denominator) pairs, by
+    cross-multiplication, or by the numerators alone over equal
+    denominators."""
+    if lhs[1] == rhs[1]:
+        return _RELATIONS[relation](lhs[0], rhs[0])
+    return _RELATIONS[relation](lhs[0] * rhs[1], rhs[0] * lhs[1])
+
+
+def _chain_pairs(x: int, d: int) -> tuple[tuple[int, int], ...]:
+    """The seven chain expressions as unreduced (numerator, denominator)
+    pairs with positive denominators, each read off its displayed form
+    with r = d/(x-1):
+
+        (d+x-1)^(2d+2x-2) / (2 (2d+x-1)^(2d+x-1) (x-1)^(x-1))
+        1/2 (1 - d/(2d+x-1))^(2d+x-1) (1+r)^(x-1)
+        1/2 (1-r)^(2d+x-1) (1+r)^(x-1)
+        1/2 (1-r)^(2d) ((1-r)(1+r))^(x-1)
+        1/2 (1-r)^(2d) (1-r^2)^(x-1)
+        1/2 (1 - 2d^2/(x-1)) (1 - d^2/(x-1))
+        1/2 (14/16) (15/16)
+    """
+    y, e = x - 1, 2 * d + x - 1
+    coefficient = _coefficient_pair(x, d)
+    squares = y * y
+    plus = (y + d) ** y
+    tail = (y - d) ** (2 * d)
+    split_den = 2 * y ** (2 * d) * squares ** y
+    return (
+        coefficient,
+        ((e - d) ** e * plus, coefficient[1]),
+        ((y - d) ** e * plus, 2 * y ** e * y ** y),
+        (tail * ((y - d) * (y + d)) ** y, split_den),
+        (tail * (squares - d * d) ** y, split_den),
+        ((y - 2 * d * d) * (y - d * d), 2 * squares),
+        (14 * 15, 2 * 16 * 16),
+    )
+
+
+def _step_verdicts(pairs):
+    """Each chain step's name, relation and verdict over the expression
+    pairs, in order, each decided when it is reached."""
+    for (name, relation), lhs, rhs in zip(_CHAIN_STEPS, pairs,
+                                          (*pairs[1:], _TWO_FIFTHS)):
+        yield name, relation, _holds(lhs, rhs, relation)
+
+
 def thm1_chain_check(x: int, d: int) -> ChainReport:
     """Evaluate the displayed chain from the raw coefficient down to 2/5 and
     verify each consecutive relation exactly.
@@ -119,30 +195,15 @@ def thm1_chain_check(x: int, d: int) -> ChainReport:
     chain is still evaluated; steps then simply hold or fail as arithmetic
     dictates.
     """
-    if x < 2:
-        raise ValueError("x must be at least 2")
-    if d < 0:
-        raise ValueError("d must be non-negative")
+    _require_x_d(x, d)
     hyp_ok = 16 * d * d <= x - 1 and d < x - 1
-    r = Fraction(d, x - 1)
-    e1 = thm1_coefficient(x, d).value
-    half = Fraction(1, 2)
-    e2 = half * (1 - Fraction(d, 2 * d + x - 1)) ** (2 * d + x - 1) * (1 + r) ** (x - 1)
-    e3 = half * (1 - r) ** (2 * d + x - 1) * (1 + r) ** (x - 1)
-    e4 = half * (1 - r) ** (2 * d) * ((1 - r) * (1 + r)) ** (x - 1)
-    e5 = half * (1 - r) ** (2 * d) * (1 - r * r) ** (x - 1)
-    e6 = half * (1 - 2 * Fraction(d * d, x - 1)) * (1 - Fraction(d * d, x - 1))
-    e7 = half * Fraction(14, 16) * Fraction(15, 16)
-    steps = (
-        _check("raw equals factored", e1, e2, "=="),
-        _check("denominator relaxation", e2, e3, ">="),
-        _check("exponent split", e3, e4, "=="),
-        _check("difference of squares", e4, e5, "=="),
-        _check("Bernoulli lower bounds", e5, e6, ">="),
-        _check("defect bound substitution", e6, e7, ">="),
-        _check("numeric tail exceeds 2/5", e7, Fraction(2, 5), ">"),
-    )
-    return ChainReport(x, d, hyp_ok, (e1, e2, e3, e4, e5, e6, e7), steps,
+    pairs = _chain_pairs(x, d)
+    values = tuple(Fraction(*pair) for pair in pairs)
+    steps = tuple(
+        CertCheck(name, lhs, rhs, relation, holds)
+        for (name, relation, holds), lhs, rhs in zip(
+            _step_verdicts(pairs), values, (*values[1:], Fraction(*_TWO_FIFTHS))))
+    return ChainReport(x, d, hyp_ok, values, steps,
                        all(s.holds for s in steps))
 
 
@@ -172,11 +233,12 @@ def thm1_sweep(x_max: int = 300) -> SweepReport:
     checked = 0
     for x, d in sweep_pairs(x_max):
         checked += 1
-        report = thm1_chain_check(x, d)
-        if not report.expressions[0] > Fraction(2, 5):
+        pairs = _chain_pairs(x, d)
+        if not _holds(pairs[0], _TWO_FIFTHS, ">"):
             violations.append((x, d, "coefficient"))
-        if not report.all_hold:
-            bad = next(s.name for s in report.steps if not s.holds)
+        bad = next((name for name, _, holds in _step_verdicts(pairs)
+                    if not holds), None)
+        if bad is not None:
             violations.append((x, d, f"chain step: {bad}"))
     return SweepReport(x_max, checked, tuple(violations))
 
@@ -190,10 +252,12 @@ C_HALVING_DEPTH = 60
 
 # Largest estimated size, in bits, of the exact power p_w^x_min that
 # certifies x_min: the float seed of x_min times the bit length of p_w.
-# Measured for thm2-params on pure Python: lambda = 1/4 estimates 0.34e6
-# bits and takes 1.0 s; 1/6 estimates 1.4e6 bits and takes 13-15 s, 1/5
-# 2.0e6 bits and 29 s, 1/8 2.8e6 bits and 51 s.  Over the budget, nothing
-# is powered.
+# Measured for thm2-params on pure Python 3.11 (2 vCPU), solving and
+# rendering in process: lambda = 1/4 estimates 0.34e6 bits and takes
+# 0.13-0.16 s (0.3 s for the whole command).  With the budget lifted, 1/6
+# estimates 1.4e6 bits and takes 1.1 s, 1/5 2.0e6 bits and 1.3 s, 1/8
+# 2.8e6 bits and 2.4 s, close to half of it rendering.  Over the budget,
+# nothing is powered.
 POWER_BUDGET = 10 ** 6
 
 

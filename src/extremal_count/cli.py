@@ -280,21 +280,56 @@ def cmd_gen(args):
 # output rendering
 # ---------------------------------------------------------------------------
 
+# Integers of at most this many bits (1,234 digits) are printed by str(),
+# which takes time quadratic in the length and refuses, by default, more
+# than 4,300 digits; longer ones are split in halves by bits and joined
+# again in decimal, where libmpdec multiplies large numbers in
+# sub-quadratic time.
+STR_BITS = 4096
+
+
 def frac_str(q: Fraction) -> str:
     """Exact "p/q" text of a rational.
 
     Certificates carry rationals with tens of thousands of digits, past
-    CPython's int-to-str digit cap; the cap is lifted for this conversion
-    only and restored afterwards (interpreters before 3.10.7 have no cap).
+    CPython's int-to-str digit cap.  An integer longer than STR_BITS bits
+    is converted by divide and conquer through the decimal module,
+    imported on first use, so the conversion is sub-quadratic and never
+    reads or changes the interpreter's cap.
     """
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return f"{q.numerator}/{q.denominator}"
-    cap = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return f"{q.numerator}/{q.denominator}"
-    finally:
-        sys.set_int_max_str_digits(cap)
+    return f"{_int_str(q.numerator)}/{_int_str(q.denominator)}"
+
+
+def _int_str(n: int) -> str:
+    if n.bit_length() <= STR_BITS:
+        return str(n)
+    if n < 0:
+        return "-" + _int_str(-n)
+    import decimal
+
+    powers = {}
+
+    def power(w):
+        """2**w as an exact Decimal, memoized."""
+        if w not in powers:
+            powers[w] = (decimal.Decimal(1 << w) if w <= STR_BITS
+                         else power(w >> 1) * power(w - (w >> 1)))
+        return powers[w]
+
+    def digits(n, w):
+        """n < 2**w as an exact Decimal: the low and high halves of its
+        bits, each converted alone."""
+        if w <= STR_BITS:
+            return decimal.Decimal(n)
+        half = w >> 1
+        high = n >> half
+        return digits(n - (high << half), half) + digits(high, w - half) * power(half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        return str(digits(n, n.bit_length()))
 
 
 def _encode(node):

@@ -74,6 +74,29 @@ def test_hom_sum_matches_naive_all_maps():
         assert weighted_hom_sum(h, p, weights) == naive_hom_sum(h, p, weights)
 
 
+def test_fraction_hom_sum_matches_naive_over_mixed_denominators():
+    # Fraction weights are summed as integers over their lcm; mix
+    # denominators, ints and Fractions, and tree and cyclic components
+    rng = random.Random(239)
+    tree_and_cycle = disjoint_union(path_graph(4), cycle_graph(4))
+    for _ in range(40):
+        h = rng.choice((tree_and_cycle, random_graph(rng, rng.randint(0, 5), 0.5)))
+        p = random_graph(rng, rng.randint(1, 5), 0.6)
+        weights = [Fraction(rng.randint(0, 6), rng.randint(1, 9)) if rng.random() < 0.7
+                   else rng.randint(0, 3) for _ in range(p.n)]
+        expected = naive_hom_sum(h, p, weights)
+        assert weighted_hom_sum(h, p, weights) == expected
+        if sum(weights) and h.n:
+            wp = WeightedPattern(p, [w / sum(weights) for w in weights])
+            assert leading_coefficient(h, wp).value == naive_hom_sum(h, p, wp.weights)
+    for h in (tree_and_cycle, Graph(0)):
+        for p in (K2, cycle_graph(5)):
+            zeros = [Fraction(0, 1)] * p.n
+            assert weighted_hom_sum(h, p, zeros) == naive_hom_sum(h, p, zeros)
+            mixed = [Fraction(1, 3), 2] + [Fraction(5, 7)] * (p.n - 2)
+            assert weighted_hom_sum(h, p, mixed) == naive_hom_sum(h, p, mixed)
+
+
 def test_leading_coefficient_examples():
     lc = leading_coefficient(K2, WeightedPattern(K2, HALF))
     assert lc.value == Fraction(1, 2) and lc.hom_count == 2
@@ -254,7 +277,7 @@ def test_grid_seeds_match_naive_orbit_minima():
               star_graph(3), cycle_graph(5), complete_bipartite(2, 3),
               cycle_graph(6), disjoint_union(K2, Graph(1))):
         for grid in range(1, 13 if p.n < 6 else 9):
-            assert _grid_seeds(p, grid) == naive_grid_seeds(p, grid)
+            assert list(_grid_seeds(p, grid)) == naive_grid_seeds(p, grid)
 
 
 def test_optimizer_seed_is_the_exact_grid_argmax():

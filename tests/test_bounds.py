@@ -10,6 +10,7 @@ from extremal_count import (Graph, complete_bipartite, complete_graph,
                             optimal_Delta_fraction, solve_theorem2_params,
                             theorem2_end_to_end, thm1_chain_check,
                             thm1_coefficient, thm1_sweep)
+from extremal_count import bounds
 from extremal_count.bounds import admissible_x, sweep_pairs
 
 
@@ -120,6 +121,28 @@ def test_sweep_smoke():
     report = thm1_sweep(60)
     assert not report.violations
     assert report.pairs_checked == sum(1 for _ in sweep_pairs(60))
+
+
+def test_sweep_names_the_first_failing_step(monkeypatch):
+    # pairs outside the hypothesis: the sweep must report exactly the
+    # first step the chain report finds failing, and a coefficient at or
+    # below 2/5
+    pairs = [(5, 3), (3, 2), (17, 2), (17, 1)]
+    monkeypatch.setattr(bounds, "sweep_pairs", lambda x_max: iter(pairs))
+    report = thm1_sweep(17)
+    assert report.pairs_checked == len(pairs)
+    expected = []
+    for x, d in pairs:
+        chain = thm1_chain_check(x, d)
+        if not chain.expressions[0] > Fraction(2, 5):
+            expected.append((x, d, "coefficient"))
+        failing = [s.name for s in chain.steps if not s.holds]
+        if failing:
+            expected.append((x, d, f"chain step: {failing[0]}"))
+    assert report.violations == tuple(expected) == (
+        (5, 3, "coefficient"), (5, 3, "chain step: Bernoulli lower bounds"),
+        (3, 2, "coefficient"), (3, 2, "chain step: Bernoulli lower bounds"),
+        (17, 2, "chain step: defect bound substitution"))
 
 
 def test_solve_params_lambda_one():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -190,7 +191,7 @@ THM2_DIGESTS = {
 @pytest.mark.parametrize("lam", ["1/2", "1/3", "2/3"])
 def test_verify_thm2_exact_past_digit_cap(theorem, lam, capsys):
     # these certificates hold rationals of tens of thousands of digits,
-    # past the interpreter's int-to-str cap, which rendering must restore
+    # past the interpreter's int-to-str cap, which rendering never changes
     cap = sys.get_int_max_str_digits()
     code, out = run(["verify", theorem, "--lam", lam], capsys)
     assert code == 0
@@ -226,6 +227,48 @@ def test_verify_certificate_bytes_golden(args, digest, tmp_path, capsys):
     code, out = run(["verify"] + [a.format(k65=k65) for a in args], capsys)
     assert code == 0
     assert sha256(out) == digest
+
+
+@pytest.mark.parametrize("x, d, digest", [
+    (5, 3, "5763888aea76fdd021f841c635f89c6a94d2c102bfbd3f8316af333facf8f12f"),
+    (3, 2, "9d25f6b8fcd065d8e8e08d1f547207a8da29dd4cbdfd30e28df8c653b59ef6fd"),
+    (17, 2, "1a0443ec527f1ab0044ed92ff8c51f72646d89b81c855c65bf3faf6da899ed6e"),
+])
+def test_verify_failing_chain_bytes_golden(x, d, digest, capsys):
+    # pairs outside Theorem 1's hypothesis, where some step fails
+    code, out = run(["verify", "thm1-chain", "--x", str(x), "--d", str(d)], capsys)
+    assert code == 1
+    assert sha256(out) == digest
+
+
+def _no_cap_access(*args):
+    raise AssertionError("frac_str used the int-to-str digit cap")
+
+
+def test_frac_str_round_trips_without_touching_the_digit_cap(monkeypatch):
+    leaf = cli.STR_BITS
+    cap = sys.get_int_max_str_digits()
+    cap_bits = math.ceil(cap * math.log2(10))
+    values = [0, 1, -1, 10 ** 4300, 10 ** (cap + 1) - 1, 3 ** 40000]
+    for k in (leaf - 1, leaf, leaf + 1, 2 * leaf + 1, cap_bits + 7):
+        values += [2 ** k - 1, 2 ** k, 2 ** k + 1, 10 ** (k * 3 // 10)]
+    values += [-v for v in values]
+    texts = {}
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "set_int_max_str_digits", _no_cap_access)
+        patch.setattr(sys, "get_int_max_str_digits", _no_cap_access)
+        for v in values:
+            for den in (1, 3, 2 ** (leaf + 3) + 1):
+                texts[v, den] = cli.frac_str(Fraction(v, den))
+    assert sys.get_int_max_str_digits() == cap
+    sys.set_int_max_str_digits(0)
+    try:
+        for (v, den), text in texts.items():
+            q = Fraction(v, den)
+            assert text == f"{q.numerator}/{q.denominator}"
+            assert Fraction(text) == q
+    finally:
+        sys.set_int_max_str_digits(cap)
 
 
 def test_verify_missing_params_exit_2(capsys):

@@ -4,6 +4,8 @@ An executor forks its worker processes up front, so a pool asked for more
 workers than it has tasks would start idle processes.  These tests swap in
 an in-process executor that records the requested size and starts none."""
 
+from concurrent.futures import Future
+
 import pytest
 
 from extremal_count import (blowup, cli, complete_bipartite, cycle_graph,
@@ -16,6 +18,7 @@ MANY = 1000
 
 class RecordingExecutor:
     sizes: list[int] = []
+    tasks = 0
 
     def __init__(self, max_workers=None):
         RecordingExecutor.sizes.append(max_workers)
@@ -29,10 +32,17 @@ class RecordingExecutor:
     def map(self, fn, *iterables):
         return map(fn, *iterables)
 
+    def submit(self, fn, *args):
+        RecordingExecutor.tasks += 1
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
 
 @pytest.fixture
 def pools(monkeypatch):
     RecordingExecutor.sizes = []
+    RecordingExecutor.tasks = 0
     for module in (embeddings, oracle, blowup):
         monkeypatch.setattr(module, "ProcessPoolExecutor", RecordingExecutor)
     return RecordingExecutor.sizes
@@ -123,11 +133,27 @@ def test_host_from_two_pool_tasks_exit_3(pools, levels, k2_file, capsys,
     assert 6 not in levels
 
 
-def test_optimizer_pool_is_capped_at_seed_count(pools):
-    seeds = blowup._grid_seeds(cycle_graph(5), 10)
-    assert 64 < len(seeds) < MANY
+def test_optimizer_pool_is_capped_at_chunk_count(pools, monkeypatch):
+    # the seed stream is cut into chunks of SEED_CHUNK seeds, one task
+    # each; the pool has no more processes than the chunks of its first
+    # round, and a stream of fewer than POOL_MIN_SEEDS seeds is scored in
+    # this process
+    monkeypatch.setattr(blowup, "SEED_CHUNK", 16)
+    seeds = list(blowup._grid_seeds(cycle_graph(5), 10))
+    assert blowup.POOL_MIN_SEEDS <= len(seeds) < MANY
+    chunks = -(-len(seeds) // 16)
     serial = optimize_weights(cycle_graph(4), cycle_graph(5), grid=10)
-    parallel = optimize_weights(cycle_graph(4), cycle_graph(5), grid=10,
-                                workers=MANY)
-    assert parallel == serial
-    assert pools == [len(seeds)]
+    assert pools == []
+    for workers in (2, MANY):
+        pools.clear()
+        RecordingExecutor.tasks = 0
+        parallel = optimize_weights(cycle_graph(4), cycle_graph(5), grid=10,
+                                    workers=workers)
+        assert parallel == serial
+        assert pools == [min(workers, chunks)]
+        assert RecordingExecutor.tasks == chunks
+    pools.clear()
+    small = len(list(blowup._grid_seeds(cycle_graph(5), 6)))
+    assert small < blowup.POOL_MIN_SEEDS
+    optimize_weights(cycle_graph(4), cycle_graph(5), grid=6, workers=MANY)
+    assert pools == []
