@@ -29,9 +29,11 @@ else:
 HAS_FAST = fast is not None
 BACKEND = "compiled" if HAS_FAST else "python"
 
-# staircase mask helpers are backend-independent
+# staircase mask helpers and the growth step's maximal independent sets
+# are backend-independent
 mask_from_rows = pure.mask_from_rows
 rows_from_mask = pure.rows_from_mask
+maximal_independent_subsets = pure.maximal_independent_subsets
 
 
 def count_injective(host_rows, n_host: int, parents) -> int:

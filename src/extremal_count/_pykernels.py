@@ -361,6 +361,20 @@ def _children(k: int, parents, canon) -> set[int]:
     return out
 
 
+def maximal_independent_subsets(rows, k: int) -> list[int]:
+    """The maximal independent sets of a k-vertex graph, one per orbit of
+    its twin swaps: the independent subsets of `_independent_subsets`
+    that leave no outside vertex without a neighbour inside.
+
+    A maximal independent set holds all or none of each class of
+    non-adjacent twins and at most one member of each class of adjacent
+    twins, so a twin swap carries it to one that holds, with each vertex,
+    all of its lower twins.
+    """
+    return [s for s in _independent_subsets(rows, k, _lower_twins(rows, k))
+            if all(rows[v] & s for v in range(k) if not s >> v & 1)]
+
+
 def _independent_subsets(rows, k: int, lower) -> list[int]:
     """Subsets of {0..k-1} spanning no edge of `rows` that hold, with each
     vertex v, all of v's lower twins `lower[v]`."""

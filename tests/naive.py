@@ -143,6 +143,23 @@ def naive_triangle_free_classes(n: int) -> set[int]:
     return out
 
 
+def naive_maximal_independent_sets(rows, k: int) -> list[int]:
+    """Every maximal independent set of a k-vertex graph, by testing each
+    vertex subset: no edge inside, and no vertex outside that could join."""
+    def independent(s):
+        return not any(s >> v & 1 and s & rows[v] for v in range(k))
+    return [s for s in range(1 << k) if independent(s)
+            and not any(independent(s | 1 << v) for v in range(k) if not s >> v & 1)]
+
+
+def naive_is_maximal_triangle_free(rows, n: int) -> bool:
+    """Triangle-free, and every non-adjacent pair has a common neighbour
+    (adding any edge would close a triangle)."""
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    return all(not rows[i] & rows[j] if rows[i] >> j & 1 else rows[i] & rows[j]
+               for i, j in pairs)
+
+
 # ---------------------------------------------------------------------------
 # seeded random generators
 # ---------------------------------------------------------------------------

@@ -56,6 +56,13 @@ def levels(monkeypatch):
 
 
 @pytest.fixture
+def pool_from_6(monkeypatch):
+    """Grow levels from 6 vertices up in a pool, so a search at 7 vertices
+    pools the growth of level 6 from the 14 classes on 5 vertices."""
+    monkeypatch.setattr(oracle, "POOL_MIN_LEVEL", 6)
+
+
+@pytest.fixture
 def k2_file(tmp_path):
     path = tmp_path / "k2.graph"
     write_graph_file(path_graph(2), path)
@@ -71,23 +78,31 @@ def test_twin_quotient_opens_no_pool(pools):
     assert pools == []
 
 
-def test_maximizer_search_with_many_workers(pools, levels):
+def test_small_levels_grow_in_process(pools, levels, k2_file, capsys):
+    # below POOL_MIN_LEVEL vertices a pool costs more than it saves
+    assert cli.main(["search", k2_file, "7", "--workers", "2"]) == 0
+    assert pools == []
+    assert max(levels) == 6
+
+
+def test_maximizer_search_with_many_workers(pools, levels, pool_from_6):
     # one pool, one growth task per non-empty chunk of the 14 parents on
-    # 5 vertices
-    parallel = find_maximizers(path_graph(3), 6, workers=MANY)
+    # 5 vertices; the search at 7 vertices never grows level 7
+    parallel = find_maximizers(path_graph(3), 7, workers=MANY)
     assert pools == [14]
+    assert 7 not in levels
     level = levels.pop(6)
-    assert find_maximizers(path_graph(3), 6, workers=9) == parallel
+    assert find_maximizers(path_graph(3), 7, workers=9) == parallel
     assert pools[1:] == [9]
     assert levels[6] == level
     levels.pop(6)
-    assert find_maximizers(path_graph(3), 6) == parallel
+    assert find_maximizers(path_graph(3), 7) == parallel
     assert pools == [14, 9]
     assert levels[6] == level
 
 
-def test_cached_level_opens_no_pool(pools, levels, monkeypatch):
-    find_maximizers(path_graph(3), 6, workers=2)
+def test_cached_level_opens_no_pool(pools, levels, pool_from_6, monkeypatch):
+    find_maximizers(path_graph(3), 7, workers=2)
     assert pools == [2]
 
     def no_growth(*args, **kwargs):
@@ -96,24 +111,24 @@ def test_cached_level_opens_no_pool(pools, levels, monkeypatch):
     monkeypatch.setattr(oracle.kernels, "triangle_free_canonical_masks", no_growth)
     for pattern in (path_graph(2), star_graph(3)):
         for workers in (1, 2, MANY):
-            find_maximizers(pattern, 6, workers=workers)
+            find_maximizers(pattern, 7, workers=workers)
     assert pools == [2]
 
 
-def test_search_opens_one_pool(pools, levels, k2_file, capsys):
-    assert cli.main(["search", k2_file, "6"]) == 0
+def test_search_opens_one_pool(pools, levels, pool_from_6, k2_file, capsys):
+    assert cli.main(["search", k2_file, "7"]) == 0
     serial = capsys.readouterr().out
     assert pools == []
     for workers in (2, MANY):
         pools.clear()
         levels.clear()
-        assert cli.main(["search", k2_file, "6", "--workers", str(workers)]) == 0
+        assert cli.main(["search", k2_file, "7", "--workers", str(workers)]) == 0
         assert capsys.readouterr().out == serial
         assert pools == [min(workers, len(triangle_free_masks(5)))]
 
 
-def test_host_from_two_pool_tasks_exit_3(pools, levels, k2_file, capsys,
-                                         monkeypatch):
+def test_host_from_two_pool_tasks_exit_3(pools, levels, pool_from_6, k2_file,
+                                         capsys, monkeypatch):
     # each host has one canonical parent, so no two chunks return the same
     # host; make every growth task also return the empty graph (mask 0)
     real = oracle.kernels.triangle_free_canonical_masks
@@ -123,7 +138,7 @@ def test_host_from_two_pool_tasks_exit_3(pools, levels, k2_file, capsys,
         return masks if 0 in masks else [0] + masks
 
     monkeypatch.setattr(oracle.kernels, "triangle_free_canonical_masks", leaky)
-    code = cli.main(["search", k2_file, "6", "--workers", "2"])
+    code = cli.main(["search", k2_file, "7", "--workers", "2"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""

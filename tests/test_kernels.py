@@ -16,7 +16,8 @@ from extremal_count.graphs import (Graph, build_blowup, build_gps_example1,
                                    disjoint_union, path_graph, star_graph)
 from extremal_count.oracle import triangle_free_masks
 
-from naive import (naive_count_embeddings, naive_h_degree, naive_pair_degree,
+from naive import (naive_count_embeddings, naive_h_degree,
+                   naive_maximal_independent_sets, naive_pair_degree,
                    perm_canonical_mask, random_graph)
 
 needs_fast = pytest.mark.skipif(not _kernels.HAS_FAST,
@@ -150,6 +151,25 @@ def test_twin_reduced_growth_reaches_every_child_class():
                 every.add(_pykernels.canonical_mask(child + [s], k + 1))
             assert _kernels.triangle_free_canonical_masks(
                 k + 1, parents=[mask]) == sorted(c for c in every if c >> k == mask)
+
+
+def test_twin_reduced_maximal_independent_sets_cover_every_orbit():
+    # every maximal independent set gives the same child class as one of
+    # the twin-reduced sets, and every twin-reduced set is maximal
+    rng = random.Random(353)
+    graphs = [random_graph(rng, rng.randint(0, 7), rng.choice([0.2, 0.5]))
+              for _ in range(80)] + _twin_rich_graphs()
+    for g in graphs:
+        k = g.n
+        reduced = _pykernels.maximal_independent_subsets(g.rows, k)
+        every = naive_maximal_independent_sets(g.rows, k)
+        assert len(set(reduced)) == len(reduced) and set(reduced) <= set(every)
+
+        def child_class(s):
+            child = [r | (s >> v & 1) << k for v, r in enumerate(g.rows)]
+            return _pykernels.canonical_mask(child + [s], k + 1)
+
+        assert {child_class(s) for s in reduced} == {child_class(s) for s in every}
 
 
 def test_parent_chunks_union_to_serial_level():

@@ -4,14 +4,18 @@ import random
 
 import pytest
 
-from extremal_count import (BudgetExceededError, canonical_form,
-                            complete_bipartite, count_copies, cycle_graph,
+from extremal_count import (BudgetExceededError, Graph, canonical_form, cli,
+                            complete_bipartite, count_automorphisms,
+                            count_copies, count_embeddings, cycle_graph,
                             enumerate_triangle_free, find_maximizers,
                             graph_from_canonical_mask, is_complete_bipartite,
                             is_isomorphic, is_triangle_free, path_graph,
-                            oracle, star_graph, triangle_free_masks)
+                            oracle, star_graph, triangle_free_masks,
+                            write_graph_file)
 
-from naive import naive_triangle_free_classes, perm_canonical_mask, random_graph
+from naive import (naive_count_embeddings, naive_is_maximal_triangle_free,
+                   naive_triangle_free_classes, perm_canonical_mask,
+                   random_graph)
 
 
 def test_canonical_form_matches_permutation_bruteforce():
@@ -136,19 +140,127 @@ def test_hypothesis_patterns_soft_expectation():
         print(f"all {checked} hypothesis-pattern maximizer sets complete bipartite")
 
 
-def test_workers_do_not_change_maximizers():
-    # level n is dropped before each worker count, so every count grows it
-    # again in a pool, one task per chunk of the parents on n - 1 vertices;
-    # the merged level and every report must equal the serial ones.  The
-    # level does not depend on the pattern, so one growth per worker count
-    # serves all three patterns.
+def test_growths_cover_every_maximal_triangle_free_class():
+    # the maximizer search scores the growths of level n-1 by maximal
+    # independent sets; every maximal triangle-free class must be one
+    for n in range(1, 9):
+        grown = {canonical_form(graph_from_canonical_mask(n, mask))
+                 for mask in oracle._growth_masks(n - 1, triangle_free_masks(n - 1))}
+        assert grown <= set(triangle_free_masks(n))
+        maximal = {mask for mask in triangle_free_masks(n) if naive_is_maximal_triangle_free(
+            oracle.kernels.rows_from_mask(n, mask), n)}
+        assert maximal and maximal <= grown
+
+
+def _random_tree(rng, m):
+    return Graph(m, [(v, rng.randrange(v)) for v in range(1, m)])
+
+
+def _maximizer_patterns(max_n, seed):
+    """Edgeless patterns, patterns with isolated vertices, C4, K_{1,3},
+    C5 (no triangle, not bipartite), the triangle (in no triangle-free
+    host, so every host ties at 0) and seeded random trees."""
+    rng = random.Random(seed)
+    patterns = [Graph(0), Graph(1), Graph(3), Graph(4, [(0, 1)]),
+                Graph(4, [(0, 1), (1, 2)]), Graph(4, [(0, 1), (2, 3)]),
+                path_graph(2), path_graph(4), cycle_graph(4), star_graph(3),
+                cycle_graph(5), cycle_graph(3)]
+    patterns += [_random_tree(rng, rng.randint(2, max(max_n, 2))) for _ in range(4)]
+    return patterns
+
+
+def _check_against_scores(pattern, n, scores):
+    """find_maximizers(pattern, n) against {canonical mask: embedding
+    count} over every triangle-free class on n vertices."""
+    best = max(scores.values())
+    report = find_maximizers(pattern, n)
+    # each witness is built from its canonical mask
+    assert [oracle.kernels.mask_from_rows(w.rows, n) for w in report.witnesses] == \
+        sorted(mask for mask, emb in scores.items() if emb == best)
+    assert report.max_count * count_automorphisms(pattern) == best
+
+
+def test_maximizers_match_naive_argmax():
+    # the witnesses are the argmax of the brute-force count over the
+    # brute-force classes
+    for n in range(0, 6):
+        hosts = {mask: graph_from_canonical_mask(n, mask)
+                 for mask in naive_triangle_free_classes(n)}
+        for pattern in _maximizer_patterns(n, seed=n):
+            if pattern.n <= n:
+                _check_against_scores(pattern, n, {
+                    mask: naive_count_embeddings(pattern, host)
+                    for mask, host in hosts.items()})
+
+
+def test_maximizers_match_exhaustive_scoring():
+    # past the naive oracle's reach, every class of level n is scored
+    for n in (1, 6, 7, 8):
+        hosts = {mask: graph_from_canonical_mask(n, mask)
+                 for mask in triangle_free_masks(n)}
+        for pattern in _maximizer_patterns(min(n, 7), seed=100 + n):
+            if pattern.n <= n:
+                _check_against_scores(pattern, n, {
+                    mask: count_embeddings(pattern, host)
+                    for mask, host in hosts.items()})
+
+
+def test_edge_deletions_reach_every_maximizer(monkeypatch):
+    # with a pattern scored on at most 8 host vertices, every maximizer is
+    # maximal triangle-free unless every host ties, so the closure is
+    # checked with a stand-in score that, like an embedding count, never
+    # falls when an edge is added: the edge count capped at `cap`, which
+    # every host with at least `cap` edges attains
+    for n, cap in ((5, 4), (7, 9), (8, 12)):
+        monkeypatch.setattr(oracle, "_count_task", lambda parents, k, masks, cap=cap: [
+            (mask, min(mask.bit_count(), cap)) for mask in masks])
+        report = find_maximizers(Graph(1), n)
+        assert report.max_count == cap
+        witnesses = [oracle.kernels.mask_from_rows(w.rows, n) for w in report.witnesses]
+        assert witnesses == [mask for mask in triangle_free_masks(n)
+                             if mask.bit_count() >= cap]
+        assert not all(naive_is_maximal_triangle_free(w.rows, n)
+                       for w in report.witnesses)
+
+
+def test_search_never_grows_level_n(monkeypatch, tmp_path, capsys):
+    # a pattern some triangle-free host holds is scored on the growths of
+    # level n-1 and their edge deletions; level n is never enumerated.  (A
+    # pattern with a triangle ties at 0 everywhere, so its witnesses are
+    # all of level n.)
+    real = oracle.kernels.triangle_free_canonical_masks
+    grown = []
+
+    def recording(n, parents=None):
+        grown.append(n)
+        return real(n, parents)
+
+    monkeypatch.setattr(oracle.kernels, "triangle_free_canonical_masks", recording)
+    for pattern in (path_graph(2), cycle_graph(4), star_graph(3),
+                    Graph(4, [(0, 1)]), cycle_graph(5)):
+        monkeypatch.setattr(oracle, "_enum_cache", {})
+        grown.clear()
+        path = tmp_path / "pattern.graph"
+        write_graph_file(pattern, path)
+        assert cli.main(["search", str(path), "7"]) == 0
+        assert capsys.readouterr().out
+        assert grown == list(range(1, 7))
+
+
+def test_workers_do_not_change_maximizers(monkeypatch):
+    # level n-1 is dropped before each worker count, so every count grows
+    # it again in a pool (every level is pooled here), one task per chunk
+    # of the parents on n - 2 vertices; the merged level and every report
+    # must equal the serial ones.  The level does not depend on the
+    # pattern, so one growth per worker count serves all three patterns.
+    monkeypatch.setattr(oracle, "POOL_MIN_LEVEL", 1)
     patterns = (path_graph(2), path_graph(4), star_graph(3))
     for n in range(2, 9):
         serial = {p: find_maximizers(p, n) for p in patterns if p.n <= n}
-        level = triangle_free_masks(n)
+        level = triangle_free_masks(n - 1)
         for workers in (2, 3, 4):
-            oracle._enum_cache.pop(n)
+            oracle._enum_cache.pop(n - 1)
             for pattern, report in serial.items():
                 assert find_maximizers(pattern, n, workers=workers) == report
-            assert triangle_free_masks(n) == level
+            assert triangle_free_masks(n - 1) == level
     assert len(triangle_free_masks(8)) == 410
