@@ -5,8 +5,9 @@ the extension is built (used by the benchmark and the equivalence tests).
 Both backends produce bit-identical results.  The compiled kernels are
 limited to hosts with at most 64 vertices, counts below 2**63 and
 16-vertex canonical forms; the dispatchers below check these limits.
-Triangle-free enumeration has one generator, the pure one in `_pykernels`;
-with the extension built it runs on the compiled canonical form.  The
+Triangle-free enumeration has one growth step for maximal triangle-free
+graphs and one edge-deletion closure, the pure ones in `_pykernels`; with
+the extension built they run on the compiled canonical form.  The
 occupancy profile, which gives every H-degree and pair degree, is pure on
 both backends.
 """
@@ -29,11 +30,9 @@ else:
 HAS_FAST = fast is not None
 BACKEND = "compiled" if HAS_FAST else "python"
 
-# staircase mask helpers and the growth step's maximal independent sets
-# are backend-independent
+# staircase mask helpers are backend-independent
 mask_from_rows = pure.mask_from_rows
 rows_from_mask = pure.rows_from_mask
-maximal_independent_subsets = pure.maximal_independent_subsets
 
 
 def count_injective(host_rows, n_host: int, parents) -> int:
@@ -56,8 +55,14 @@ def canonical_mask(rows, n: int) -> int:
     return pure.canonical_mask(rows, n)
 
 
-def triangle_free_canonical_masks(n: int, parents=None) -> list[int]:
-    # one generator on both backends; only its canonical form is compiled
-    if HAS_FAST and n <= 16:
-        return pure.triangle_free_canonical_masks(n, parents, fast.canonical_mask)
-    return pure.triangle_free_canonical_masks(n, parents)
+def _enumeration_canon(n: int):
+    # enumeration is pure on both backends; only its canonical form is compiled
+    return fast.canonical_mask if HAS_FAST and n <= 16 else None
+
+
+def maximal_triangle_free_growth(n: int, parents) -> list[int]:
+    return pure.maximal_triangle_free_growth(n, parents, _enumeration_canon(n))
+
+
+def triangle_free_canonical_masks(n: int, seeds, keep=None) -> list[int]:
+    return pure.triangle_free_canonical_masks(n, seeds, keep, _enumeration_canon(n))

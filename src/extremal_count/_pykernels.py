@@ -5,14 +5,16 @@ over a twin quotient, canonical forms, and triangle-free enumeration.
 `_fastkernels` and are selected at import time when the extension is
 unavailable (or when EXTREMAL_COUNT_FORCE_PYTHON is set).  Counts use
 Python integers, so this path has no host-size or count-magnitude limits,
-only speed ones.  Triangle-free enumeration is one vertex-growth generator
-for both backends; it takes the canonical form to use as an argument.  The
-occupancy profile, the one source of H-degrees and pair degrees, has no
-compiled twin.
+only speed ones.  Triangle-free enumeration, on both backends, is one
+growth step from the maximal triangle-free graphs on n-1 vertices to those
+on n, and one closure from those under single-edge deletion; both take
+the canonical form to use as an argument.  The occupancy profile, the one
+source of H-degrees and pair degrees, has no compiled twin.
 
 Twins are vertices u, v with N(u) - v == N(v) - u.  Swapping two twins is
-an automorphism that fixes every other vertex, so both the canonical-form
-search and the growth step try only one member of each twin class.
+an automorphism that fixes every other vertex, so the canonical-form
+search, the growth step and the closure each try only one member of each
+twin class.
 
 Canonical-form convention shared by both kernels: edges are indexed in
 staircase order (0,1), (0,2), (1,2), (0,3), (1,3), (2,3), ... and the
@@ -311,76 +313,110 @@ def canonical_mask(rows, n: int) -> int:
 # triangle-free enumeration
 # ---------------------------------------------------------------------------
 
-def triangle_free_canonical_masks(n: int, parents=None, canon=None) -> list[int]:
-    """All triangle-free graphs on n vertices, one canonical mask per
-    isomorphism class, in ascending mask order.
+def maximal_triangle_free_growth(n: int, parents, canon=None) -> list[int]:
+    """All maximal triangle-free graphs on n vertices, one canonical mask
+    per isomorphism class, in ascending mask order, grown from `parents`,
+    the canonical masks of every such class on n-1 vertices.
 
-    Vertex growth: each canonical (k-1)-vertex graph gets a new vertex
-    whose neighbourhood is an independent set, and the children are
-    canonicalized and deduplicated.  Within each twin class of the parent
-    the neighbourhood takes members lowest index first; any other choice
-    is the image of one of these under a twin swap.
-
-    A child is kept only by its canonical parent, the graph whose mask is
-    the first (k-1)(k-2)/2 bits of the child's canonical mask (orderly
-    generation).  That prefix is the least canonical form over the
-    child's one-vertex deletions, so every class has exactly one
-    canonical parent and is reached from it.
-
-    `parents` extends only the given (n-1)-vertex masks, which must be
-    canonical; disjoint parent lists give disjoint outputs, and the union
-    over a partition of level n-1 is level n.  That is the unit of
-    parallel work.  `canon(rows, k)` computes the canonical forms; the
-    default is this module's `canonical_mask`, looked up at call time.
+    A child takes a vertex set S of a parent, deletes the edges inside S
+    and joins a new vertex to S; it is triangle-free, and kept if every
+    non-adjacent pair has a common neighbour.  Every maximal triangle-free
+    G is a child: for a vertex v, add edges inside N(v) to G - v while no
+    triangle forms; the result is maximal, and its child by N(v) is G.
+    Within each twin class of the parent, S takes members lowest index
+    first; any other choice is the image of one of these under a twin
+    swap.  `canon(rows, n)` computes the canonical forms; the default is
+    this module's `canonical_mask`.
     """
-    if canon is None:
-        canon = canonical_mask
-    if parents is not None:
-        if n < 1:
-            raise ValueError("parents need n >= 1")
-        return sorted(_children(n - 1, parents, canon))
-    level = {0}
-    for k in range(1, n):
-        level = _children(k, level, canon)
-    return sorted(level)
-
-
-def _children(k: int, parents, canon) -> set[int]:
-    """Canonical masks of the (k+1)-vertex growths of the canonical
-    k-vertex masks, each kept only by its canonical parent."""
+    canon = canon or canonical_mask
+    k = n - 1
+    full = (1 << n) - 1
     out = set()
-    bit = 1 << k
     for mask in parents:
         rows = rows_from_mask(k, mask)
-        for s in _independent_subsets(rows, k, _lower_twins(rows, k)):
-            child = [r | bit if s >> v & 1 else r for v, r in enumerate(rows)]
+        lower = _lower_twins(rows, k)
+        subsets = [0]
+        for v in range(k):
+            subsets.extend([s | 1 << v for s in subsets if s & lower[v] == lower[v]])
+        for s in subsets:
+            child = [r & ~s | 1 << k if s >> v & 1 else r for v, r in enumerate(rows)]
             child.append(s)
-            child_mask = canon(child, k + 1)
-            if child_mask >> k == mask:
-                out.add(child_mask)
-    return out
+            # v, its neighbours and theirs must cover every vertex
+            if all(full == 1 << v | r | _union(child, r) for v, r in enumerate(child)):
+                out.add(canon(child, n))
+    return sorted(out)
 
 
-def maximal_independent_subsets(rows, k: int) -> list[int]:
-    """The maximal independent sets of a k-vertex graph, one per orbit of
-    its twin swaps: the independent subsets of `_independent_subsets`
-    that leave no outside vertex without a neighbour inside.
+def triangle_free_canonical_masks(n: int, seeds, keep=None, canon=None) -> list[int]:
+    """Every triangle-free class on n vertices that `keep` accepts, as
+    ascending canonical masks: the closure of the canonical masks `seeds`
+    under single-edge deletion.  `seeds` must hold every maximal class
+    `keep` accepts, and `keep` must accept every triangle-free graph on the
+    same vertices above one it accepts (as "ties the maximum" does for a
+    count that never falls when an edge is added).  `keep(masks)` gets
+    staircase masks and returns those it accepts; the default accepts all.
 
-    A maximal independent set holds all or none of each class of
-    non-adjacent twins and at most one member of each class of adjacent
-    twins, so a twin swap carries it to one that holds, with each vertex,
-    all of its lower twins.
+    Each class found deletes one edge per orbit of its twin swaps
+    (`_twin_pruned_edges`).  A deletion is kept only if the edge, put
+    back, is a parent edge of the result (`_is_parent_edge`); `keep` then
+    filters, and the rest are canonicalized.  Every accepted class G is reached: unless G is
+    maximal it has a parent edge f, and G + f is an accepted
+    triangle-free class with one more edge.  `canon` is as for
+    `maximal_triangle_free_growth`.
     """
-    return [s for s in _independent_subsets(rows, k, _lower_twins(rows, k))
-            if all(rows[v] & s for v in range(k) if not s >> v & 1)]
+    canon = canon or canonical_mask
+    top = n * (n - 1) // 2 - 1
+    found = set(seeds)
+    todo = list(found)
+    while todo:
+        mask = todo.pop()
+        rows = rows_from_mask(n, mask)
+        below = []
+        for i, j in _twin_pruned_edges(rows, n):
+            child = list(rows)
+            child[i] ^= 1 << j
+            child[j] ^= 1 << i
+            if _is_parent_edge(child, i, j):
+                below.append(mask ^ 1 << top - j * (j - 1) // 2 - i)
+        for host in (below if keep is None else keep(below)):
+            host = canon(rows_from_mask(n, host), n)
+            if host not in found:
+                found.add(host)
+                todo.append(host)
+    return sorted(found)
 
 
-def _independent_subsets(rows, k: int, lower) -> list[int]:
-    """Subsets of {0..k-1} spanning no edge of `rows` that hold, with each
-    vertex v, all of v's lower twins `lower[v]`."""
-    out = [0]
-    for v in range(k):
-        row, need = rows[v], lower[v]
-        out.extend([s | 1 << v for s in out
-                    if not s & row and s & need == need])
+def _twin_pruned_edges(rows, n: int) -> list[tuple[int, int]]:
+    """The edges (i, j), i < j, whose ends have no lower twin other than
+    each other.  A twin swap carries any edge to one of these."""
+    lower = _lower_twins(rows, n)
+    return [(i, j) for j in range(1, n) for i in range(j)
+            if rows[i] >> j & 1 and not (lower[i] | lower[j]) & ~(1 << i | 1 << j)]
+
+
+def _union(rows, vertices: int) -> int:
+    """The union of the rows of a vertex set."""
+    out = 0
+    while vertices:
+        low = vertices & -vertices
+        out |= rows[low.bit_length() - 1]
+        vertices ^= low
     return out
+
+
+def _is_parent_edge(rows, u: int, v: int) -> bool:
+    """Whether the non-edge {u, v} of a triangle-free graph has the largest
+    key among the non-edges that close no triangle when added.  A vertex's
+    key is its degree, then the sum of its neighbours' degrees; a pair's
+    key is its ends' keys, larger first.  Keys are isomorphism-invariant;
+    a graph may have several parent edges."""
+    degree = [r.bit_count() for r in rows]
+    key = [(d, sum(degree[w] for w in range(len(rows)) if r >> w & 1))
+           for d, r in zip(degree, rows)]
+
+    def pair(i, j):
+        return max(key[i], key[j]), min(key[i], key[j])
+
+    mine = pair(u, v)
+    return not any(pair(i, j) > mine for j, rj in enumerate(rows) for i in range(j)
+                   if not (rj >> i & 1 or rows[i] & rj))

@@ -252,13 +252,13 @@ C_HALVING_DEPTH = 60
 
 # Largest estimated size, in bits, of the exact power p_w^x_min that
 # certifies x_min: the float seed of x_min times the bit length of p_w.
-# Measured for thm2-params on pure Python 3.11 (2 vCPU), solving and
-# rendering in process: lambda = 1/4 estimates 0.34e6 bits and takes
-# 0.13-0.16 s (0.3 s for the whole command).  With the budget lifted, 1/6
-# estimates 1.4e6 bits and takes 1.1 s, 1/5 2.0e6 bits and 1.3 s, 1/8
-# 2.8e6 bits and 2.4 s, close to half of it rendering.  Over the budget,
-# nothing is powered.
-POWER_BUDGET = 10 ** 6
+# Measured end to end (whole CLI command, fresh process, pure Python
+# 3.11, 2 vCPU, median of 3) with the budget lifted: thm2-params /
+# thm2-e2e take 0.29 / 0.65 s at lambda = 1/4 (0.34e6 bits), 1.1 / 3.0 s
+# at 1/6 (1.4e6 bits), 1.9 / 6.4 s at 1/5 (2.0e6 bits) and 2.4 / 6.9 s
+# at 1/8 (2.8e6 bits).  1/7 (4.3e6 bits) and 1/10 (11.6e6 bits, 17 s for
+# thm2-params) are refused.  Over the budget, nothing is powered.
+POWER_BUDGET = 3 * 10 ** 6
 
 
 @dataclass(frozen=True)

@@ -60,15 +60,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Embedding counts in triangle-free graphs: exact "
                     "counting, maximizer search, blow-up weight "
                     "optimization, and inequality certificates.")
-    # gen writes graph text; count and verify also render a report; search
-    # and optimize also split their work over processes
+    # gen writes graph text; count and verify also render a report;
+    # optimize also splits its work over processes.  search runs in one
+    # process but still accepts --workers, so existing command lines work
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--out", help="write the output here instead of stdout")
     report = argparse.ArgumentParser(add_help=False, parents=[output])
     report.add_argument("--format", choices=("json", "csv"), default="json")
     parallel = argparse.ArgumentParser(add_help=False, parents=[report])
     parallel.add_argument("--workers", type=worker_count, default=_default_workers(),
-                          help="worker processes (default: EXTREMAL_COUNT_WORKERS or 1)")
+                          help="worker processes (default: EXTREMAL_COUNT_WORKERS or 1); "
+                               "no effect on search")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_count = sub.add_parser("count", parents=[report],
@@ -218,7 +220,7 @@ def cmd_search(args):
     from .oracle import find_maximizers
 
     pattern = read_graph_file(args.pattern)
-    report = find_maximizers(pattern, args.n, workers=args.workers)
+    report = find_maximizers(pattern, args.n)
     witnesses = []
     for i, w in enumerate(report.witnesses):
         witnesses.append({

@@ -3,31 +3,25 @@
 pattern-copy counts over them.
 
 Canonical form: the lexicographically minimal adjacency bit-string over all
-vertex relabelings (staircase bit order; see _pykernels).  Enumeration is
-one vertex-growth generator on both backends; its canonical forms run on
-the compiled kernel when built.  Each class on n vertices is kept only by
-its canonical parent on n-1 vertices, so a level grown in parallel from
-chunks of its parents holds every class exactly once.  Each level is
-grown at most once per process, from the cached level below, and cached.
+vertex relabelings (staircase bit order; see _pykernels).  Enumeration has
+one growth step and one closure, both pure, whose canonical forms run on
+the compiled kernel when built.  The maximal triangle-free classes on n
+vertices are grown from those on n-1 vertices, and the triangle-free
+classes on n vertices are their closure under single-edge deletion.  Each
+level of either kind is built at most once per process and cached.
 
-The maximizer search does not enumerate level n.  Every maximal
-triangle-free graph on n vertices is a graph on n-1 vertices plus a vertex
-whose neighbourhood is a maximal independent set, and embedding counts
-never fall when an edge is added, so the best of these growths of level
-n-1 is the maximum.  Every maximizer lies below a maximal one, and every
-graph in between ties it, so single-edge deletions from the best growths
-reach every maximizer.  Only the hosts that tie the maximum are
-canonicalized.  When the edgeless host ties the maximum (a pattern with no
-edges, or with a triangle), every class is a witness, and level n is
-enumerated after all.
+The maximizer search scores only the maximal triangle-free classes on n
+vertices.  Embedding counts never fall when an edge is added, and every
+triangle-free graph lies below a maximal one on the same vertices, so
+their best count is the maximum.  Every graph between a maximizer and a
+maximal graph above it ties the maximum, so the closure of the tied
+maximal classes, keeping only the deletions that tie, finds every
+maximizer.  Only hosts that tie are canonicalized.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain
 
 from . import _kernels as kernels
 from .embeddings import (_count_planned, copies_from_counts, count_automorphisms,
@@ -37,18 +31,12 @@ from .graphs import (BudgetExceededError, Graph, is_bipartite,
 
 ENUMERATION_BUDGET = 9
 
-# A level is grown in a process pool only from this many vertices up.
-# Median wall of `search c4 N --workers 2` (pure backend, 2 vCPUs) with
-# level N - 1 grown serially -> in a pool: N = 7: 0.17 -> 0.21 s,
-# N = 8: 0.36 -> 0.49 s, N = 9: 2.99 -> 1.97 s.
-POOL_MIN_LEVEL = 8
-
+_maximal_cache: dict[int, tuple[int, ...]] = {0: (0,)}
 _enum_cache: dict[int, tuple[int, ...]] = {}
 
 
 def __getattr__(name):
-    # the pool class is imported when a pool first opens; pools look it up
-    # through this module, where it can be replaced
+    # no pool opens here; the name stays for perfbench/spans.py POOL_MODULES
     if name == "ProcessPoolExecutor":
         from concurrent.futures import ProcessPoolExecutor
         return ProcessPoolExecutor
@@ -75,39 +63,23 @@ def _check_budget(n: int) -> None:
 
 
 def triangle_free_masks(n: int) -> tuple[int, ...]:
-    """Ascending canonical masks of all triangle-free graphs on n vertices."""
+    """Ascending canonical masks of all triangle-free graphs on n vertices:
+    the closure of the maximal ones under single-edge deletion."""
     _check_budget(n)
-    return _masks(n)
-
-
-def _masks(n: int, workers: int = 1) -> tuple[int, ...]:
-    """Level n from the process cache.  A missing level is grown once from
-    level n-1, itself taken from the cache or grown first.  From
-    POOL_MIN_LEVEL vertices up and with workers > 1, level n-1 is dealt
-    round-robin into one chunk per worker and one pool task grows each
-    chunk's children.  Each class has one canonical parent, so the chunks'
-    outputs are disjoint; a host returned by two tasks is a failed
-    self-check."""
-    if n in _enum_cache:
-        return _enum_cache[n]
-    if n == 0:
-        level = [0]
-    else:
-        parents = _masks(n - 1, workers)
-        pooled = workers if n >= POOL_MIN_LEVEL else 1
-        chunks = [c for c in (parents[i::pooled] for i in range(pooled)) if c]
-        if len(chunks) > 1:
-            pool_class = sys.modules[__name__].ProcessPoolExecutor
-            with pool_class(max_workers=len(chunks)) as pool:
-                level = sorted(chain.from_iterable(pool.map(
-                    partial(kernels.triangle_free_canonical_masks, n), chunks)))
-            for mask, nxt in zip(level, level[1:]):
-                if mask == nxt:
-                    raise RuntimeError(f"host {mask} returned by two pool tasks")
-        else:
-            level = kernels.triangle_free_canonical_masks(n, parents)
-    _enum_cache[n] = tuple(level)
+    if n not in _enum_cache:
+        _enum_cache[n] = tuple(kernels.triangle_free_canonical_masks(
+            n, _maximal_masks(n)))
     return _enum_cache[n]
+
+
+def _maximal_masks(n: int) -> tuple[int, ...]:
+    """Ascending canonical masks of the maximal triangle-free graphs on n
+    vertices, from the process cache; a missing level is grown once from
+    level n-1, itself taken from the cache or grown first."""
+    if n not in _maximal_cache:
+        _maximal_cache[n] = tuple(kernels.maximal_triangle_free_growth(
+            n, _maximal_masks(n - 1)))
+    return _maximal_cache[n]
 
 
 def enumerate_triangle_free(n: int):
@@ -135,70 +107,35 @@ def _count_task(parents, n: int, masks) -> list[tuple[int, int]]:
             for mask in masks]
 
 
-def _growth_masks(k: int, masks):
-    """Staircase masks of the (k+1)-vertex growths of the k-vertex graphs
-    `masks` by a vertex joined to a maximal independent set, one per orbit
-    of the parent's twin swaps.  The new vertex's column is the last block
-    of k bits, its edge to vertex 0 most significant."""
-    for mask in masks:
-        shifted = mask << k
-        for s in kernels.maximal_independent_subsets(
-                kernels.rows_from_mask(k, mask), k):
-            yield shifted | int(f"{s:0{k}b}"[::-1], 2)
-
-
-def find_maximizers(pattern: Graph, n: int, workers: int = 1) -> MaximizerReport:
+def find_maximizers(pattern: Graph, n: int) -> MaximizerReport:
     """Exact maximizers of the pattern-copy count over all triangle-free
     graphs on n vertices (embeddings and copies peak together since the
     automorphism count is fixed), reported in ascending canonical-mask
     order.
 
-    Level n-1 is taken from the cache (grown first if missing), and the
-    edgeless host and every growth of level n-1 by a vertex joined to a
-    maximal independent set are scored: these include every maximal
-    triangle-free graph, so their best count is the maximum.  If the
-    edgeless host ties it, so does every host (counts never fall when an
-    edge is added), and the witnesses are level n itself.  Otherwise the
-    best growths are canonicalized and closed downward: each witness's
-    single-edge deletions are scored, and those that tie are canonicalized
-    and become witnesses.  Every maximizer lies below a maximal maximizer,
-    and every graph in between ties it, so the closure finds every
-    witness.
-
-    Hosts are scored in this process.  `workers` matters only when a level
-    the search needs is not cached yet and has at least POOL_MIN_LEVEL
-    vertices: it is then grown in up to `workers` processes.
+    The maximal triangle-free classes on n vertices are scored; their best
+    count is the maximum.  The classes that tie it are closed downward:
+    each witness's single-edge deletions are scored, and those that tie are
+    canonicalized and become witnesses.  When every host ties (a pattern
+    with no edges, or with a triangle), the witnesses are every
+    triangle-free class.  Hosts are scored in this process.
     """
     if pattern.n > n:
         raise ValueError("pattern must not exceed the host size")
     _check_budget(n)
     _, parents = search_plan(pattern)
-    hosts = [0]  # the edgeless host, then the growths of level n-1
-    if n:
-        hosts.extend(_growth_masks(n - 1, _masks(n - 1, workers)))
-    scores = _count_task(parents, n, hosts)
+    scores = _count_task(parents, n, _maximal_masks(n))
     best = max(count for _, count in scores)
-    if scores[0][1] == best:
-        found = set(_masks(n, workers))
-    else:
-        found = {_canonical(n, mask) for mask, count in scores if count == best}
-        todo = list(found)
-        while todo:
-            mask = todo.pop()
-            below = [mask ^ 1 << i for i in range(mask.bit_length()) if mask >> i & 1]
-            for host, count in _count_task(parents, n, below):
-                if count == best:
-                    host = _canonical(n, host)
-                    if host not in found:
-                        found.add(host)
-                        todo.append(host)
-    witnesses = tuple(graph_from_canonical_mask(n, mask) for mask in sorted(found))
+
+    def ties(masks):
+        return [mask for mask, count in _count_task(parents, n, masks)
+                if count == best]
+
+    found = kernels.triangle_free_canonical_masks(
+        n, [mask for mask, count in scores if count == best], ties)
+    witnesses = tuple(graph_from_canonical_mask(n, mask) for mask in found)
     return MaximizerReport(
         n, pattern, copies_from_counts(best, count_automorphisms(pattern)),
         witnesses,
         all(is_bipartite(w) is not None for w in witnesses),
         all(is_complete_bipartite(w) for w in witnesses))
-
-
-def _canonical(n: int, mask: int) -> int:
-    return kernels.canonical_mask(kernels.rows_from_mask(n, mask), n)

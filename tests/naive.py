@@ -3,13 +3,15 @@
 Everything here deliberately avoids the library's counting paths: embedding
 counts enumerate all injective maps with no pruning, homomorphism sums walk
 all |P|^|H| maps, matchings branch over vertices, and the enumeration
-oracle deduplicates edge masks by the full permutation orbit.
+oracles deduplicate by their own canonical forms: the full permutation
+orbit, or every relabeling that respects a degree refinement.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 from extremal_count.graphs import Graph, disjoint_union
@@ -46,16 +48,24 @@ def naive_pair_degree(pattern: Graph, host: Graph, u: int, v: int) -> int:
 def naive_homomorphisms(patternH: Graph, patternP: Graph) -> list[tuple[int, ...]]:
     """Every map V(H) -> V(P) that sends edges to edges, in lexicographic order."""
     edges = patternH.edges()
+    adjacent = {(a, b) for a in range(patternP.n) for b in range(patternP.n)
+                if patternP.has_edge(a, b)}
     return [image
             for image in itertools.product(range(patternP.n), repeat=patternH.n)
-            if all(patternP.has_edge(image[u], image[v]) for u, v in edges)]
+            if all((image[u], image[v]) in adjacent for u, v in edges)]
 
 
-def naive_hom_sum(patternH: Graph, patternP: Graph, weights):
+def naive_hom_sum(patternH: Graph, patternP: Graph, weights, homs=None):
+    """Sum over the homomorphisms H -> P of the product of the weights of
+    their images; `homs` is `naive_homomorphisms(patternH, patternP)` when
+    the caller has listed it already.  Images with the same multiset of
+    vertices have the same product, so each product is taken once."""
+    if homs is None:
+        homs = naive_homomorphisms(patternH, patternP)
     total = 0
-    for image in naive_homomorphisms(patternH, patternP):
-        prod = 1
-        for q in image:
+    for multiset, count in Counter(tuple(sorted(image)) for image in homs).items():
+        prod = count
+        for q in multiset:
             prod *= weights[q]
         total += prod
     return total
@@ -143,13 +153,47 @@ def naive_triangle_free_classes(n: int) -> set[int]:
     return out
 
 
-def naive_maximal_independent_sets(rows, k: int) -> list[int]:
-    """Every maximal independent set of a k-vertex graph, by testing each
-    vertex subset: no edge inside, and no vertex outside that could join."""
-    def independent(s):
-        return not any(s >> v & 1 and s & rows[v] for v in range(k))
-    return [s for s in range(1 << k) if independent(s)
-            and not any(independent(s | 1 << v) for v in range(k) if not s >> v & 1)]
+def naive_canonical_mask(rows, n: int) -> int:
+    """A canonical form, not the library's: the minimal staircase mask over
+    every relabeling that lists the vertices by ascending (degree, sorted
+    neighbour degrees).  That order is invariant under isomorphism, so
+    isomorphic graphs get equal masks."""
+    degree = [r.bit_count() for r in rows]
+    invariant = [(degree[v], sorted(degree[u] for u in range(n) if rows[v] >> u & 1))
+                 for v in range(n)]
+    cells = {}
+    for v in sorted(range(n), key=invariant.__getitem__):
+        cells.setdefault(repr(invariant[v]), []).append(v)
+    best = None
+    for parts in itertools.product(*(itertools.permutations(c) for c in cells.values())):
+        order = [v for part in parts for v in part]
+        mask = 0
+        for j in range(1, n):
+            for i in range(j):
+                mask = mask << 1 | rows[order[i]] >> order[j] & 1
+        if best is None or mask < best:
+            best = mask
+    return best or 0
+
+
+def naive_triangle_free_levels(n: int) -> list[set[int]]:
+    """The triangle-free classes on 0..n vertices as sets of
+    `naive_canonical_mask`s.  Every class on k vertices grows by a vertex
+    joined to each of its independent sets, with no pruning, and the
+    children are deduplicated by `naive_canonical_mask`."""
+    levels = [{0}]
+    reps = [[]]
+    for k in range(n):
+        children = {}
+        for rows in reps:
+            for s in range(1 << k):
+                if any(s >> v & 1 and s & rows[v] for v in range(k)):
+                    continue
+                child = [r | (s >> v & 1) << k for v, r in enumerate(rows)] + [s]
+                children.setdefault(naive_canonical_mask(child, k + 1), child)
+        levels.append(set(children))
+        reps = list(children.values())
+    return levels
 
 
 def naive_is_maximal_triangle_free(rows, n: int) -> bool:

@@ -364,10 +364,11 @@ def test_search_witness_masks_are_canonical(tmp_path, capsys):
 
 
 def test_search_budget_exit_2(c4_file, capsys, monkeypatch):
-    # the budget is checked before any enumeration starts
+    # the budget is checked before any growth or closure starts
     def no_enumeration(*args, **kwargs):
         raise AssertionError("enumeration started past the budget")
 
+    monkeypatch.setattr(_kernels, "maximal_triangle_free_growth", no_enumeration)
     monkeypatch.setattr(_kernels, "triangle_free_canonical_masks", no_enumeration)
     for workers in ("1", "2"):
         assert cli.main(["search", c4_file, "10", "--workers", workers]) == 2

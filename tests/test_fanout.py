@@ -2,7 +2,8 @@
 
 An executor forks its worker processes up front, so a pool asked for more
 workers than it has tasks would start idle processes.  These tests swap in
-an in-process executor that records the requested size and starts none."""
+an in-process executor that records the requested size and starts none.
+The maximizer search runs in one process and opens no pool at all."""
 
 from concurrent.futures import Future
 
@@ -11,7 +12,7 @@ import pytest
 from extremal_count import (blowup, cli, complete_bipartite, cycle_graph,
                             embeddings, find_maximizers, h_degrees,
                             optimize_weights, oracle, path_graph, star_graph,
-                            triangle_free_masks, write_graph_file)
+                            write_graph_file)
 
 MANY = 1000
 
@@ -50,16 +51,10 @@ def pools(monkeypatch):
 
 @pytest.fixture
 def levels(monkeypatch):
-    """An empty enumeration cache, so the next search grows its level."""
+    """Empty level caches, so the next search grows its maximal levels."""
+    monkeypatch.setattr(oracle, "_maximal_cache", {0: (0,)})
     monkeypatch.setattr(oracle, "_enum_cache", {})
-    return oracle._enum_cache
-
-
-@pytest.fixture
-def pool_from_6(monkeypatch):
-    """Grow levels from 6 vertices up in a pool, so a search at 7 vertices
-    pools the growth of level 6 from the 14 classes on 5 vertices."""
-    monkeypatch.setattr(oracle, "POOL_MIN_LEVEL", 6)
+    return oracle._maximal_cache
 
 
 @pytest.fixture
@@ -79,73 +74,34 @@ def test_twin_quotient_opens_no_pool(pools):
 
 
 def test_small_levels_grow_in_process(pools, levels, k2_file, capsys):
-    # below POOL_MIN_LEVEL vertices a pool costs more than it saves
+    # search grows its maximal levels and scores its hosts in this process
     assert cli.main(["search", k2_file, "7", "--workers", "2"]) == 0
     assert pools == []
-    assert max(levels) == 6
+    assert sorted(levels) == list(range(8))
+    assert oracle._enum_cache == {}
 
 
-def test_maximizer_search_with_many_workers(pools, levels, pool_from_6):
-    # one pool, one growth task per non-empty chunk of the 14 parents on
-    # 5 vertices; the search at 7 vertices never grows level 7
-    parallel = find_maximizers(path_graph(3), 7, workers=MANY)
-    assert pools == [14]
-    assert 7 not in levels
-    level = levels.pop(6)
-    assert find_maximizers(path_graph(3), 7, workers=9) == parallel
-    assert pools[1:] == [9]
-    assert levels[6] == level
-    levels.pop(6)
-    assert find_maximizers(path_graph(3), 7) == parallel
-    assert pools == [14, 9]
-    assert levels[6] == level
+def test_maximizer_search_with_many_workers(pools, levels, k2_file, capsys):
+    assert cli.main(["search", k2_file, "7"]) == 0
+    serial = capsys.readouterr().out
+    for workers in (2, MANY):
+        levels.clear()
+        levels[0] = (0,)
+        assert cli.main(["search", k2_file, "7", "--workers", str(workers)]) == 0
+        assert capsys.readouterr().out == serial
+    assert pools == []
 
 
-def test_cached_level_opens_no_pool(pools, levels, pool_from_6, monkeypatch):
-    find_maximizers(path_graph(3), 7, workers=2)
-    assert pools == [2]
+def test_cached_level_opens_no_pool(pools, levels, monkeypatch):
+    find_maximizers(path_graph(3), 7)
 
     def no_growth(*args, **kwargs):
         raise AssertionError("a cached level was grown again")
 
-    monkeypatch.setattr(oracle.kernels, "triangle_free_canonical_masks", no_growth)
+    monkeypatch.setattr(oracle.kernels, "maximal_triangle_free_growth", no_growth)
     for pattern in (path_graph(2), star_graph(3)):
-        for workers in (1, 2, MANY):
-            find_maximizers(pattern, 7, workers=workers)
-    assert pools == [2]
-
-
-def test_search_opens_one_pool(pools, levels, pool_from_6, k2_file, capsys):
-    assert cli.main(["search", k2_file, "7"]) == 0
-    serial = capsys.readouterr().out
+        find_maximizers(pattern, 7)
     assert pools == []
-    for workers in (2, MANY):
-        pools.clear()
-        levels.clear()
-        assert cli.main(["search", k2_file, "7", "--workers", str(workers)]) == 0
-        assert capsys.readouterr().out == serial
-        assert pools == [min(workers, len(triangle_free_masks(5)))]
-
-
-def test_host_from_two_pool_tasks_exit_3(pools, levels, pool_from_6, k2_file,
-                                         capsys, monkeypatch):
-    # each host has one canonical parent, so no two chunks return the same
-    # host; make every growth task also return the empty graph (mask 0)
-    real = oracle.kernels.triangle_free_canonical_masks
-
-    def leaky(n, parents=None):
-        masks = real(n, parents)
-        return masks if 0 in masks else [0] + masks
-
-    monkeypatch.setattr(oracle.kernels, "triangle_free_canonical_masks", leaky)
-    code = cli.main(["search", k2_file, "7", "--workers", "2"])
-    captured = capsys.readouterr()
-    assert code == 3
-    assert captured.out == ""
-    assert captured.err.startswith("internal error: ")
-    assert "two pool tasks" in captured.err
-    assert pools == [2]
-    assert 6 not in levels
 
 
 def test_optimizer_pool_is_capped_at_chunk_count(pools, monkeypatch):

@@ -1,7 +1,8 @@
 """Kernel checks: compiled and pure kernels agree bit for bit, H-degrees
 and pair degrees from the occupancy profile and the twin-pruned canonical
-form match the brute-force oracles, and the enumerator's parent split
-covers each level exactly."""
+form match the brute-force oracles, and the twin-pruned growth of maximal
+triangle-free classes and the pruned edge-deletion closure reach every
+class the unpruned ones reach."""
 
 import itertools
 import random
@@ -14,11 +15,12 @@ from extremal_count.embeddings import h_degrees, search_plan
 from extremal_count.graphs import (Graph, build_blowup, build_gps_example1,
                                    complete_bipartite, cycle_graph,
                                    disjoint_union, path_graph, star_graph)
-from extremal_count.oracle import triangle_free_masks
+from extremal_count.oracle import _maximal_masks, triangle_free_masks
 
-from naive import (naive_count_embeddings, naive_h_degree,
-                   naive_maximal_independent_sets, naive_pair_degree,
-                   perm_canonical_mask, random_graph)
+from naive import (naive_canonical_mask, naive_count_embeddings, naive_h_degree,
+                   naive_is_maximal_triangle_free, naive_pair_degree,
+                   naive_triangle_free_levels, perm_canonical_mask,
+                   random_graph, random_triangle_free)
 
 needs_fast = pytest.mark.skipif(not _kernels.HAS_FAST,
                                 reason="compiled kernels not built")
@@ -76,10 +78,14 @@ def test_canonical_agreement():
 
 @needs_fast
 def test_generator_same_with_compiled_canonical_form():
-    for n in range(0, 8):
+    for n in range(1, 8):
+        parents = _maximal_masks(n - 1)
+        maximal = _pykernels.maximal_triangle_free_growth(n, parents)
+        assert _pykernels.maximal_triangle_free_growth(
+            n, parents, _kernels.fast.canonical_mask) == maximal
         assert (_pykernels.triangle_free_canonical_masks(
-                    n, canon=_kernels.fast.canonical_mask)
-                == _pykernels.triangle_free_canonical_masks(n))
+                    n, maximal, canon=_kernels.fast.canonical_mask)
+                == _pykernels.triangle_free_canonical_masks(n, maximal))
 
 
 def test_dispatch_gives_generator_the_compiled_canonical_form(monkeypatch):
@@ -90,11 +96,14 @@ def test_dispatch_gives_generator_the_compiled_canonical_form(monkeypatch):
         sizes.append(n)
         return _pykernels.canonical_mask(rows, n)
 
+    parents, maximal, level = _maximal_masks(5), _maximal_masks(6), triangle_free_masks(6)
     monkeypatch.setattr(_kernels, "HAS_FAST", True)
     monkeypatch.setattr(_kernels, "fast", types.SimpleNamespace(canonical_mask=compiled))
-    assert (_kernels.triangle_free_canonical_masks(6)
-            == _pykernels.triangle_free_canonical_masks(6))
-    assert max(sizes) == 6
+    assert _kernels.maximal_triangle_free_growth(6, parents) == list(maximal)
+    assert sizes and set(sizes) == {6}
+    sizes.clear()
+    assert _kernels.triangle_free_canonical_masks(6, maximal) == list(level)
+    assert sizes and set(sizes) == {6}
 
 
 def _twin_rich_graphs():
@@ -137,55 +146,54 @@ def test_pruned_canonical_form_matches_permutation_oracle_on_twins():
 
 
 def test_twin_reduced_growth_reaches_every_child_class():
-    # per parent: each parent must keep exactly the child classes whose
-    # canonical masks start with its own, so a child lost from its one
-    # canonical parent shows here
-    for k in range(1, 7):
-        for mask in triangle_free_masks(k):
+    # per parent: the growth with S taken lowest index first in each twin
+    # class keeps the same classes as the growth by every vertex set S
+    for k in range(1, 8):
+        for mask in _maximal_masks(k):
             rows = _pykernels.rows_from_mask(k, mask)
             every = set()
             for s in range(1 << k):
-                if any(s >> v & 1 and s & rows[v] for v in range(k)):
-                    continue
-                child = [r | (s >> v & 1) << k for v, r in enumerate(rows)]
-                every.add(_pykernels.canonical_mask(child + [s], k + 1))
-            assert _kernels.triangle_free_canonical_masks(
-                k + 1, parents=[mask]) == sorted(c for c in every if c >> k == mask)
+                child = [r & ~s | 1 << k if s >> v & 1 else r
+                         for v, r in enumerate(rows)] + [s]
+                if naive_is_maximal_triangle_free(child, k + 1):
+                    every.add(_pykernels.canonical_mask(child, k + 1))
+            assert _kernels.maximal_triangle_free_growth(k + 1, [mask]) == sorted(every)
 
 
-def test_twin_reduced_maximal_independent_sets_cover_every_orbit():
-    # every maximal independent set gives the same child class as one of
-    # the twin-reduced sets, and every twin-reduced set is maximal
+def test_twin_pruned_deletions_cover_every_orbit():
+    # the deletions of the twin-pruned edges give the same classes as the
+    # deletions of every edge
     rng = random.Random(353)
-    graphs = [random_graph(rng, rng.randint(0, 7), rng.choice([0.2, 0.5]))
-              for _ in range(80)] + _twin_rich_graphs()
+    graphs = [random_triangle_free(rng, rng.randint(0, 8)) for _ in range(80)]
+    graphs += [g for g in _twin_rich_graphs() if g.n <= 7]
     for g in graphs:
-        k = g.n
-        reduced = _pykernels.maximal_independent_subsets(g.rows, k)
-        every = naive_maximal_independent_sets(g.rows, k)
-        assert len(set(reduced)) == len(reduced) and set(reduced) <= set(every)
+        n = g.n
 
-        def child_class(s):
-            child = [r | (s >> v & 1) << k for v, r in enumerate(g.rows)]
-            return _pykernels.canonical_mask(child + [s], k + 1)
+        def deleted(i, j):
+            rows = list(g.rows)
+            rows[i] ^= 1 << j
+            rows[j] ^= 1 << i
+            return _pykernels.canonical_mask(rows, n)
 
-        assert {child_class(s) for s in reduced} == {child_class(s) for s in every}
+        pruned = _pykernels._twin_pruned_edges(list(g.rows), n)
+        assert set(pruned) <= set(g.edges())
+        assert {deleted(i, j) for i, j in pruned} == {deleted(i, j) for i, j in g.edges()}
 
 
-def test_parent_chunks_union_to_serial_level():
-    # at n = 8 only the finest split runs: any chunking is a union of
-    # single-parent extensions.  Chunks are pairwise disjoint, so their
-    # sizes add up to the level size.
-    for n in range(1, 9):
-        serial = triangle_free_masks(n)
-        parents = triangle_free_masks(n - 1) if n > 1 else (0,)
-        splits = [len(parents)] if n == 8 else sorted({1, 2, 3, len(parents)})
-        for k in splits:
-            parts = [_kernels.triangle_free_canonical_masks(n, parents=parents[i::k])
-                     for i in range(k)]
-            union = set().union(*parts)
-            assert tuple(sorted(union)) == serial
-            assert sum(map(len, parts)) == len(serial)
+def test_closure_keeps_every_accepted_class():
+    # an edge-count floor is accepted by every graph above one it accepts;
+    # seeded with the maximal classes it accepts, the closure must hold
+    # every class of the naive level with that many edges
+    for n, level in enumerate(naive_triangle_free_levels(7)):
+        naive = {mask: naive_canonical_mask(_pykernels.rows_from_mask(n, mask), n)
+                 for mask in triangle_free_masks(n)}
+        for floor in range(n * n // 4 + 1):
+            seeds = [mask for mask in _maximal_masks(n) if mask.bit_count() >= floor]
+            closed = _kernels.triangle_free_canonical_masks(
+                n, seeds, lambda masks: [m for m in masks if m.bit_count() >= floor])
+            expected = {mask for mask in level if mask.bit_count() >= floor}
+            assert len(closed) == len(expected)
+            assert {naive[mask] for mask in closed} == expected
 
 
 def test_mask_roundtrip():

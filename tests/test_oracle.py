@@ -13,8 +13,9 @@ from extremal_count import (BudgetExceededError, Graph, canonical_form, cli,
                             oracle, star_graph, triangle_free_masks,
                             write_graph_file)
 
-from naive import (naive_count_embeddings, naive_is_maximal_triangle_free,
-                   naive_triangle_free_classes, perm_canonical_mask,
+from naive import (naive_canonical_mask, naive_count_embeddings,
+                   naive_is_maximal_triangle_free, naive_triangle_free_classes,
+                   naive_triangle_free_levels, perm_canonical_mask,
                    random_graph)
 
 
@@ -46,9 +47,21 @@ def test_enumeration_matches_permutation_filter_oracle():
     assert len(triangle_free_masks(3)) == 3  # empty, one edge, path
 
 
+def test_enumeration_matches_naive_growth():
+    # each level against the unpruned growth of the naive level below,
+    # compared through the naive canonical form
+    for n, level in enumerate(naive_triangle_free_levels(7)):
+        masks = triangle_free_masks(n)
+        assert len(masks) == len(level)
+        assert {naive_canonical_mask(oracle.kernels.rows_from_mask(n, mask), n)
+                for mask in masks} == level
+
+
 def test_enumeration_counts_small():
-    counts = [len(triangle_free_masks(n)) for n in range(1, 8)]
-    assert counts == [1, 2, 3, 7, 14, 38, 107]
+    counts = [len(triangle_free_masks(n)) for n in range(1, 9)]
+    assert counts == [1, 2, 3, 7, 14, 38, 107, 410]
+    maximal = [len(oracle._maximal_masks(n)) for n in range(1, 10)]
+    assert maximal == [1, 1, 1, 2, 3, 4, 6, 10, 16]
 
 
 def test_enumeration_is_duplicate_free_and_sorted():
@@ -141,15 +154,14 @@ def test_hypothesis_patterns_soft_expectation():
 
 
 def test_growths_cover_every_maximal_triangle_free_class():
-    # the maximizer search scores the growths of level n-1 by maximal
-    # independent sets; every maximal triangle-free class must be one
+    # the maximal level n is grown from the maximal level n-1 alone; it
+    # must be exactly the maximal classes of level n, which the naive
+    # growth and the pinned count of level 8 check independently
     for n in range(1, 9):
-        grown = {canonical_form(graph_from_canonical_mask(n, mask))
-                 for mask in oracle._growth_masks(n - 1, triangle_free_masks(n - 1))}
-        assert grown <= set(triangle_free_masks(n))
-        maximal = {mask for mask in triangle_free_masks(n) if naive_is_maximal_triangle_free(
-            oracle.kernels.rows_from_mask(n, mask), n)}
-        assert maximal and maximal <= grown
+        maximal = tuple(mask for mask in triangle_free_masks(n)
+                        if naive_is_maximal_triangle_free(
+                            oracle.kernels.rows_from_mask(n, mask), n))
+        assert oracle._maximal_masks(n) == maximal
 
 
 def _random_tree(rng, m):
@@ -224,43 +236,40 @@ def test_edge_deletions_reach_every_maximizer(monkeypatch):
 
 
 def test_search_never_grows_level_n(monkeypatch, tmp_path, capsys):
-    # a pattern some triangle-free host holds is scored on the growths of
-    # level n-1 and their edge deletions; level n is never enumerated.  (A
-    # pattern with a triangle ties at 0 everywhere, so its witnesses are
-    # all of level n.)
+    # a pattern some triangle-free host holds is scored on the maximal
+    # level n, and only the maximal classes that tie seed the closure,
+    # which keeps only the deletions that tie; level n is never enumerated
     real = oracle.kernels.triangle_free_canonical_masks
-    grown = []
+    closures = []
 
-    def recording(n, parents=None):
-        grown.append(n)
-        return real(n, parents)
+    def recording(n, seeds, keep=None):
+        closures.append((n, sorted(seeds), keep is not None))
+        return real(n, seeds, keep)
 
     monkeypatch.setattr(oracle.kernels, "triangle_free_canonical_masks", recording)
     for pattern in (path_graph(2), cycle_graph(4), star_graph(3),
                     Graph(4, [(0, 1)]), cycle_graph(5)):
-        monkeypatch.setattr(oracle, "_enum_cache", {})
-        grown.clear()
+        maximal = oracle._maximal_masks(7)
+        counts = {mask: count_embeddings(pattern, graph_from_canonical_mask(7, mask))
+                  for mask in maximal}
+        tied = sorted(mask for mask in maximal if counts[mask] == max(counts.values()))
+        assert len(tied) < len(maximal)
+        closures.clear()
         path = tmp_path / "pattern.graph"
         write_graph_file(pattern, path)
         assert cli.main(["search", str(path), "7"]) == 0
         assert capsys.readouterr().out
-        assert grown == list(range(1, 7))
+        assert closures == [(7, tied, True)]
 
 
-def test_workers_do_not_change_maximizers(monkeypatch):
-    # level n-1 is dropped before each worker count, so every count grows
-    # it again in a pool (every level is pooled here), one task per chunk
-    # of the parents on n - 2 vertices; the merged level and every report
-    # must equal the serial ones.  The level does not depend on the
-    # pattern, so one growth per worker count serves all three patterns.
-    monkeypatch.setattr(oracle, "POOL_MIN_LEVEL", 1)
-    patterns = (path_graph(2), path_graph(4), star_graph(3))
-    for n in range(2, 9):
-        serial = {p: find_maximizers(p, n) for p in patterns if p.n <= n}
-        level = triangle_free_masks(n - 1)
-        for workers in (2, 3, 4):
-            oracle._enum_cache.pop(n - 1)
-            for pattern, report in serial.items():
-                assert find_maximizers(pattern, n, workers=workers) == report
-            assert triangle_free_masks(n - 1) == level
-    assert len(triangle_free_masks(8)) == 410
+def test_workers_do_not_change_maximizers(tmp_path, capsys):
+    # search runs in one process whatever --workers says
+    for pattern in (path_graph(2), path_graph(4), star_graph(3)):
+        path = tmp_path / "pattern.graph"
+        write_graph_file(pattern, path)
+        for n in range(pattern.n, 9):
+            outs = []
+            for workers in ("1", "2", "4"):
+                assert cli.main(["search", str(path), str(n), "--workers", workers]) == 0
+                outs.append(capsys.readouterr().out)
+            assert outs[0] and outs[1:] == outs[:1] * 2
