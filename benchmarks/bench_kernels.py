@@ -76,8 +76,8 @@ def bench_canonical(repeats):
 
 
 def enumerate_triangle_free(n, canon=None):
-    """Level n from scratch: the maximal levels 1..n, then the closure of
-    level n."""
+    """Level n with nothing cached: the maximal levels 1..n, then the
+    closure of level n."""
     maximal = [0]
     for k in range(1, n + 1):
         maximal = _pykernels.maximal_triangle_free_growth(k, maximal, canon)

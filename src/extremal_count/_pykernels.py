@@ -354,7 +354,8 @@ def triangle_free_canonical_masks(n: int, seeds, keep=None, canon=None) -> list[
     `keep` accepts, and `keep` must accept every triangle-free graph on the
     same vertices above one it accepts (as "ties the maximum" does for a
     count that never falls when an edge is added).  `keep(masks)` gets
-    staircase masks and returns those it accepts; the default accepts all.
+    staircase masks and returns those it accepts, deciding by isomorphism
+    class alone; the default accepts all.
 
     Each class found deletes one edge per orbit of its twin swaps
     (`_twin_pruned_edges`).  A deletion is kept only if the edge, put

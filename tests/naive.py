@@ -159,11 +159,11 @@ def naive_canonical_mask(rows, n: int) -> int:
     neighbour degrees).  That order is invariant under isomorphism, so
     isomorphic graphs get equal masks."""
     degree = [r.bit_count() for r in rows]
-    invariant = [(degree[v], sorted(degree[u] for u in range(n) if rows[v] >> u & 1))
+    invariant = [(degree[v], tuple(sorted(degree[u] for u in range(n) if rows[v] >> u & 1)))
                  for v in range(n)]
     cells = {}
     for v in sorted(range(n), key=invariant.__getitem__):
-        cells.setdefault(repr(invariant[v]), []).append(v)
+        cells.setdefault(invariant[v], []).append(v)
     best = None
     for parts in itertools.product(*(itertools.permutations(c) for c in cells.values())):
         order = [v for part in parts for v in part]

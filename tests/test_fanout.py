@@ -85,8 +85,6 @@ def test_maximizer_search_with_many_workers(pools, levels, k2_file, capsys):
     assert cli.main(["search", k2_file, "7"]) == 0
     serial = capsys.readouterr().out
     for workers in (2, MANY):
-        levels.clear()
-        levels[0] = (0,)
         assert cli.main(["search", k2_file, "7", "--workers", str(workers)]) == 0
         assert capsys.readouterr().out == serial
     assert pools == []
