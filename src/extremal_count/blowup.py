@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from collections import deque
-from itertools import chain, combinations_with_replacement, islice
-from operator import add, itemgetter, sub
-from typing import Iterator
+from itertools import chain, islice
+from operator import itemgetter
+from typing import Iterator, NamedTuple
 
 from . import _kernels as kernels
 from .embeddings import count_blowup_embeddings, embeddings_listing
@@ -44,27 +43,36 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@dataclass(frozen=True)
-class WeightedPattern:
-    """A small pattern graph with one exact non-negative rational weight per
-    vertex, summing to 1 (the blob fractions of a blow-up skeleton)."""
-
+class _WeightedPatternFields(NamedTuple):
     pattern: Graph
     weights: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        weights = tuple(Fraction(w) for w in self.weights)
-        object.__setattr__(self, "weights", weights)
-        if len(weights) != self.pattern.n:
-            raise ValueError(f"need {self.pattern.n} weights, got {len(weights)}")
+
+class WeightedPattern(_WeightedPatternFields):
+    """A small pattern graph with one exact non-negative rational weight per
+    vertex, summing to 1 (the blob fractions of a blow-up skeleton).
+
+    The weights are stored as Fractions and checked whenever the record is
+    made: unpickled, by _make or by _replace too."""
+
+    __slots__ = ()
+
+    def __new__(cls, pattern: Graph, weights):
+        weights = tuple(Fraction(w) for w in weights)
+        if len(weights) != pattern.n:
+            raise ValueError(f"need {pattern.n} weights, got {len(weights)}")
         if any(w < 0 for w in weights):
             raise ValueError("weights must be non-negative")
-        if self.pattern.n and sum(weights) != 1:
+        if pattern.n and sum(weights) != 1:
             raise ValueError("weights must sum to exactly 1")
+        return super().__new__(cls, pattern, weights)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class LeadingCoefficient:
+class LeadingCoefficient(NamedTuple):
     """Exact weighted homomorphism sum plus the number of homomorphisms with
     a nonzero weight product."""
 
@@ -227,8 +235,7 @@ def leading_coefficient(patternH: Graph, wp: WeightedPattern) -> LeadingCoeffici
 # finite-size saturation of the leading term
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SaturationReport:
+class SaturationReport(NamedTuple):
     n: int
     count: int
     normalized: Fraction
@@ -341,11 +348,12 @@ def _grid_seeds(patternP: Graph, resolution: int) -> Iterator[tuple[int, ...]]:
 
     A composition is kept unless some automorphism maps it to a
     lexicographically smaller tuple, so the kept one is the orbit minimum.
-    An orbit minimum puts no more weight on vertex 0 than on any vertex of
-    the orbit O of vertex 0, so only such compositions are built: for each
-    first part a0 in turn, the rest are streamed as the gaps between
-    non-decreasing cut points (stars and bars) of what is left after a0 on
-    every vertex of O, then lifted by a0 on O.
+    An automorphism that fixes vertices 0..i-1 leaves those parts in place,
+    so an orbit minimum puts no more weight on vertex i than on any vertex
+    that such an automorphism maps i to.  Only compositions meeting these
+    bounds are built, part by part in ascending order; one that meets every
+    bound strictly is its orbit's minimum, and one with a tie is compared
+    with its images under every automorphism.
     """
     k = patternP.n
     if k == 1:
@@ -354,20 +362,53 @@ def _grid_seeds(patternP: Graph, resolution: int) -> Iterator[tuple[int, ...]]:
     auts = automorphism_maps(patternP)
     identity = tuple(range(k))
     moves = [itemgetter(*a) for a in auts if a != identity]
-    orbit = {a[0] for a in auts}
-    for a0 in range(resolution // len(orbit) + 1):
-        free = resolution - a0 * len(orbit)
-        lift = tuple(a0 if j in orbit else 0 for j in range(1, k))
-        lifted = any(lift)
-        head, tail = (0,), (free,)
-        for cuts in combinations_with_replacement(range(free + 1), k - 2):
-            gaps = map(sub, cuts + tail, head + cuts)
-            comp = (a0, *(map(add, gaps, lift) if lifted else gaps))
-            for move in moves:
-                if move(comp) < comp:
-                    break
+    # above[i]: the vertices other than i that the automorphisms fixing
+    # 0..i-1 map i to, all later than i
+    above, fixing = [], auts
+    for i in range(k):
+        above.append(tuple({a[i] for a in fixing} - {i}))
+        fixing = [a for a in fixing if a[i] == i]
+    bounded = [any(j in later for later in above[:j]) for j in range(k)]
+    last = k - 1
+
+    def extend(prefix, free, low, tied):
+        """The kept compositions that start with `prefix` and put `free`
+        more weight on the rest, at least low[j] on vertex j."""
+        i = len(prefix)
+        if i == last - 1:
+            yield from finish(prefix, free, low, tied)
+            return
+        for v in range(low[i], free + 1):
+            child = low[:]
+            for j in above[i]:
+                if child[j] < v:
+                    child[j] = v
+            if sum(child[i + 1:]) > free - v:
+                break
+            yield from extend((*prefix, v), free - v, child,
+                              tied or (bounded[i] and v == low[i]))
+
+    def finish(prefix, free, low, tied):
+        # the last two parts: v, then the rest
+        i = last - 1
+        floor, raised = low[last], last in above[i]
+        for v in range(low[i], free + 1):
+            rest = free - v
+            least = v if raised and v > floor else floor
+            if least > rest:
+                break
+            comp = (*prefix, v, rest)
+            if (tied or (bounded[i] and v == low[i])
+                    or (bounded[last] and rest == least)):
+                for move in moves:
+                    if move(comp) < comp:
+                        break
+                else:
+                    yield comp
             else:
                 yield comp
+
+    yield from extend((), resolution, [0] * k, False)
 
 
 def _pool_best_seed(plan, stream, workers: int):

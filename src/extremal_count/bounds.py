@@ -17,16 +17,15 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .graphs import (BudgetExceededError, Graph, build_theorem2_H,
                      cycle_graph, degree_stats, is_complete_bipartite,
                      is_triangle_free, path_graph)
 
 
-@dataclass(frozen=True)
-class CertCheck:
+class CertCheck(NamedTuple):
     """One inequality with both sides evaluated exactly."""
 
     name: str
@@ -49,8 +48,7 @@ def _check(name: str, lhs, rhs, relation: str) -> CertCheck:
 # edge bound for triangle-free graphs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EdgeBoundReport:
+class EdgeBoundReport(NamedTuple):
     edges: int
     max_degree: int
     bound: int
@@ -79,8 +77,7 @@ def edge_bound_check(g: Graph) -> EdgeBoundReport:
 # minimum-degree coefficient for the matching theorem
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Theorem1Coefficient:
+class Theorem1Coefficient(NamedTuple):
     x: int
     d: int
     value: Fraction
@@ -109,8 +106,7 @@ def optimal_Delta_fraction(x: int, d: int) -> Fraction:
     return Fraction(2 * d + x - 1, den)
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(NamedTuple):
     x: int
     d: int
     hypothesis_ok: bool
@@ -207,8 +203,7 @@ def thm1_chain_check(x: int, d: int) -> ChainReport:
                        all(s.holds for s in steps))
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     x_max: int
     pairs_checked: int
     violations: tuple[tuple[int, int, str], ...]
@@ -261,15 +256,17 @@ C_HALVING_DEPTH = 60
 POWER_BUDGET = 3 * 10 ** 6
 
 
-@dataclass(frozen=True)
-class Theorem2Params:
-    lam: Fraction = field(metadata={"json": "lambda"})
+class Theorem2Params(NamedTuple):
+    lam: Fraction
     a: Fraction
     b: Fraction
     c: Fraction
-    p_float: float = field(metadata={"json": "p"})
+    p_float: float
     x_min: int
     checks: tuple[CertCheck, ...]
+
+    # output keys of the fields not printed under their own names
+    _json_keys = {"lam": "lambda", "p_float": "p"}
 
     @property
     def all_hold(self) -> bool:
@@ -363,8 +360,7 @@ def solve_theorem2_params(lam) -> Theorem2Params:
     return Theorem2Params(lam, a, b, c, p_float, x_min, tuple(checks))
 
 
-@dataclass(frozen=True)
-class Theorem2Certificate:
+class Theorem2Certificate(NamedTuple):
     params: Theorem2Params
     x: int
     d: int

@@ -15,13 +15,10 @@ loads only its own part of the package.
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
 import io
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .graphs import (Graph, GraphFormatError, build_blowup, build_gps_example1,
                      build_theorem2_H, build_turan2, complete_bipartite,
@@ -32,6 +29,8 @@ from .graphs import (Graph, GraphFormatError, build_blowup, build_gps_example1,
 def fraction(text: str) -> Fraction:
     """Fraction parsing for argparse, which reports a ValueError, but not a
     ZeroDivisionError, as a usage error."""
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -335,13 +334,18 @@ def _int_str(n: int) -> str:
 
 
 def _encode(node):
-    """A payload as plain JSON values: a dataclass becomes an object keyed
-    by field name (or by the field's "json" metadata), a Fraction exact
-    "p/q" text, and a tuple an array."""
-    if dataclasses.is_dataclass(node):
-        return {f.metadata.get("json", f.name): _encode(getattr(node, f.name))
-                for f in dataclasses.fields(node)}
-    if isinstance(node, Fraction):
+    """A payload as plain JSON values: a record (a NamedTuple) becomes an
+    object keyed by field name, or by the name its class's `_json_keys`
+    gives the field, a Fraction exact "p/q" text, and any other tuple an
+    array."""
+    if isinstance(node, tuple) and hasattr(node, "_fields"):
+        keys = getattr(node, "_json_keys", {})
+        return {keys.get(name, name): _encode(value)
+                for name, value in zip(node._fields, node)}
+    # no Fraction exists before the fractions module is imported; count
+    # never imports it
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(node, fractions.Fraction):
         return frac_str(node)
     if isinstance(node, dict):
         return {key: _encode(value) for key, value in node.items()}
@@ -369,6 +373,8 @@ def render(payload, fmt: str | None) -> str:
     payload = _encode(payload)
     if fmt == "json":
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["key", "value"])

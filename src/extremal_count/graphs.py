@@ -8,7 +8,7 @@ intersections.  Vertex labels are advisory strings used for provenance
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class BudgetExceededError(ValueError):
@@ -114,8 +114,7 @@ def _rebuild_graph(n, rows, labels):
     return g
 
 
-@dataclass(frozen=True)
-class DegreeStats:
+class DegreeStats(NamedTuple):
     """Minimum degree, maximum degree, and edge count of a graph."""
 
     delta_min: int

@@ -8,8 +8,8 @@ same size is verified internally after the search).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .graphs import Graph, is_bipartite
 
@@ -18,8 +18,7 @@ class NotBipartiteError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class MatchingReport:
+class MatchingReport(NamedTuple):
     """A maximum matching: its size x, pairs, unmatched vertices, and the
     half-defect d defined by m - 2x = 2d when the defect is even."""
 
@@ -29,8 +28,7 @@ class MatchingReport:
     d: int | None
 
 
-@dataclass(frozen=True)
-class HypothesisVerdict:
+class HypothesisVerdict(NamedTuple):
     """satisfies_thm1: unmatched count at most sqrt(x-1)/2, checked as the
     integer comparison 4*unmatched^2 <= x-1; satisfies_gps: matching size is
     floor(m/2); lambda_ratio: 2d/x when the defect is even and x > 0."""

@@ -21,13 +21,13 @@ maximizer.  Only hosts that tie are canonicalized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _kernels as kernels
 from .embeddings import (_count_planned, copies_from_counts, count_automorphisms,
                          search_plan)
 from .graphs import (BudgetExceededError, Graph, is_bipartite,
-                     is_complete_bipartite)
+                     is_complete_bipartite, is_triangle_free)
 
 ENUMERATION_BUDGET = 9
 
@@ -89,8 +89,7 @@ def enumerate_triangle_free(n: int):
         yield graph_from_canonical_mask(n, mask)
 
 
-@dataclass(frozen=True)
-class MaximizerReport:
+class MaximizerReport(NamedTuple):
     n: int
     pattern: Graph
     max_count: int
@@ -118,7 +117,8 @@ def find_maximizers(pattern: Graph, n: int) -> MaximizerReport:
     each witness's single-edge deletions are scored, and those that tie are
     canonicalized and become witnesses.  When every host ties (a pattern
     with no edges, or with a triangle), the witnesses are every
-    triangle-free class.  Hosts are scored in this process.
+    triangle-free class, taken from the cached level without a closure.
+    Hosts are scored in this process.
     """
     if pattern.n > n:
         raise ValueError("pattern must not exceed the host size")
@@ -127,12 +127,15 @@ def find_maximizers(pattern: Graph, n: int) -> MaximizerReport:
     scores = _count_task(parents, n, _maximal_masks(n))
     best = max(count for _, count in scores)
 
-    def ties(masks):
-        return [mask for mask, count in _count_task(parents, n, masks)
-                if count == best]
+    if not pattern.edge_count() or not is_triangle_free(pattern):
+        found = triangle_free_masks(n)  # every host ties
+    else:
+        def ties(masks):
+            return [mask for mask, count in _count_task(parents, n, masks)
+                    if count == best]
 
-    found = kernels.triangle_free_canonical_masks(
-        n, [mask for mask, count in scores if count == best], ties)
+        found = kernels.triangle_free_canonical_masks(
+            n, [mask for mask, count in scores if count == best], ties)
     witnesses = tuple(graph_from_canonical_mask(n, mask) for mask in found)
     return MaximizerReport(
         n, pattern, copies_from_counts(best, count_automorphisms(pattern)),

@@ -474,12 +474,19 @@ def test_optimize_triangle_skeleton_exit_2(tmp_path, c4_file, capsys):
 # Modules each command must not load: `count` opens no process pool and
 # needs no certificate or search code, and `verify lemma2` needs only the
 # graph predicates.
+# Modules a command must not load.  No command loads dataclasses or its
+# inspect, nor csv without --format csv; count does not load fractions.
+STARTUP = ("dataclasses", "inspect", "csv")
 IMPORT_SCOPE = {
-    "count": ("multiprocessing", "concurrent.futures.process",
-              "extremal_count.bounds", "extremal_count.blowup",
-              "extremal_count.oracle"),
-    "lemma2": ("extremal_count.blowup", "extremal_count.oracle",
-               "extremal_count.embeddings"),
+    "count": STARTUP + ("fractions", "multiprocessing",
+                        "concurrent.futures.process", "extremal_count.bounds",
+                        "extremal_count.blowup", "extremal_count.oracle"),
+    "lemma2": STARTUP + ("extremal_count.blowup", "extremal_count.oracle",
+                         "extremal_count.embeddings"),
+    "search": STARTUP + ("multiprocessing", "concurrent.futures.process",
+                         "extremal_count.bounds", "extremal_count.blowup"),
+    "thm2-e2e": STARTUP + ("multiprocessing", "concurrent.futures.process",
+                           "extremal_count.oracle"),
 }
 
 SCOPE_PROBE = """
@@ -497,7 +504,9 @@ def test_command_import_scope(command, tmp_path):
     write_graph_file(path_graph(4), pattern)
     write_graph_file(complete_bipartite(3, 3), host)
     args = {"count": ["count", str(pattern), str(host)],
-            "lemma2": ["verify", "lemma2", "--graph", str(host)]}[command]
+            "lemma2": ["verify", "lemma2", "--graph", str(host)],
+            "search": ["search", str(pattern), "6"],
+            "thm2-e2e": ["verify", "thm2-e2e", "--lam", "1"]}[command]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.dirname(os.path.dirname(cli.__file__))]
         + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from extremal_count import (BudgetExceededError, Graph, canonical_form, cli,
-                            complete_bipartite, count_automorphisms,
+                            complete_bipartite, complete_graph,
+                            count_automorphisms,
                             count_copies, count_embeddings, cycle_graph,
                             enumerate_triangle_free, find_maximizers,
                             graph_from_canonical_mask, is_complete_bipartite,
@@ -222,17 +223,42 @@ def test_edge_deletions_reach_every_maximizer(monkeypatch):
     # maximal triangle-free unless every host ties, so the closure is
     # checked with a stand-in score that, like an embedding count, never
     # falls when an edge is added: the edge count capped at `cap`, which
-    # every host with at least `cap` edges attains
+    # every host with at least `cap` edges attains, doubled for the two
+    # automorphisms of the pattern K2
     for n, cap in ((5, 4), (7, 9), (8, 12)):
         monkeypatch.setattr(oracle, "_count_task", lambda parents, k, masks, cap=cap: [
-            (mask, min(mask.bit_count(), cap)) for mask in masks])
-        report = find_maximizers(Graph(1), n)
+            (mask, 2 * min(mask.bit_count(), cap)) for mask in masks])
+        report = find_maximizers(path_graph(2), n)
         assert report.max_count == cap
         witnesses = [oracle.kernels.mask_from_rows(w.rows, n) for w in report.witnesses]
         assert witnesses == [mask for mask in triangle_free_masks(n)
                              if mask.bit_count() >= cap]
         assert not all(naive_is_maximal_triangle_free(w.rows, n)
                        for w in report.witnesses)
+
+
+def test_every_host_ties_takes_the_cached_level(monkeypatch):
+    # a pattern with no edges, or with a triangle, ties on every host: the
+    # witnesses are the whole level, built by one closure without a score
+    # on the first call and taken from the cache after it
+    real = oracle.kernels.triangle_free_canonical_masks
+    closures = []
+
+    def recording(n, seeds, keep=None):
+        closures.append(keep is not None)
+        return real(n, seeds, keep)
+
+    monkeypatch.setattr(oracle.kernels, "triangle_free_canonical_masks", recording)
+    monkeypatch.setattr(oracle, "_enum_cache", {})
+    for pattern, copies, expected in ((Graph(1), 7, [False]), (Graph(3), 35, []),
+                                      (complete_graph(3), 0, []),
+                                      (Graph(1), 7, [])):
+        closures.clear()
+        report = find_maximizers(pattern, 7)
+        assert closures == expected
+        assert report.max_count == copies
+        assert [canonical_form(w) for w in report.witnesses] == list(triangle_free_masks(7))
+    assert closures == []
 
 
 def test_search_never_grows_level_n(monkeypatch, tmp_path, capsys):
