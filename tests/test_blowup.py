@@ -31,11 +31,11 @@ HALF = (Fraction(1, 2), Fraction(1, 2))
 
 def test_weighted_pattern_validation():
     WeightedPattern(K2, HALF)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need 2 weights, got 1"):
         WeightedPattern(K2, (Fraction(1, 2),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sum to exactly 1"):
         WeightedPattern(K2, (Fraction(3, 4), Fraction(1, 2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-negative"):
         WeightedPattern(K2, (Fraction(3, 2), Fraction(-1, 2)))
 
 

@@ -473,9 +473,8 @@ def test_optimize_triangle_skeleton_exit_2(tmp_path, c4_file, capsys):
 
 # Modules each command must not load: `count` opens no process pool and
 # needs no certificate or search code, and `verify lemma2` needs only the
-# graph predicates.
-# Modules a command must not load.  No command loads dataclasses or its
-# inspect, nor csv without --format csv; count does not load fractions.
+# graph predicates.  No command loads dataclasses or its inspect, nor csv
+# without --format csv, and count does not load fractions.
 STARTUP = ("dataclasses", "inspect", "csv")
 IMPORT_SCOPE = {
     "count": STARTUP + ("fractions", "multiprocessing",

@@ -258,7 +258,6 @@ def test_every_host_ties_takes_the_cached_level(monkeypatch):
         assert closures == expected
         assert report.max_count == copies
         assert [canonical_form(w) for w in report.witnesses] == list(triangle_free_masks(7))
-    assert closures == []
 
 
 def test_search_never_grows_level_n(monkeypatch, tmp_path, capsys):

@@ -61,16 +61,6 @@ def test_weighted_pattern_normalises_to_fractions():
     assert WeightedPattern(Graph(0), ()).weights == ()
 
 
-@pytest.mark.parametrize("weights, message", [
-    ((Fraction(1),), "need 2 weights, got 1"),
-    ((Fraction(3, 2), Fraction(-1, 2)), "non-negative"),
-    ((Fraction(1, 2), Fraction(1, 3)), "sum to exactly 1"),
-])
-def test_weighted_pattern_rejects_bad_weights(weights, message):
-    with pytest.raises(ValueError, match=message):
-        WeightedPattern(K2, weights)
-
-
 def test_weighted_pattern_checks_on_unpickling_and_replace():
     wp = WeightedPattern(K2, [1, 0])
     copy = pickle.loads(pickle.dumps(wp))
