@@ -13,9 +13,11 @@ dynamic programming (mandatory for the large trees the counterexample
 construction produces); each cyclic component is tallied once into its
 homomorphism polynomial, {occupancy vector: number of homomorphisms into
 P}, and evaluated from it at every weight vector.  A simplex optimizer
-searches for the blob weights maximizing the coefficient: every integer
-grid seed is scored exactly, the ascent from the best seed runs in floats,
-and the final point is evaluated exactly over the rationals.
+searches for the blob weights maximizing the coefficient: the integer grid
+compositions are scored exactly, in runs along which the sum is a
+polynomial continued by forward differences, the ascent from the best
+seed runs in floats, and the final point is evaluated exactly over the
+rationals.
 """
 
 from __future__ import annotations
@@ -24,12 +26,9 @@ import math
 import sys
 from fractions import Fraction
 from collections import deque
-from itertools import chain, islice
-from operator import itemgetter
+from itertools import accumulate, chain, islice
 from typing import Iterator, NamedTuple
 
-from . import _kernels as kernels
-from .embeddings import count_blowup_embeddings, embeddings_listing
 from .graphs import (BudgetExceededError, Graph, connected_components,
                      is_triangle_free)
 
@@ -126,8 +125,10 @@ class HomSumPlan:
             if edges_in == len(comp) - 1:
                 components.append((True, _tree_children(patternH, comp)))
             else:
+                from ._kernels import occupancy_profile
+
                 # caps of len(comp) never bind
-                profile = kernels.occupancy_profile(
+                profile = occupancy_profile(
                     patternP.rows, (len(comp),) * self.k,
                     _cyclic_parents(patternH, comp))
                 components.append((False, tuple(
@@ -261,6 +262,8 @@ def saturation_check(patternH: Graph, wp: WeightedPattern,
     the occupancy profile of H over the skeleton; it is never built, so
     the cost does not grow with n beyond the size of the integers.
     """
+    from .embeddings import count_blowup_embeddings
+
     coeff = leading_coefficient(patternH, wp).value
     sizes = rounded_blob_sizes(wp.weights, n)
     count = count_blowup_embeddings(patternH, wp.pattern, sizes)
@@ -292,10 +295,11 @@ def saturation_converges(patternH: Graph, wp: WeightedPattern,
 # Largest number of grid compositions C(g + k - 1, k - 1) optimize_weights
 # accepts.  Measured on pure Python 3.11 (2 vCPU) at grid 50 (3.48e6
 # compositions) on six-vertex skeletons (C6, P6, K1,5, and P6 plus the chord
-# 0-3, with 12, 2, 120 and 2 automorphisms): seeding costs 0.5-2.0 us per
-# composition, and a whole run of C4 0.9-4.2 us per composition, most where
-# the fewest compositions share an orbit, so the cap keeps a run under a
-# minute.  k = 8 at grid 50 (2.6e8) is refused before any work.
+# 0-3, with 12, 2, 120 and 2 automorphisms): generating the runs costs
+# under 0.1 us per composition, and a whole run of C4 0.05-1.2 us per
+# composition, most where the fewest compositions share an orbit, so the
+# cap keeps a run under a minute.  k = 8 at grid 50 (2.6e8) is refused
+# before any work.
 GRID_BUDGET = 10 ** 7
 
 # Largest skeleton optimize_weights accepts: the grid budget alone admits
@@ -305,21 +309,22 @@ GRID_BUDGET = 10 ** 7
 # runs in 0.03 s at grid 6 and 0.2 s at grid 10.
 MAX_SKELETON_VERTICES = 10
 
-# Largest automorphism group the grid seeding lists for its orbit
-# reduction: 8!, that of the edgeless 8-vertex skeleton.  Measured on pure
-# Python 3.11 (2 vCPU), seeding the edgeless 8-vertex skeleton at grid 12
-# takes 0.7 s and 12 MB above start-up, the edgeless 9-vertex one (9!) at
-# grid 6 3.3 s and 109 MB.  The listing stops at the first automorphism
-# past the budget, about 0.1 s in.
+# Largest automorphism group the grid seeding lists for its stabiliser
+# chain: 8!, that of the edgeless 8-vertex skeleton.  Measured on pure
+# Python 3.11 (2 vCPU), a whole run on the edgeless 8-vertex skeleton at
+# grid 12 takes 0.1 s and 5 MB above start-up, most of it listing the
+# automorphisms; listing the 9! of the edgeless 9-vertex one took 3.3 s and
+# 109 MB.  The listing stops at the first automorphism past the budget,
+# about 0.1 s in.
 AUT_BUDGET = math.factorial(8)
 
-# With workers > 1, grid seeds are scored in a process pool only when there
-# are at least POOL_MIN_SEEDS of them.  The pool takes them in chunks of
-# SEED_CHUNK, at 1-4 us a seed enough work to outweigh a task's round trip,
-# with at most two chunks per process in flight, so memory does not grow
-# with the grid.
-POOL_MIN_SEEDS = 65
-SEED_CHUNK = 1024
+# With workers > 1, runs of grid compositions are scored in a process pool
+# only when there are at least POOL_MIN_RUNS of them.  The pool takes them
+# in chunks of RUN_CHUNK, at most m + 1 exact evaluations of 1-4 us each a
+# run, enough work to outweigh a task's round trip, with at most two
+# chunks per process in flight, so memory does not grow with the grid.
+POOL_MIN_RUNS = 65
+RUN_CHUNK = 256
 
 # The local ascent stops after MAX_ITERATIONS moves or once its step falls
 # below TOLERANCE; its float optimum is snapped to denominator
@@ -334,6 +339,8 @@ def automorphism_maps(g: Graph) -> list[tuple[int, ...]]:
 
     Raises BudgetExceededError, having listed AUT_BUDGET + 1 of them, when
     the graph has more than AUT_BUDGET."""
+    from .embeddings import embeddings_listing
+
     auts = list(islice(embeddings_listing(g, g), AUT_BUDGET + 1))
     if len(auts) > AUT_BUDGET:
         raise BudgetExceededError(
@@ -342,41 +349,45 @@ def automorphism_maps(g: Graph) -> list[tuple[int, ...]]:
     return auts
 
 
-def _grid_seeds(patternP: Graph, resolution: int) -> Iterator[tuple[int, ...]]:
-    """Integer weight compositions, one representative per Aut(P) orbit, in
-    ascending lexicographic order, generated one at a time.
+def _grid_seeds(patternP: Graph, resolution: int) -> Iterator[tuple]:
+    """The integer weight compositions that can be Aut(P) orbit minima, as
+    runs in ascending lexicographic order, generated one at a time; P has
+    at least two vertices.
 
-    A composition is kept unless some automorphism maps it to a
-    lexicographically smaller tuple, so the kept one is the orbit minimum.
-    An automorphism that fixes vertices 0..i-1 leaves those parts in place,
+    A run (prefix, lo, hi) stands for the compositions (*prefix, v, F - v)
+    for lo <= v <= hi, where F is the resolution less the prefix's sum.  An
+    automorphism that fixes vertices 0..i-1 leaves those parts in place,
     so an orbit minimum puts no more weight on vertex i than on any vertex
     that such an automorphism maps i to.  Only compositions meeting these
-    bounds are built, part by part in ascending order; one that meets every
-    bound strictly is its orbit's minimum, and one with a tie is compared
-    with its images under every automorphism.
+    bounds are built, part by part; that keeps every orbit minimum, and the
+    others with a tie on some bound.  The weighted hom sum is Aut(P)-
+    invariant and the compositions come in ascending order, so such an
+    other composition meets its orbit minimum, with the same value,
+    earlier: a scan that keeps only strict improvements never takes it,
+    and it needs no comparison with its images.
     """
     k = patternP.n
-    if k == 1:
-        yield (resolution,)
-        return
     auts = automorphism_maps(patternP)
-    identity = tuple(range(k))
-    moves = [itemgetter(*a) for a in auts if a != identity]
     # above[i]: the vertices other than i that the automorphisms fixing
     # 0..i-1 map i to, all later than i
     above, fixing = [], auts
     for i in range(k):
         above.append(tuple({a[i] for a in fixing} - {i}))
         fixing = [a for a in fixing if a[i] == i]
-    bounded = [any(j in later for later in above[:j]) for j in range(k)]
     last = k - 1
+    # with the last part bounded below by the one before, v <= F - v
+    raised = last in above[last - 1]
 
-    def extend(prefix, free, low, tied):
-        """The kept compositions that start with `prefix` and put `free`
-        more weight on the rest, at least low[j] on vertex j."""
+    def extend(prefix, free, low):
+        """The runs that start with `prefix` and put `free` more weight on
+        the rest, at least low[j] on vertex j."""
         i = len(prefix)
         if i == last - 1:
-            yield from finish(prefix, free, low, tied)
+            hi = free - low[last]
+            if raised:
+                hi = min(hi, free // 2)
+            if low[i] <= hi:
+                yield prefix, low[i], hi
             return
         for v in range(low[i], free + 1):
             child = low[:]
@@ -385,42 +396,36 @@ def _grid_seeds(patternP: Graph, resolution: int) -> Iterator[tuple[int, ...]]:
                     child[j] = v
             if sum(child[i + 1:]) > free - v:
                 break
-            yield from extend((*prefix, v), free - v, child,
-                              tied or (bounded[i] and v == low[i]))
+            yield from extend((*prefix, v), free - v, child)
 
-    def finish(prefix, free, low, tied):
-        # the last two parts: v, then the rest
-        i = last - 1
-        floor, raised = low[last], last in above[i]
-        for v in range(low[i], free + 1):
-            rest = free - v
-            least = v if raised and v > floor else floor
-            if least > rest:
-                break
-            comp = (*prefix, v, rest)
-            if (tied or (bounded[i] and v == low[i])
-                    or (bounded[last] and rest == least)):
-                for move in moves:
-                    if move(comp) < comp:
-                        break
-                else:
-                    yield comp
-            else:
-                yield comp
-
-    yield from extend((), resolution, [0] * k, False)
+    yield from extend((), resolution, [0] * k)
 
 
-def _pool_best_seed(plan, stream, workers: int):
-    """_eval_seed_chunk over a seed stream, cut into chunks of SEED_CHUNK
-    seeds and scored by a pool of at most `workers` processes, no more
-    than the chunks of its first round; at most two chunks per process are
-    in flight at a time."""
-    chunks = iter(lambda: tuple(islice(stream, SEED_CHUNK)), ())
+def _best_seed(plan, patternP: Graph, grid: int, workers: int):
+    """The smallest integer composition of `grid` with the largest exact
+    value of `plan`, one part per vertex of P: the runs of _grid_seeds are
+    scored as they are generated, in a pool of up to `workers` processes
+    once there are POOL_MIN_RUNS of them."""
+    if patternP.n == 1:
+        return (grid,)
+    runs = _grid_seeds(patternP, grid)
+    head = tuple(islice(runs, POOL_MIN_RUNS))
+    stream = chain(head, runs)
+    if workers > 1 and len(head) == POOL_MIN_RUNS:
+        return _pool_best_seed(plan, grid, stream, workers)[1]
+    return _best_in_runs((plan, grid, stream))[1]
+
+
+def _pool_best_seed(plan, grid: int, runs, workers: int):
+    """_best_in_runs over a stream of runs, cut into chunks of RUN_CHUNK
+    runs and scored by a pool of at most `workers` processes, no more than
+    the chunks of its first round; at most two chunks per process are in
+    flight at a time."""
+    chunks = iter(lambda: tuple(islice(runs, RUN_CHUNK)), ())
     first = list(islice(chunks, workers))
     pool_class = sys.modules[__name__].ProcessPoolExecutor
     with pool_class(max_workers=len(first)) as pool:
-        pending = deque(pool.submit(_eval_seed_chunk, (plan, chunk))
+        pending = deque(pool.submit(_best_in_runs, (plan, grid, chunk))
                         for chunk in chain(first, islice(chunks, len(first))))
         best = None
         while pending:
@@ -428,32 +433,58 @@ def _pool_best_seed(plan, stream, workers: int):
             if best is None or result < best:
                 best = result
             for chunk in islice(chunks, 1):
-                pending.append(pool.submit(_eval_seed_chunk, (plan, chunk)))
+                pending.append(pool.submit(_best_in_runs, (plan, grid, chunk)))
     return best
 
 
-def _eval_seed_chunk(args):
-    """(-value, seed) of the chunk's largest exact value, then smallest seed.
+def _best_in_runs(args):
+    """(-value, seed) of the largest exact value over the runs' compositions
+    of `grid`, the smallest composition on a tie.
 
-    Seeds are scored on the integer composition itself: the sum is
-    homogeneous of degree |V(H)|, so integer values order the seeds as
-    their exact coefficients do."""
-    plan, seeds = args
-    return min((-plan._sum(seed), seed) for seed in seeds)
+    Compositions are scored on their integer parts: the sum is homogeneous
+    of degree m = |V(H)|, so integer values order them as their exact
+    coefficients do.  Along a run only v varies, and the sum is a
+    polynomial of degree at most m in v, so a run longer than m + 1 is
+    evaluated exactly at its first m + 1 compositions and continued from
+    their forward differences, m integer additions per composition."""
+    plan, grid, runs = args
+    m = plan.m
+    best, seed = None, None
+    for prefix, lo, hi in runs:
+        free = grid - sum(prefix)
+        length = hi - lo + 1
+        values = [plan._sum((*prefix, v, free - v))
+                  for v in range(lo, lo + min(length, m + 1))]
+        if length > m + 1:
+            # diffs[i]: the i-th forward difference at lo; the m-th is
+            # constant along the run
+            diffs, row = [], values
+            while row:
+                diffs.append(row[0])
+                row = [y - x for x, y in zip(row, row[1:])]
+            values = [diffs[m]] * (length - m)
+            for d in reversed(diffs[:m]):
+                values = list(accumulate(values, initial=d))
+        top = max(values)
+        if best is None or top > best:
+            v = lo + values.index(top)
+            best, seed = top, (*prefix, v, free - v)
+    return -best, seed
 
 
 def optimize_weights(patternH: Graph, patternP: Graph, grid: int = 50,
                      workers: int = 1):
     """Heuristically maximize the leading coefficient over blob weights.
 
-    Every integer composition of `grid` into one part per vertex of P, one
-    per Aut(P) orbit, is scored exactly; the seed is the largest, the
-    smallest composition on a tie, so it is the exact argmax over all grid
-    points for any worker count.  A local mass-transfer ascent with a
-    shrinking step runs from it in floats, and the rationalized final point
-    and the seed are compared exactly.  Global optimality is not claimed.
-    `grid` is the seeding resolution per simplex coordinate; seeds are
-    scored as they are generated, in up to `workers` processes.  Returns
+    The integer compositions of `grid` into one part per vertex of P that
+    can be Aut(P) orbit minima are scored exactly, run by run (see
+    _grid_seeds and _best_in_runs); the seed is the largest, the smallest
+    composition on a tie, so it is the exact argmax over all grid points
+    for any worker count.  A local mass-transfer ascent with a shrinking
+    step runs from it in floats, and the rationalized final point and the
+    seed are compared exactly.  Global optimality is not claimed.  `grid`
+    is the seeding resolution per simplex coordinate; runs are scored as
+    they are generated, in up to `workers` processes.  Returns
     (WeightedPattern, LeadingCoefficient).
 
     Raises ValueError on a skeleton that contains a triangle (its blow-ups
@@ -479,14 +510,8 @@ def optimize_weights(patternH: Graph, patternP: Graph, grid: int = 50,
         raise BudgetExceededError(
             f"grid {grid} on a {k}-vertex skeleton has {points} compositions, "
             f"over the budget of {GRID_BUDGET}; use a coarser grid")
-    seeds = _grid_seeds(patternP, grid)
     plan = HomSumPlan(patternH, patternP)
-    head = tuple(islice(seeds, POOL_MIN_SEEDS))
-    stream = chain(head, seeds)
-    if workers > 1 and len(head) == POOL_MIN_SEEDS:
-        _, best_seed = _pool_best_seed(plan, stream, workers)
-    else:
-        _, best_seed = _eval_seed_chunk((plan, stream))
+    best_seed = _best_seed(plan, patternP, grid, workers)
     weights = [a / grid for a in best_seed]
     value = float(plan._sum(weights))
     step = 1.0 / grid

@@ -20,10 +20,6 @@ import operator
 from fractions import Fraction
 from typing import NamedTuple
 
-from .graphs import (BudgetExceededError, Graph, build_theorem2_H,
-                     cycle_graph, degree_stats, is_complete_bipartite,
-                     is_triangle_free, path_graph)
-
 
 class CertCheck(NamedTuple):
     """One inequality with both sides evaluated exactly."""
@@ -60,6 +56,8 @@ class EdgeBoundReport(NamedTuple):
 def edge_bound_check(g: Graph) -> EdgeBoundReport:
     """|E| <= Delta * (n - Delta) for triangle-free g; on equality, verify
     the graph is the complete bipartite K_{Delta, n-Delta}."""
+    from .graphs import degree_stats, is_complete_bipartite, is_triangle_free
+
     if not is_triangle_free(g):
         raise ValueError("edge bound applies to triangle-free graphs only")
     if g.n == 0:
@@ -248,11 +246,13 @@ C_HALVING_DEPTH = 60
 # Largest estimated size, in bits, of the exact power p_w^x_min that
 # certifies x_min: the float seed of x_min times the bit length of p_w.
 # Measured end to end (whole CLI command, fresh process, pure Python
-# 3.11, 2 vCPU, median of 3) with the budget lifted: thm2-params /
-# thm2-e2e take 0.29 / 0.65 s at lambda = 1/4 (0.34e6 bits), 1.1 / 3.0 s
-# at 1/6 (1.4e6 bits), 1.9 / 6.4 s at 1/5 (2.0e6 bits) and 2.4 / 6.9 s
-# at 1/8 (2.8e6 bits).  1/7 (4.3e6 bits) and 1/10 (11.6e6 bits, 17 s for
-# thm2-params) are refused.  Over the budget, nothing is powered.
+# 3.11, 2 vCPU, median of 3), with p_w powered once per certificate:
+# thm2-params / thm2-e2e take 0.20 / 0.60 s at lambda = 1/4 (0.34e6
+# bits), 0.60 / 2.4 s at 1/6 (1.4e6 bits), 0.77 / 4.4 s at 1/5 (2.0e6
+# bits) and 1.3 / 6.3 s at 1/8 (2.8e6 bits); most of it is rendering and,
+# for thm2-e2e, the hom sums of the pattern.  1/7 (4.3e6 bits; 2.7 /
+# 15 s with the budget lifted) and 1/10 (11.6e6 bits) are refused.  Over
+# the budget, nothing is powered.
 POWER_BUDGET = 3 * 10 ** 6
 
 
@@ -273,59 +273,57 @@ class Theorem2Params(NamedTuple):
         return all(c.holds for c in self.checks)
 
 
-def _power_margin(a: Fraction, b: Fraction, lam: Fraction) -> Fraction:
-    """a^(lam+1) * b compared against (1/2)^(lam+2), both raised to the
-    w-th power for lam = u/w: returns a^(u+w) b^w as a Fraction."""
-    u, w = lam.numerator, lam.denominator
-    return a ** (u + w) * b ** w
-
-
-def _half_power(lam: Fraction) -> Fraction:
-    u, w = lam.numerator, lam.denominator
-    return Fraction(1, 2) ** (u + 2 * w)
-
-
 def solve_theorem2_params(lam) -> Theorem2Params:
     """Rational (a, c, p, x_min) realizing the counterexample constraints.
 
-    a scans 1/2 + j/A_SCAN_DENOMINATOR keeping the exact maximizer of
-    a^(lam+1)(1-a); c halves from (1-a)/6 until a^(lam+1)(1-a-3c) clears
-    (1/2)^(lam+2); x_min is the least integer with p^x_min exceeding
-    2a(1-a-3c)^2/c^3, certified by exact integer powering (no logarithms
-    in the certificate).
+    With lam = u/w, D = A_SCAN_DENOMINATOR and H = D/2: a scans
+    1/2 + j/D = (H+j)/D for 0 < j < H, keeping the exact maximizer of
+    a^(lam+1)(1-a), the first on a tie, among the candidates with
+    a^(u+w) (1-a)^w > (1/2)^(u+2w).  Every candidate has the denominator
+    D^(u+2w), so the scan compares the integers (H+j)^(u+w) (H-j)^w with
+    H^(u+2w).  c halves from (1-a)/6 until a^(lam+1)(1-a-3c) clears
+    (1/2)^(lam+2); after t halvings, with s = 2^(t+1), c = (1-a)/(3s) and
+    b = 1-a-3c = (1-a)(1-1/s), so each test multiplies the scan's integer
+    margin by (s-1)^w against H^(u+2w) s^w.  x_min is the least integer
+    with p^x_min exceeding 2a(1-a-3c)^2/c^3, certified by exact powering
+    of p_w = p^w (no logarithms in the certificate): p_w is powered once,
+    at the float seed of x_min, and the search steps by one multiplication
+    or division by p_w.  p_w is reduced, so its powers are too; no gcd is
+    taken between two powered numbers, and the certificate holds the
+    powers at x_min and x_min - 1 that the search computed.
     """
     lam = Fraction(lam)
     if lam <= 0:
         raise ValueError("lambda must be positive")
-    half_pow = _half_power(lam)
-
-    best_a, best_margin = None, None
-    for j in range(1, A_SCAN_DENOMINATOR // 2):
-        a = Fraction(1, 2) + Fraction(j, A_SCAN_DENOMINATOR)
-        margin = _power_margin(a, 1 - a, lam)
-        if margin > half_pow and (best_margin is None or margin > best_margin):
-            best_a, best_margin = a, margin
-    if best_a is None:
+    u, w = lam.numerator, lam.denominator
+    half = A_SCAN_DENOMINATOR // 2
+    # (1/2)^(u+2w) over the common denominator D^(u+2w)
+    threshold = half ** (u + 2 * w)
+    best_j, best_margin = None, threshold
+    for j in range(1, half):
+        margin = (half + j) ** (u + w) * (half - j) ** w
+        if margin > best_margin:
+            best_j, best_margin = j, margin
+    if best_j is None:
         raise RuntimeError(
             "no admissible a found; the derivative argument guarantees one "
             "at fine enough resolution")
-    a = best_a
+    a = Fraction(half + best_j, A_SCAN_DENOMINATOR)
 
-    c = (1 - a) / 6
-    for _ in range(C_HALVING_DEPTH):
-        b = 1 - a - 3 * c
-        b_margin = _power_margin(a, b, lam)
-        if b_margin > half_pow:
+    for t in range(C_HALVING_DEPTH):
+        s = 2 << t
+        b_margin = best_margin * (s - 1) ** w
+        if b_margin > threshold * s ** w:
             break
-        c /= 2
     else:
         raise RuntimeError("no admissible c found within the halving depth")
+    c = (1 - a) / (3 * s)
+    b = 1 - a - 3 * c
 
-    u, w = lam.numerator, lam.denominator
     p_float = float(a) ** (float(lam) + 1) * float(b) / 0.5 ** (float(lam) + 2)
     ratio = 2 * a * b * b / c ** 3
     # p^w = a^(u+w) b^w 2^(u+2w); p^X > ratio is certified as p_w^X > ratio^w
-    p_w = b_margin / half_pow
+    p_w = Fraction(b_margin, threshold * s ** w)
 
     # float seed for the threshold, then exact adjustment
     if ratio <= 1:
@@ -334,29 +332,40 @@ def solve_theorem2_params(lam) -> Theorem2Params:
         x = max(1, math.ceil(math.log(float(ratio)) / math.log(p_float)) - 2)
     bits = x * max(p_w.numerator.bit_length(), p_w.denominator.bit_length())
     if bits > POWER_BUDGET:
+        from .graphs import BudgetExceededError
+
         raise BudgetExceededError(
             f"certifying x_min for lambda = {lam} needs p^{w} to the power "
             f"of about {x}, an estimated {bits} bits, over the budget of "
             f"{POWER_BUDGET} bits")
     ratio_w = ratio ** w
-    while p_w ** x <= ratio_w:
-        x += 1
-    while x > 1 and p_w ** (x - 1) > ratio_w:
-        x -= 1
+    power, below = p_w ** x, None
+    if power <= ratio_w:
+        while power <= ratio_w:
+            below, power = power, power * p_w
+            x += 1
+    else:
+        while x > 1:
+            below = power / p_w
+            if below <= ratio_w:
+                break
+            power, x = below, x - 1
     x_min = x
 
+    scan_den = A_SCAN_DENOMINATOR ** (u + 2 * w)
+    half_pow = Fraction(1, 2 ** (u + 2 * w))
     checks = [
         _check(f"f(a) > 0 as a^{u + w} (1-a)^{w} > (1/2)^{u + 2 * w}",
-               best_margin, half_pow, ">"),
+               Fraction(best_margin, scan_den), half_pow, ">"),
         _check(f"g(c) > 0 as a^{u + w} b^{w} > (1/2)^{u + 2 * w}",
-               b_margin, half_pow, ">"),
+               Fraction(b_margin, scan_den * s ** w), half_pow, ">"),
         _check(f"p^x_min > 2a b^2 / c^3 raised to the {w}-th power",
-               p_w ** x_min, ratio_w, ">"),
+               power, ratio_w, ">"),
     ]
     if x_min > 1:
         checks.append(_check(
             f"p^(x_min-1) <= 2a b^2 / c^3 raised to the {w}-th power",
-            p_w ** (x_min - 1), ratio_w, "<="))
+            below, ratio_w, "<="))
     return Theorem2Params(lam, a, b, c, p_float, x_min, tuple(checks))
 
 
@@ -393,6 +402,7 @@ def theorem2_end_to_end(lam, x: int | None = None) -> Theorem2Certificate:
     both are evaluated.
     """
     from .blowup import WeightedPattern, leading_coefficient
+    from .graphs import build_theorem2_H, cycle_graph, path_graph
 
     lam = Fraction(lam)
     params = solve_theorem2_params(lam)

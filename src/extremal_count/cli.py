@@ -8,8 +8,9 @@ budget errors, 3 a failed internal self-check.  Output depends only on the
 arguments, never on worker count, ordering of parallel partial results, or
 the clock.
 
-Each subcommand imports the modules it runs when it runs, so a command
-loads only its own part of the package.
+Each subcommand imports the modules it runs when it runs, and only its own
+subcommand's arguments are added to the parser, so a command loads and
+builds only its own part of the package.
 """
 
 from __future__ import annotations
@@ -19,11 +20,6 @@ import io
 import json
 import os
 import sys
-
-from .graphs import (Graph, GraphFormatError, build_blowup, build_gps_example1,
-                     build_theorem2_H, build_turan2, complete_bipartite,
-                     cycle_graph, path_graph, read_graph_file, star_graph,
-                     write_graph_file, write_graph_text)
 
 
 def fraction(text: str) -> Fraction:
@@ -53,72 +49,118 @@ def _default_workers() -> int:
         return 1
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser that adds its arguments, through `build`, when
+    it first parses: argparse hands the arguments to the parser of the
+    invoked subcommand only, so a command builds no other subcommand's
+    arguments.  The top-level help lists each subcommand by its name and
+    help text alone."""
+
+    def __init__(self, *args, build, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._build = build
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._build is not None:
+            build, self._build = self._build, None
+            build(self)
+        return super().parse_known_args(args, namespace)
+
+
+# gen writes graph text; count and verify also render a report; optimize
+# also splits its work over processes.  search runs in one process but
+# still accepts --workers, so existing command lines work
+
+def _output_args(p):
+    p.add_argument("--out", help="write the output here instead of stdout")
+
+
+def _report_args(p):
+    _output_args(p)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+
+
+def _parallel_args(p):
+    _report_args(p)
+    p.add_argument("--workers", type=worker_count, default=_default_workers(),
+                   help="worker processes (default: EXTREMAL_COUNT_WORKERS or 1); "
+                        "no effect on search")
+
+
+def _count_args(p):
+    _report_args(p)
+    p.add_argument("pattern", help="pattern graph file")
+    p.add_argument("host", help="host graph file")
+    p.set_defaults(func=cmd_count)
+
+
+def _verify_args(p):
+    _report_args(p)
+    p.add_argument("theorem", choices=("lemma2", "thm1-coeff", "thm1-chain",
+                                       "thm2-params", "thm2-e2e"))
+    p.add_argument("--graph", help="graph file (lemma2)")
+    p.add_argument("--x", type=int, help="matching size parameter")
+    p.add_argument("--d", type=int, help="half-defect parameter")
+    p.add_argument("--sweep-max", type=int,
+                   help="sweep all (x, d) hypothesis pairs up to this x (thm1-coeff)")
+    p.add_argument("--lam", type=fraction,
+                   help="defect ratio lambda as a fraction, e.g. 1 or 1/2")
+    p.set_defaults(func=cmd_verify)
+
+
+def _optimize_args(p):
+    _parallel_args(p)
+    p.add_argument("pattern", help="pattern graph file")
+    p.add_argument("blowup_pattern",
+                   help="blow-up skeleton: k2, c5, or a graph file path")
+    p.add_argument("--grid", type=int, default=50,
+                   help="grid resolution per simplex coordinate")
+    p.set_defaults(func=cmd_optimize)
+
+
+def _search_args(p):
+    _parallel_args(p)
+    p.add_argument("pattern", help="pattern graph file")
+    p.add_argument("n", type=int, help="host vertex count")
+    p.add_argument("--witness-dir",
+                   help="also write each witness as a graph file here")
+    p.set_defaults(func=cmd_search)
+
+
+def _gen_args(p):
+    _output_args(p)
+    p.add_argument("family", choices=("turan2", "complete-bipartite", "path",
+                                      "cycle", "star", "gps-example1",
+                                      "theorem2-h", "blowup"))
+    p.add_argument("--n", type=int, help="vertex count (turan2, path, cycle, star)")
+    p.add_argument("--a", type=int, help="first side (complete-bipartite)")
+    p.add_argument("--b", type=int, help="second side (complete-bipartite)")
+    p.add_argument("--k", type=int, help="star size parameter (gps-example1)")
+    p.add_argument("--d", type=int, help="half-defect (theorem2-h)")
+    p.add_argument("--x", type=int, help="matching size (theorem2-h)")
+    p.add_argument("--pattern", help="blow-up skeleton: k2, c5, or a file (blowup)")
+    p.add_argument("--sizes", help="comma-separated blob sizes (blowup)")
+    p.set_defaults(func=cmd_gen)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="extremal-count",
         description="Embedding counts in triangle-free graphs: exact "
                     "counting, maximizer search, blow-up weight "
                     "optimization, and inequality certificates.")
-    # gen writes graph text; count and verify also render a report;
-    # optimize also splits its work over processes.  search runs in one
-    # process but still accepts --workers, so existing command lines work
-    output = argparse.ArgumentParser(add_help=False)
-    output.add_argument("--out", help="write the output here instead of stdout")
-    report = argparse.ArgumentParser(add_help=False, parents=[output])
-    report.add_argument("--format", choices=("json", "csv"), default="json")
-    parallel = argparse.ArgumentParser(add_help=False, parents=[report])
-    parallel.add_argument("--workers", type=worker_count, default=_default_workers(),
-                          help="worker processes (default: EXTREMAL_COUNT_WORKERS or 1); "
-                               "no effect on search")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_count = sub.add_parser("count", parents=[report],
-                             help="embeddings, automorphisms, copies, H-degrees")
-    p_count.add_argument("pattern", help="pattern graph file")
-    p_count.add_argument("host", help="host graph file")
-    p_count.set_defaults(func=cmd_count)
-
-    p_verify = sub.add_parser("verify", parents=[report], help="emit an exact inequality certificate")
-    p_verify.add_argument("theorem", choices=("lemma2", "thm1-coeff", "thm1-chain",
-                                              "thm2-params", "thm2-e2e"))
-    p_verify.add_argument("--graph", help="graph file (lemma2)")
-    p_verify.add_argument("--x", type=int, help="matching size parameter")
-    p_verify.add_argument("--d", type=int, help="half-defect parameter")
-    p_verify.add_argument("--sweep-max", type=int,
-                          help="sweep all (x, d) hypothesis pairs up to this x (thm1-coeff)")
-    p_verify.add_argument("--lam", type=fraction,
-                          help="defect ratio lambda as a fraction, e.g. 1 or 1/2")
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_opt = sub.add_parser("optimize", parents=[parallel], help="maximize the blow-up leading coefficient")
-    p_opt.add_argument("pattern", help="pattern graph file")
-    p_opt.add_argument("blowup_pattern",
-                       help="blow-up skeleton: k2, c5, or a graph file path")
-    p_opt.add_argument("--grid", type=int, default=50,
-                       help="grid resolution per simplex coordinate")
-    p_opt.set_defaults(func=cmd_optimize)
-
-    p_search = sub.add_parser("search", parents=[parallel], help="exact maximizers over triangle-free hosts")
-    p_search.add_argument("pattern", help="pattern graph file")
-    p_search.add_argument("n", type=int, help="host vertex count")
-    p_search.add_argument("--witness-dir",
-                          help="also write each witness as a graph file here")
-    p_search.set_defaults(func=cmd_search)
-
-    p_gen = sub.add_parser("gen", parents=[output], help="write a named construction as a graph file")
-    p_gen.add_argument("family", choices=("turan2", "complete-bipartite", "path",
-                                          "cycle", "star", "gps-example1",
-                                          "theorem2-h", "blowup"))
-    p_gen.add_argument("--n", type=int, help="vertex count (turan2, path, cycle, star)")
-    p_gen.add_argument("--a", type=int, help="first side (complete-bipartite)")
-    p_gen.add_argument("--b", type=int, help="second side (complete-bipartite)")
-    p_gen.add_argument("--k", type=int, help="star size parameter (gps-example1)")
-    p_gen.add_argument("--d", type=int, help="half-defect (theorem2-h)")
-    p_gen.add_argument("--x", type=int, help="matching size (theorem2-h)")
-    p_gen.add_argument("--pattern", help="blow-up skeleton: k2, c5, or a file (blowup)")
-    p_gen.add_argument("--sizes", help="comma-separated blob sizes (blowup)")
-    p_gen.set_defaults(func=cmd_gen)
-
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_SubcommandParser)
+    sub.add_parser("count", build=_count_args,
+                   help="embeddings, automorphisms, copies, H-degrees")
+    sub.add_parser("verify", build=_verify_args,
+                   help="emit an exact inequality certificate")
+    sub.add_parser("optimize", build=_optimize_args,
+                   help="maximize the blow-up leading coefficient")
+    sub.add_parser("search", build=_search_args,
+                   help="exact maximizers over triangle-free hosts")
+    sub.add_parser("gen", build=_gen_args,
+                   help="write a named construction as a graph file")
     return parser
 
 
@@ -126,7 +168,14 @@ def build_parser() -> argparse.ArgumentParser:
 # subcommands
 # ---------------------------------------------------------------------------
 
+# A command that reads or builds a graph imports graphs before any other
+# module of the package.  Compiled from source, graphs takes the largest
+# transient memory of them (about 1.2 MB, measured with tracemalloc), and
+# compiling it while the least is live keeps the command's peak memory
+# where importing graphs with this module kept it.
+
 def cmd_count(args):
+    from .graphs import read_graph_file
     from .embeddings import count_automorphisms, copies_from_counts, h_degrees
 
     pattern = read_graph_file(args.pattern)
@@ -155,9 +204,11 @@ def _require(args, names):
 
 
 def cmd_verify(args):
+    theorem = args.theorem
+    if theorem == "lemma2":
+        from .graphs import read_graph_file
     from . import bounds
 
-    theorem = args.theorem
     if theorem == "lemma2":
         _require(args, ["graph"])
         cert = bounds.edge_bound_check(read_graph_file(args.graph))
@@ -189,6 +240,8 @@ def cmd_verify(args):
 
 
 def _load_blowup_pattern(spec_text: str) -> Graph:
+    from .graphs import cycle_graph, path_graph, read_graph_file
+
     if spec_text == "k2":
         return path_graph(2)
     if spec_text == "c5":
@@ -197,6 +250,7 @@ def _load_blowup_pattern(spec_text: str) -> Graph:
 
 
 def cmd_optimize(args):
+    from .graphs import read_graph_file
     from .blowup import optimize_weights
 
     pattern = read_graph_file(args.pattern)
@@ -215,6 +269,7 @@ def cmd_optimize(args):
 
 
 def cmd_search(args):
+    from .graphs import read_graph_file, write_graph_file
     from . import _kernels as kernels
     from .oracle import find_maximizers
 
@@ -247,6 +302,10 @@ def cmd_search(args):
 
 
 def cmd_gen(args):
+    from .graphs import (build_blowup, build_gps_example1, build_theorem2_H,
+                         build_turan2, complete_bipartite, cycle_graph,
+                         path_graph, star_graph, write_graph_text)
+
     family = args.family
     if family == "turan2":
         _require(args, ["n"])
@@ -274,7 +333,7 @@ def cmd_gen(args):
         base = _load_blowup_pattern(args.pattern)
         sizes = [int(s) for s in args.sizes.split(",")]
         g = build_blowup(base, sizes)
-    return g, 0
+    return write_graph_text(g), 0
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +427,10 @@ def _flatten(payload, prefix=""):
 
 
 def render(payload, fmt: str | None) -> str:
-    if isinstance(payload, Graph):
-        return write_graph_text(payload)
+    """The output text of a payload: graph text (from gen) as it is, any
+    other payload as JSON or CSV."""
+    if isinstance(payload, str):
+        return payload
     payload = _encode(payload)
     if fmt == "json":
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -388,12 +449,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, code = args.func(args)
-    except GraphFormatError as exc:
-        print(f"error: parse failure at {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
-        # budget and not-bipartite errors are ValueErrors too
-        print(f"error: {exc}", file=sys.stderr)
+        # budget, not-bipartite and graph-format errors are ValueErrors
+        # too; no graph-format error is raised before graphs is imported
+        graphs = sys.modules.get(f"{__package__}.graphs")
+        if graphs is not None and isinstance(exc, graphs.GraphFormatError):
+            print(f"error: parse failure at {exc}", file=sys.stderr)
+        else:
+            print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         # a failed internal self-check, not a false inequality (exit 1)

@@ -123,17 +123,41 @@ def perm_canonical_mask(rows, n: int) -> int:
     return best or 0
 
 
+def naive_automorphisms(patternP: Graph) -> list[tuple[int, ...]]:
+    """Every permutation of V(P) that maps edges to edges."""
+    edges = patternP.edges()
+    return [perm for perm in itertools.permutations(range(patternP.n))
+            if all(patternP.has_edge(perm[u], perm[v]) for u, v in edges)]
+
+
+def naive_compositions(k: int, resolution: int) -> list[tuple[int, ...]]:
+    """Integer compositions of the resolution into k parts, in ascending
+    lexicographic order."""
+    return [comp for comp in itertools.product(range(resolution + 1), repeat=k)
+            if sum(comp) == resolution]
+
+
 def naive_grid_seeds(patternP: Graph, resolution: int) -> list[tuple[int, ...]]:
     """Integer compositions of the resolution into |V(P)| parts, in
     ascending lexicographic order, kept when minimal over the orbit under
     automorphisms found by trying every permutation of V(P)."""
     k = patternP.n
-    edges = patternP.edges()
-    auts = [perm for perm in itertools.permutations(range(k))
-            if all(patternP.has_edge(perm[u], perm[v]) for u, v in edges)]
-    return [comp for comp in itertools.product(range(resolution + 1), repeat=k)
-            if sum(comp) == resolution
-            and comp == min(tuple(comp[a[i]] for i in range(k)) for a in auts)]
+    auts = naive_automorphisms(patternP)
+    return [comp for comp in naive_compositions(k, resolution)
+            if comp == min(tuple(comp[a[i]] for i in range(k)) for a in auts)]
+
+
+def naive_chain_candidates(patternP: Graph, resolution: int) -> list[tuple[int, ...]]:
+    """Integer compositions of the resolution into |V(P)| parts, in
+    ascending lexicographic order, that put no more weight on vertex i than
+    on a(i) for every automorphism a fixing vertices 0..i-1 (the bounds of
+    the stabiliser chain that every orbit minimum meets)."""
+    k = patternP.n
+    auts = naive_automorphisms(patternP)
+    bounds = {(i, a[i]) for a in auts for i in range(k)
+              if all(a[j] == j for j in range(i))}
+    return [comp for comp in naive_compositions(k, resolution)
+            if all(comp[i] <= comp[j] for i, j in bounds)]
 
 
 def naive_triangle_free_classes(n: int) -> set[int]:
@@ -267,3 +291,28 @@ def random_triangle_free(rng: random.Random, n: int) -> Graph:
 
 def as_fractions(values) -> tuple[Fraction, ...]:
     return tuple(Fraction(v) for v in values)
+
+
+def naive_theorem2_params(lam: Fraction):
+    """The counterexample parameters in Fraction arithmetic throughout: a
+    scans 1/2 + j/1024 for the first largest a^(u+w) (1-a)^w above
+    (1/2)^(u+2w), with lam = u/w, and c halves from (1-a)/6 until
+    a^(u+w) b^w clears it too, b = 1-a-3c.  Returns (a, b, c, the two
+    margins, (1/2)^(u+2w), p^w and the w-th power of 2ab^2/c^3)."""
+    u, w = lam.numerator, lam.denominator
+    half_pow = Fraction(1, 2) ** (u + 2 * w)
+    best_a, a_margin = None, None
+    for j in range(1, 512):
+        a = Fraction(1, 2) + Fraction(j, 1024)
+        margin = a ** (u + w) * (1 - a) ** w
+        if margin > half_pow and (a_margin is None or margin > a_margin):
+            best_a, a_margin = a, margin
+    a, c = best_a, (1 - best_a) / 6
+    for _ in range(60):
+        b = 1 - a - 3 * c
+        b_margin = a ** (u + w) * b ** w
+        if b_margin > half_pow:
+            break
+        c /= 2
+    ratio_w = (2 * a * b * b / c ** 3) ** w
+    return a, b, c, a_margin, b_margin, half_pow, b_margin / half_pow, ratio_w

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from extremal_count import (Graph, WeightedPattern, build_blowup,
+from extremal_count import (Graph, WeightedPattern, blowup, build_blowup,
                             build_gps_example1, build_theorem2_H,
                             complete_bipartite, complete_graph,
                             connected_components, count_embeddings,
@@ -17,13 +17,14 @@ from extremal_count import (Graph, WeightedPattern, build_blowup,
                             saturation_converges, star_graph,
                             weighted_hom_sum)
 from extremal_count.blowup import (AUT_BUDGET, GRID_BUDGET, HomSumPlan,
-                                   _eval_seed_chunk, _grid_seeds,
+                                   _best_in_runs, _best_seed, _grid_seeds,
                                    rounded_blob_sizes)
 from extremal_count.oracle import BudgetExceededError
 
-from naive import (as_fractions, naive_count_embeddings, naive_grid_seeds,
-                   naive_hom_sum, naive_homomorphisms,
-                   random_bipartite_with_components, random_graph)
+from naive import (as_fractions, naive_chain_candidates,
+                   naive_count_embeddings, naive_grid_seeds, naive_hom_sum,
+                   naive_homomorphisms, random_bipartite_with_components,
+                   random_graph, random_triangle_free)
 
 K2 = path_graph(2)
 HALF = (Fraction(1, 2), Fraction(1, 2))
@@ -263,24 +264,46 @@ def test_optimize_balanced_tree_prefers_even_split():
     assert coeff.value == 2 * Fraction(1, 2) ** 10
 
 
-def test_optimize_deterministic_across_workers():
+def test_optimize_deterministic_across_workers(monkeypatch):
+    # C5 at grid 14 has 103 runs, past POOL_MIN_RUNS; chunks of 16 runs
+    # give the pool seven tasks
     h = build_gps_example1(3)
     p = cycle_graph(5)
-    w1, c1 = optimize_weights(h, p, grid=10, workers=1)
-    w2, c2 = optimize_weights(h, p, grid=10, workers=3)
-    assert w1.weights == w2.weights and c1.value == c2.value
+    monkeypatch.setattr(blowup, "RUN_CHUNK", 16)
+    assert len(list(_grid_seeds(p, 14))) >= blowup.POOL_MIN_RUNS
+    w1, c1 = optimize_weights(h, p, grid=14, workers=1)
+    for workers in (2, 3):
+        w2, c2 = optimize_weights(h, p, grid=14, workers=workers)
+        assert w1.weights == w2.weights and c1.value == c2.value
+
+
+def run_compositions(runs, grid):
+    """The compositions of `grid` that runs (prefix, lo, hi) stand for, in
+    order."""
+    for prefix, lo, hi in runs:
+        assert lo <= hi
+        free = grid - sum(prefix)
+        for v in range(lo, hi + 1):
+            yield (*prefix, v, free - v)
 
 
 def test_grid_seeds_match_naive_orbit_minima():
-    # the orbit of vertex 0 is {0} on K1 (one part) and on the star K1,3,
-    # {0, 3} on P4, {0, 1} on K2,3 and on the disconnected K2 + K1, and
-    # every vertex on K2 and the cycles.  The naive oracle walks
-    # (grid + 1)^k tuples, so six-vertex skeletons stop at grid 8.
-    for p in (Graph(1), K2, path_graph(3), path_graph(4), cycle_graph(4),
+    # the runs cover, in ascending order, exactly the compositions that
+    # meet the stabiliser-chain bounds, and those include every orbit
+    # minimum.  The orbit of vertex 0 is {0} on the star K1,3, {0, 3} on
+    # P4, {0, 1} on K2,3 and on the disconnected K2 + K1, and every vertex
+    # on K2 and the cycles.  The naive oracles walk (grid + 1)^k tuples, so
+    # six-vertex skeletons stop at grid 8.  One vertex (K1) has no runs:
+    # its only composition is the seed.
+    for grid in range(1, 13):
+        assert _best_seed(HomSumPlan(K2, Graph(1)), Graph(1), grid, 1) == (grid,)
+    for p in (K2, path_graph(3), path_graph(4), cycle_graph(4),
               star_graph(3), cycle_graph(5), complete_bipartite(2, 3),
-              cycle_graph(6), disjoint_union(K2, Graph(1))):
+              cycle_graph(6), disjoint_union(K2, Graph(1)), Graph(4)):
         for grid in range(1, 13 if p.n < 6 else 9):
-            assert list(_grid_seeds(p, grid)) == naive_grid_seeds(p, grid)
+            comps = list(run_compositions(_grid_seeds(p, grid), grid))
+            assert comps == naive_chain_candidates(p, grid)
+            assert set(naive_grid_seeds(p, grid)) <= set(comps)
 
 
 def test_optimizer_seed_is_the_exact_grid_argmax():
@@ -301,8 +324,35 @@ def test_optimizer_seed_is_the_exact_grid_argmax():
                           for c in comps}
                 best = max(values.values())
                 expected = min(c for c in comps if values[c] == best)
-                _, seed = _eval_seed_chunk((plan, _grid_seeds(p, grid)))
+                _, seed = _best_in_runs((plan, grid, _grid_seeds(p, grid)))
                 assert seed == expected, (h.edges(), p.edges(), grid)
+
+
+def test_run_scorer_matches_direct_scoring():
+    # random triangle-free skeletons on 1-6 vertices, with the edgeless
+    # ones and K1, against trees, forests and cyclic patterns: the seed is
+    # the smallest orbit minimum with the largest directly scored value.
+    # Grids reach 30 where the naive walk over (grid + 1)^k tuples allows,
+    # so runs both shorter and longer than |V(H)| + 1 occur.
+    rng = random.Random(19)
+    patterns = (K2, path_graph(4), star_graph(3), build_theorem2_H(1, 3),
+                disjoint_union(path_graph(3), K2), cycle_graph(4),
+                cycle_graph(6), disjoint_union(cycle_graph(4), path_graph(2)))
+    max_grid = {1: 30, 2: 30, 3: 30, 4: 16, 5: 9, 6: 6}
+    skeletons = [Graph(1), Graph(3), Graph(5)]
+    skeletons += [random_triangle_free(rng, rng.randint(1, 6)) for _ in range(60)]
+    lengths = set()
+    for p in skeletons:
+        h = rng.choice(patterns)
+        grid = rng.randint(1, max_grid[p.n])
+        plan = HomSumPlan(h, p)
+        seeds = naive_grid_seeds(p, grid)
+        best = max(plan._sum(seed) for seed in seeds)
+        expected = min(seed for seed in seeds if plan._sum(seed) == best)
+        assert _best_seed(plan, p, grid, 1) == expected, (h.edges(), p.edges(), grid)
+        if p.n > 1:
+            lengths |= {hi - lo + 1 > h.n + 1 for _, lo, hi in _grid_seeds(p, grid)}
+    assert lengths == {False, True}
 
 
 def test_optimize_grid_budget():

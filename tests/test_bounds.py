@@ -13,6 +13,8 @@ from extremal_count import (Graph, complete_bipartite, complete_graph,
 from extremal_count import bounds
 from extremal_count.bounds import admissible_x, sweep_pairs
 
+from naive import naive_theorem2_params
+
 
 def petersen() -> Graph:
     outer = [(i, (i + 1) % 5) for i in range(5)]
@@ -168,6 +170,38 @@ def test_solve_params_invariants(lam):
            * params.b ** (w * params.x_min)
            * Fraction(2) ** ((u + 2 * w) * params.x_min))
     assert lhs > ratio ** w
+
+
+@pytest.mark.parametrize("lam", ["1/5", "1/3", "1/2", "2/3", "1", "3/2",
+                                 "2", "3"])
+def test_integer_solver_matches_fraction_reference(lam):
+    lam = Fraction(lam)
+    a, b, c, a_margin, b_margin, half_pow, p_w, ratio_w = naive_theorem2_params(lam)
+    params = solve_theorem2_params(lam)
+    assert (params.a, params.b, params.c) == (a, b, c)
+    assert params.p_float == (float(a) ** (float(lam) + 1) * float(b)
+                              / 0.5 ** (float(lam) + 2))
+    # p^w > 1, so x_min is the least x with p_w^x > ratio^w
+    x = params.x_min
+    assert p_w > 1 and p_w ** x > ratio_w
+    expected = [(a_margin, half_pow, ">"), (b_margin, half_pow, ">"),
+                (p_w ** x, ratio_w, ">")]
+    if x > 1:
+        assert p_w ** (x - 1) <= ratio_w
+        expected.append((p_w ** (x - 1), ratio_w, "<="))
+    assert [(ch.lhs, ch.rhs, ch.relation) for ch in params.checks] == expected
+    assert params.all_hold
+
+
+@pytest.mark.parametrize("shift", [-6, 5])
+def test_x_min_does_not_depend_on_the_float_seed(shift, monkeypatch):
+    # the exact search steps up from a seed below x_min and down from one
+    # above it, to the same parameters and certificate
+    lams = [Fraction(1, 3), Fraction(1), Fraction(2)]
+    expected = [solve_theorem2_params(lam) for lam in lams]
+    monkeypatch.setattr(bounds.math, "ceil",
+                        lambda v: math.floor(v) + 1 + shift)
+    assert [solve_theorem2_params(lam) for lam in lams] == expected
 
 
 def test_admissible_x_alignment():

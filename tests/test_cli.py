@@ -123,6 +123,7 @@ def test_count_parse_error_exit_2(tmp_path, capsys):
     code = cli.main(["count", str(bad), str(bad)])
     captured = capsys.readouterr()
     assert code == 2
+    assert captured.err.startswith("error: parse failure at ")
     assert "line 3" in captured.err
 
 
@@ -420,6 +421,69 @@ def test_csv_projection(capsys, c4_file, k22_file):
     assert "copies,1" in lines
 
 
+# sha256 of (stdout, stderr) of the help texts and of usage errors, recorded
+# with every subcommand's parser built up front (Python 3.11, 80 columns)
+PARSER_DIGESTS = {
+    "--help":
+        "1bf56bfdebeae5659ccfedfda05bc40d5387ccb3aab8b9586c4e2296142fda08",
+    "-h":
+        "1bf56bfdebeae5659ccfedfda05bc40d5387ccb3aab8b9586c4e2296142fda08",
+    "count --help":
+        "615628fafac6f4c026818b370fa40ee89bd7297d7eda3ff4b8ff737735c8488c",
+    "verify --help":
+        "a8c1bb91adbc941aca60539297f31725260ad6356b1038234a1b9aa47abc4197",
+    "optimize --help":
+        "69fd4df88e181cf939c2b97e41a4c055e6c5f4f40ecac61fac8942ebce6b9a91",
+    "search --help":
+        "51ae8353f7f6dfbd7be12c4f7424cd9e68ffeb3e4468620d6db183a3ef997121",
+    "gen --help":
+        "bb03ffbcd12b288ac95b7d141412b546215736b4ab4f6d0292fcc8e3fd533d98",
+    "":
+        "d11e90934933cb325e46b6c5694b86ed89305004b57ed41a8f430bbe62b9d02a",
+    "bogus":
+        "8b399083c3a3adc1cfa5d7b26ddb2c371d202829daf0a552cc9ae827a90680bd",
+    "-- count":
+        "c817f1a51d3420d8f9dbcb1c6a9b9066bcb205e668b0f07ef7d391ce1ad62521",
+    "count":
+        "38eb4782a59ea8e2dbf466bffbd4e59373e6a64bd452ab0676c4af14208d3677",
+    "count x":
+        "e9764bf23371cb0a4cee0bea5c90ccb7a1270005613a822496424bbf1414a827",
+    "verify nope":
+        "ee5d7b9c363d608f513b42753c7bd039f895f040b55104667c62b6abac7d7268",
+    "verify thm1-chain --x":
+        "26e0dc960635a198389e9daac1af2b7712af52ae02fbffeeeed873a54fb273f4",
+    "optimize x c5 --grid z":
+        "c660b80531a627c3f80b8b49cebee67b594beb6ef6648a96f55f7388a111b7c5",
+    "search x 5 --workers 0":
+        "00b8294effeb9688f19425ac17027f50529563659c8b885c91a05b851783442d",
+    "gen":
+        "b3c4098fe614bfddcf7e7aac082146b7fd48df835c1ac3c6e59b56dd1b433725",
+    "gen cycle --n 4 --format csv":
+        "cda78b0bbcb547cc83d06f53a7d8f6c16f8082f340beb44faa393fca9ec4b654",
+}
+
+
+@pytest.mark.parametrize("args", sorted(PARSER_DIGESTS))
+def test_help_and_usage_errors_bytes_golden(args, capsys, monkeypatch):
+    # each command builds only its own subcommand's parser
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args.split())
+    captured = capsys.readouterr()
+    assert exc.value.code == (0 if "-h" in args else 2)
+    assert sha256(captured.out + "\0" + captured.err) == PARSER_DIGESTS[args]
+
+
+def test_command_builds_only_its_parser(monkeypatch, capsys):
+    def not_built(parser):
+        raise AssertionError(f"built the parser of {parser.prog}")
+
+    for name in ("_count_args", "_optimize_args", "_search_args", "_gen_args"):
+        monkeypatch.setattr(cli, name, not_built)
+    code, out = run(["verify", "thm1-chain", "--x", "17", "--d", "1"], capsys)
+    assert code == 0 and json.loads(out)["all_hold"] is True
+
+
 def test_workers_env_default(monkeypatch):
     monkeypatch.setenv("EXTREMAL_COUNT_WORKERS", "4")
     parser = cli.build_parser()
@@ -473,8 +537,10 @@ def test_optimize_triangle_skeleton_exit_2(tmp_path, c4_file, capsys):
 
 # Modules each command must not load: `count` opens no process pool and
 # needs no certificate or search code, and `verify lemma2` needs only the
-# graph predicates.  No command loads dataclasses or its inspect, nor csv
-# without --format csv, and count does not load fractions.
+# graph predicates.  `verify thm2-e2e` scores a forest, so it needs no
+# embedding search or kernel, and `verify thm2-params` no graph at all.
+# No command loads dataclasses or its inspect, nor csv without --format
+# csv, and count does not load fractions.
 STARTUP = ("dataclasses", "inspect", "csv")
 IMPORT_SCOPE = {
     "count": STARTUP + ("fractions", "multiprocessing",
@@ -485,7 +551,10 @@ IMPORT_SCOPE = {
     "search": STARTUP + ("multiprocessing", "concurrent.futures.process",
                          "extremal_count.bounds", "extremal_count.blowup"),
     "thm2-e2e": STARTUP + ("multiprocessing", "concurrent.futures.process",
-                           "extremal_count.oracle"),
+                           "extremal_count.oracle", "extremal_count.embeddings",
+                           "extremal_count._pykernels"),
+    "thm2-params": STARTUP + ("multiprocessing", "extremal_count.graphs",
+                              "extremal_count.blowup"),
 }
 
 SCOPE_PROBE = """
@@ -505,7 +574,8 @@ def test_command_import_scope(command, tmp_path):
     args = {"count": ["count", str(pattern), str(host)],
             "lemma2": ["verify", "lemma2", "--graph", str(host)],
             "search": ["search", str(pattern), "6"],
-            "thm2-e2e": ["verify", "thm2-e2e", "--lam", "1"]}[command]
+            "thm2-e2e": ["verify", "thm2-e2e", "--lam", "1"],
+            "thm2-params": ["verify", "thm2-params", "--lam", "1"]}[command]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.dirname(os.path.dirname(cli.__file__))]
         + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))

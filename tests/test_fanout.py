@@ -103,26 +103,26 @@ def test_cached_level_opens_no_pool(pools, levels, monkeypatch):
 
 
 def test_optimizer_pool_is_capped_at_chunk_count(pools, monkeypatch):
-    # the seed stream is cut into chunks of SEED_CHUNK seeds, one task
-    # each; the pool has no more processes than the chunks of its first
-    # round, and a stream of fewer than POOL_MIN_SEEDS seeds is scored in
-    # this process
-    monkeypatch.setattr(blowup, "SEED_CHUNK", 16)
-    seeds = list(blowup._grid_seeds(cycle_graph(5), 10))
-    assert blowup.POOL_MIN_SEEDS <= len(seeds) < MANY
-    chunks = -(-len(seeds) // 16)
-    serial = optimize_weights(cycle_graph(4), cycle_graph(5), grid=10)
+    # the run stream is cut into chunks of RUN_CHUNK runs, one task each;
+    # the pool has no more processes than the chunks of its first round,
+    # and a stream of fewer than POOL_MIN_RUNS runs is scored in this
+    # process
+    monkeypatch.setattr(blowup, "RUN_CHUNK", 16)
+    runs = list(blowup._grid_seeds(cycle_graph(5), 12))
+    assert blowup.POOL_MIN_RUNS <= len(runs) < MANY
+    chunks = -(-len(runs) // 16)
+    serial = optimize_weights(cycle_graph(4), cycle_graph(5), grid=12)
     assert pools == []
     for workers in (2, MANY):
         pools.clear()
         RecordingExecutor.tasks = 0
-        parallel = optimize_weights(cycle_graph(4), cycle_graph(5), grid=10,
+        parallel = optimize_weights(cycle_graph(4), cycle_graph(5), grid=12,
                                     workers=workers)
         assert parallel == serial
         assert pools == [min(workers, chunks)]
         assert RecordingExecutor.tasks == chunks
     pools.clear()
-    small = len(list(blowup._grid_seeds(cycle_graph(5), 6)))
-    assert small < blowup.POOL_MIN_SEEDS
-    optimize_weights(cycle_graph(4), cycle_graph(5), grid=6, workers=MANY)
+    small = len(list(blowup._grid_seeds(cycle_graph(5), 10)))
+    assert small < blowup.POOL_MIN_RUNS
+    optimize_weights(cycle_graph(4), cycle_graph(5), grid=10, workers=MANY)
     assert pools == []
