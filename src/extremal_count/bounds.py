@@ -11,6 +11,14 @@ over equal denominators); a reduced Fraction is formed only where a
 report holds the value.  Fractional exponents never
 arise: an inequality involving t^(lambda+1) with lambda = u/w is
 certified by raising both positive sides to the w-th power.
+
+The end-to-end Theorem-2 certificate compares two leading coefficients,
+the weighted homomorphism sums of the tree build_theorem2_H(d, x) into
+the weighted C5 and K2.  They are taken by a tree DP over the tree's
+seven vertex kinds (star leaf, pendant top, pendant middle, u2, q, p and
+the root u1), in which the d + 1 equal leaves of each star and the x - 3
+equal pendant paths enter as integer powers; the 2x + 2d-vertex tree is
+never built.
 """
 
 from __future__ import annotations
@@ -246,14 +254,14 @@ C_HALVING_DEPTH = 60
 # Largest estimated size, in bits, of the exact power p_w^x_min that
 # certifies x_min: the float seed of x_min times the bit length of p_w.
 # Measured end to end (whole CLI command, fresh process, pure Python
-# 3.11, 2 vCPU, median of 3), with p_w powered once per certificate:
-# thm2-params / thm2-e2e take 0.20 / 0.60 s at lambda = 1/4 (0.34e6
-# bits), 0.60 / 2.4 s at 1/6 (1.4e6 bits), 0.77 / 4.4 s at 1/5 (2.0e6
-# bits) and 1.3 / 6.3 s at 1/8 (2.8e6 bits); most of it is rendering and,
-# for thm2-e2e, the hom sums of the pattern.  1/7 (4.3e6 bits; 2.7 /
-# 15 s with the budget lifted) and 1/10 (11.6e6 bits) are refused.  Over
-# the budget, nothing is powered.
-POWER_BUDGET = 3 * 10 ** 6
+# 3.11, 2 vCPU, median of 3), with the hom sums taken over the pattern's
+# vertex kinds: thm2-params / thm2-e2e take 0.18 / 0.26 s at lambda = 1/4
+# (0.34e6 bits), 0.50 / 1.0 s at 1/6 (1.4e6 bits), 0.70 / 1.9 s at 1/5
+# (2.0e6 bits), 1.2 / 2.6 s at 1/8 (2.8e6 bits) and 2.0 / 5.6 s at 1/7
+# (4.3e6 bits); most of it is rendering and reducing the coefficients.
+# 1/9 (5.9e6 bits; 2.9 / 6.0 s with the budget lifted) and 1/10 (11.6e6
+# bits) are refused.  Over the budget, nothing is powered.
+POWER_BUDGET = 5 * 10 ** 6
 
 
 class Theorem2Params(NamedTuple):
@@ -391,9 +399,59 @@ def admissible_x(lam: Fraction, x_min: int) -> int:
         x += 1
 
 
+# The two weighted patterns of the certificate, as neighbour lists: the
+# five-cycle 0-1-2-3-4-0 and the single edge.
+_C5_NEIGHBOURS = tuple(((q - 1) % 5, (q + 1) % 5) for q in range(5))
+_K2_NEIGHBOURS = ((1,), (0,))
+
+
+def _theorem2_hom_sum(d: int, x: int, weights, neighbours) -> Fraction:
+    """The weighted homomorphism sum of build_theorem2_H(d, x) into the
+    pattern with these neighbour lists and Fraction weights, exactly.
+
+    This is the tree DP that blowup.HomSumPlan runs from the root u1, with
+    one table per vertex kind instead of one per vertex.  The weights are
+    scaled to integers w over their lcm D; N(q) is the set of neighbours
+    of q and L_q = sum_N(q) w_r.  The kinds' tables are
+
+        star leaf, pendant top   w_q
+        pendant middle           M_q = w_q L_q
+        u2                       U_q = w_q L_q^(d+1)
+        q                        Q_q = w_q sum_N(q) U_r
+        p                        P_q = w_q (sum_N(q) Q_r) (sum_N(q) M_r)^(x-3)
+        u1                       U_q sum_N(q) P_r
+
+    since u1 and u2 each have d + 1 leaves and p has x - 3 pendant paths.
+    The sum over q of u1's table, divided by D^(2x+2d), is the
+    homomorphism sum: O(|P|^2) integer operations and the powers, for any
+    d and x.
+    """
+    den = math.lcm(*(q.denominator for q in weights))
+    w = [q.numerator * (den // q.denominator) for q in weights]
+
+    def over(table):
+        """sum_N(q) of the table, for each q"""
+        return [sum(table[r] for r in nbrs) for nbrs in neighbours]
+
+    L = over(w)
+    M = [wq * lq for wq, lq in zip(w, L)]
+    U = [wq * lq ** (d + 1) for wq, lq in zip(w, L)]
+    Q = [wq * su for wq, su in zip(w, over(U))]
+    P = [wq * sq * sm ** (x - 3) for wq, sq, sm in zip(w, over(Q), over(M))]
+    total = sum(uq * sp for uq, sp in zip(U, over(P)))
+    return Fraction(total, den ** (2 * x + 2 * d))
+
+
 def theorem2_end_to_end(lam, x: int | None = None) -> Theorem2Certificate:
     """Exact counterexample certificate: the blow-up leading coefficient of
     the constructed pattern beats the balanced complete bipartite one.
+
+    Both coefficients are weighted homomorphism sums of the tree
+    build_theorem2_H(d, x), C5 at (a, b, c, c, c) and K2 at (1/2, 1/2).
+    _theorem2_hom_sum takes each by the tree DP with one table per vertex
+    kind, the d + 1 leaves of each star and the x - 3 pendant paths of p
+    entering as integer powers, so the 2x + 2d-vertex tree is never
+    built.
 
     Also records, as separate checks, both written forms of the single-
     homomorphism lower bound: the exponent 2x + lam*x consistent with the
@@ -401,9 +459,6 @@ def theorem2_end_to_end(lam, x: int | None = None) -> Theorem2Certificate:
     inequality (the two disagree unless lam*x = 2*lam); neither is assumed,
     both are evaluated.
     """
-    from .blowup import WeightedPattern, leading_coefficient
-    from .graphs import build_theorem2_H, cycle_graph, path_graph
-
     lam = Fraction(lam)
     params = solve_theorem2_params(lam)
     if x is None:
@@ -415,14 +470,12 @@ def theorem2_end_to_end(lam, x: int | None = None) -> Theorem2Certificate:
     d = d2.numerator // 2
     if x < 3:
         raise ValueError("x must be at least 3")
-    pattern = build_theorem2_H(d, x)
-    m = pattern.n
+    m = 2 * x + 2 * d
 
     a, b, c = params.a, params.b, params.c
-    c5 = WeightedPattern(cycle_graph(5), (a, b, c, c, c))
-    k2 = WeightedPattern(path_graph(2), (Fraction(1, 2), Fraction(1, 2)))
-    coeff_c5 = leading_coefficient(pattern, c5).value
-    coeff_k2 = leading_coefficient(pattern, k2).value
+    half = Fraction(1, 2)
+    coeff_c5 = _theorem2_hom_sum(d, x, (a, b, c, c, c), _C5_NEIGHBOURS)
+    coeff_k2 = _theorem2_hom_sum(d, x, (half, half), _K2_NEIGHBOURS)
 
     single_hom = a ** (x + 2 * d - 1) * b ** (x - 2) * c ** 3
     u, w = lam.numerator, lam.denominator

@@ -342,10 +342,14 @@ def cmd_gen(args):
 
 # Integers of at most this many bits (1,234 digits) are printed by str(),
 # which takes time quadratic in the length and refuses, by default, more
-# than 4,300 digits; longer ones are split in halves by bits and joined
-# again in decimal, where libmpdec multiplies large numbers in
-# sub-quadratic time.
+# than 4,300 digits; longer ones are split by bits at power-of-two
+# multiples of this width and joined again in decimal, where libmpdec
+# multiplies large numbers in sub-quadratic time.
 STR_BITS = 4096
+
+# _POWERS[j] is 2**(STR_BITS * 2**j) as an exact Decimal, grown on demand
+# and shared by every integer the process prints.
+_POWERS = []
 
 
 def frac_str(q: Fraction) -> str:
@@ -367,49 +371,53 @@ def _int_str(n: int) -> str:
         return "-" + _int_str(-n)
     import decimal
 
-    powers = {}
+    def split(n):
+        """The largest j with STR_BITS * 2**j below n's bit length."""
+        return ((n.bit_length() - 1) // STR_BITS).bit_length() - 1
 
-    def power(w):
-        """2**w as an exact Decimal, memoized."""
-        if w not in powers:
-            powers[w] = (decimal.Decimal(1 << w) if w <= STR_BITS
-                         else power(w >> 1) * power(w - (w >> 1)))
-        return powers[w]
-
-    def digits(n, w):
-        """n < 2**w as an exact Decimal: the low and high halves of its
-        bits, each converted alone."""
-        if w <= STR_BITS:
+    def digits(n):
+        """n as an exact Decimal: its bits below and from STR_BITS * 2**j,
+        j = split(n), each converted alone."""
+        if n.bit_length() <= STR_BITS:
             return decimal.Decimal(n)
-        half = w >> 1
-        high = n >> half
-        return digits(n - (high << half), half) + digits(high, w - half) * power(half)
+        j = split(n)
+        high = n >> (STR_BITS << j)
+        return digits(n - (high << (STR_BITS << j))) + digits(high) * _POWERS[j]
 
     with decimal.localcontext() as ctx:
         ctx.prec = decimal.MAX_PREC
         ctx.Emax = decimal.MAX_EMAX
         ctx.traps[decimal.Inexact] = True
-        return str(digits(n, n.bit_length()))
+        if not _POWERS:
+            _POWERS.append(decimal.Decimal(1 << STR_BITS))
+        while len(_POWERS) <= split(n):
+            _POWERS.append(_POWERS[-1] * _POWERS[-1])
+        return str(digits(n))
 
 
-def _encode(node):
+def _encode(node, texts=None):
     """A payload as plain JSON values: a record (a NamedTuple) becomes an
     object keyed by field name, or by the name its class's `_json_keys`
     gives the field, a Fraction exact "p/q" text, and any other tuple an
-    array."""
+    array.  `texts` maps each Fraction already rendered in the payload to
+    its text, so an equal value is rendered once."""
+    if texts is None:
+        texts = {}
     if isinstance(node, tuple) and hasattr(node, "_fields"):
         keys = getattr(node, "_json_keys", {})
-        return {keys.get(name, name): _encode(value)
+        return {keys.get(name, name): _encode(value, texts)
                 for name, value in zip(node._fields, node)}
     # no Fraction exists before the fractions module is imported; count
     # never imports it
     fractions = sys.modules.get("fractions")
     if fractions is not None and isinstance(node, fractions.Fraction):
-        return frac_str(node)
+        if node not in texts:
+            texts[node] = frac_str(node)
+        return texts[node]
     if isinstance(node, dict):
-        return {key: _encode(value) for key, value in node.items()}
+        return {key: _encode(value, texts) for key, value in node.items()}
     if isinstance(node, (list, tuple)):
-        return [_encode(item) for item in node]
+        return [_encode(item, texts) for item in node]
     return node
 
 

@@ -1,19 +1,21 @@
 """Inequality chains, parameter solving, and the end-to-end counterexample."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from extremal_count import (Graph, complete_bipartite, complete_graph,
-                            cycle_graph, edge_bound_check,
-                            optimal_Delta_fraction, solve_theorem2_params,
-                            theorem2_end_to_end, thm1_chain_check,
-                            thm1_coefficient, thm1_sweep)
+from extremal_count import (Graph, WeightedPattern, build_theorem2_H,
+                            complete_bipartite, complete_graph, cycle_graph,
+                            edge_bound_check, leading_coefficient,
+                            optimal_Delta_fraction, path_graph,
+                            solve_theorem2_params, theorem2_end_to_end,
+                            thm1_chain_check, thm1_coefficient, thm1_sweep)
 from extremal_count import bounds
 from extremal_count.bounds import admissible_x, sweep_pairs
 
-from naive import naive_theorem2_params
+from naive import naive_hom_sum, naive_homomorphisms, naive_theorem2_params
 
 
 def petersen() -> Graph:
@@ -225,6 +227,51 @@ def test_theorem2_end_to_end_certifies():
     # not assumed (the two forms only agree when lambda*x = 2*lambda)
     displayed = next(v for k, v in by_name.items() if "displayed exponent" in k)
     assert displayed is False
+
+
+def _neighbours(p: Graph):
+    return tuple(tuple(p.neighbors(q)) for q in range(p.n))
+
+
+def _random_weights(rng, k):
+    raw = [Fraction(rng.randint(0, 9), rng.randint(1, 9)) for _ in range(k)]
+    raw[0] += 1  # not all zero
+    return tuple(r / sum(raw) for r in raw)
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_theorem2_hom_sum_matches_hom_sum_plan(d):
+    # the vertex-kind recurrence against the generic tree DP over the
+    # pattern built vertex by vertex
+    rng = random.Random(100 + d)
+    c5, k2 = cycle_graph(5), path_graph(2)
+    half = (Fraction(1, 2), Fraction(1, 2))
+    certificate_weights = []
+    for lam in (Fraction(1, 2), Fraction(1), Fraction(2)):
+        params = solve_theorem2_params(lam)
+        a, b, c = params.a, params.b, params.c
+        certificate_weights.append((a, b, c, c, c))
+    for x in range(3, 15):
+        h = build_theorem2_H(d, x)
+        for weights in (*certificate_weights, _random_weights(rng, 5)):
+            assert (bounds._theorem2_hom_sum(d, x, weights, _neighbours(c5))
+                    == leading_coefficient(h, WeightedPattern(c5, weights)).value)
+        assert (bounds._theorem2_hom_sum(d, x, half, _neighbours(k2))
+                == leading_coefficient(h, WeightedPattern(k2, half)).value)
+
+
+@pytest.mark.parametrize("d, x, p", [(1, 3, cycle_graph(5)),
+                                     (1, 3, path_graph(3)),
+                                     (1, 4, complete_graph(3)),
+                                     (2, 3, complete_graph(3))])
+def test_theorem2_hom_sum_matches_naive(d, x, p):
+    rng = random.Random(7 * d + x)
+    h = build_theorem2_H(d, x)
+    homs = naive_homomorphisms(h, p)
+    for _ in range(3):
+        weights = _random_weights(rng, p.n)
+        assert (bounds._theorem2_hom_sum(d, x, weights, _neighbours(p))
+                == naive_hom_sum(h, p, weights, homs))
 
 
 def test_theorem2_below_threshold_reports_honestly():

@@ -268,6 +268,10 @@ def test_frac_str_round_trips_without_touching_the_digit_cap(monkeypatch):
             q = Fraction(v, den)
             assert text == f"{q.numerator}/{q.denominator}"
             assert Fraction(text) == q
+        # the shared table of split powers holds exact powers of two
+        assert cli._POWERS
+        for j, power in enumerate(cli._POWERS):
+            assert int(power) == 1 << (leaf << j)
     finally:
         sys.set_int_max_str_digits(cap)
 
@@ -537,8 +541,9 @@ def test_optimize_triangle_skeleton_exit_2(tmp_path, c4_file, capsys):
 
 # Modules each command must not load: `count` opens no process pool and
 # needs no certificate or search code, and `verify lemma2` needs only the
-# graph predicates.  `verify thm2-e2e` scores a forest, so it needs no
-# embedding search or kernel, and `verify thm2-params` no graph at all.
+# graph predicates.  `verify thm2-e2e` sums over the vertex kinds of its
+# tree, so it needs no graph, hom-sum plan, embedding search or kernel, and
+# `verify thm2-params` no graph at all.
 # No command loads dataclasses or its inspect, nor csv without --format
 # csv, and count does not load fractions.
 STARTUP = ("dataclasses", "inspect", "csv")
@@ -551,6 +556,7 @@ IMPORT_SCOPE = {
     "search": STARTUP + ("multiprocessing", "concurrent.futures.process",
                          "extremal_count.bounds", "extremal_count.blowup"),
     "thm2-e2e": STARTUP + ("multiprocessing", "concurrent.futures.process",
+                           "extremal_count.graphs", "extremal_count.blowup",
                            "extremal_count.oracle", "extremal_count.embeddings",
                            "extremal_count._pykernels"),
     "thm2-params": STARTUP + ("multiprocessing", "extremal_count.graphs",

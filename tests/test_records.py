@@ -97,3 +97,19 @@ def test_encode_renames_theorem2_fields():
     assert cert["params"]["lambda"] == "1/1" and "lam" not in cert["params"]
     # a plain tuple, even of the same length, is still an array
     assert cli._encode(tuple(params))[0] == "1/2"
+
+
+def test_encode_renders_each_distinct_fraction_once(monkeypatch):
+    cert = theorem2_end_to_end(Fraction(1, 2))
+    expected = cli._encode(cert)
+    frac_str, rendered = cli.frac_str, []
+
+    def counting_frac_str(q):
+        rendered.append(q)
+        return frac_str(q)
+
+    monkeypatch.setattr(cli, "frac_str", counting_frac_str)
+    assert cli._encode(cert) == expected
+    # coeff_c5, coeff_k2 and single_hom are each held in three places
+    assert len(rendered) == len(set(rendered))
+    assert {cert.coeff_c5, cert.coeff_k2, cert.single_hom} <= set(rendered)
