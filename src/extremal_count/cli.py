@@ -371,16 +371,16 @@ def _int_str(n: int) -> str:
         return "-" + _int_str(-n)
     import decimal
 
-    def split(n):
-        """The largest j with STR_BITS * 2**j below n's bit length."""
-        return ((n.bit_length() - 1) // STR_BITS).bit_length() - 1
-
     def digits(n):
         """n as an exact Decimal: its bits below and from STR_BITS * 2**j,
-        j = split(n), each converted alone."""
+        the largest such multiple below its bit length, each converted
+        alone."""
         if n.bit_length() <= STR_BITS:
             return decimal.Decimal(n)
-        j = split(n)
+        j = ((n.bit_length() - 1) // STR_BITS).bit_length() - 1
+        while len(_POWERS) <= j:
+            _POWERS.append(_POWERS[-1] * _POWERS[-1] if _POWERS
+                           else decimal.Decimal(1 << STR_BITS))
         high = n >> (STR_BITS << j)
         return digits(n - (high << (STR_BITS << j))) + digits(high) * _POWERS[j]
 
@@ -388,10 +388,6 @@ def _int_str(n: int) -> str:
         ctx.prec = decimal.MAX_PREC
         ctx.Emax = decimal.MAX_EMAX
         ctx.traps[decimal.Inexact] = True
-        if not _POWERS:
-            _POWERS.append(decimal.Decimal(1 << STR_BITS))
-        while len(_POWERS) <= split(n):
-            _POWERS.append(_POWERS[-1] * _POWERS[-1])
         return str(digits(n))
 
 
