@@ -259,8 +259,9 @@ C_HALVING_DEPTH = 60
 # (0.34e6 bits), 0.50 / 1.0 s at 1/6 (1.4e6 bits), 0.70 / 1.9 s at 1/5
 # (2.0e6 bits), 1.2 / 2.6 s at 1/8 (2.8e6 bits) and 2.0 / 5.6 s at 1/7
 # (4.3e6 bits); most of it is rendering and reducing the coefficients.
-# 1/9 (5.9e6 bits; 2.9 / 6.0 s with the budget lifted) and 1/10 (11.6e6
-# bits) are refused.  Over the budget, nothing is powered.
+# 1/9 (5.9e6 bits; 2.9 / 6.0 s in single runs with the budget lifted)
+# and 1/10 (11.6e6 bits) are refused.  Over the budget, nothing is
+# powered.
 POWER_BUDGET = 5 * 10 ** 6
 
 
