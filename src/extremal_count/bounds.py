@@ -14,11 +14,11 @@ certified by raising both positive sides to the w-th power.
 
 The end-to-end Theorem-2 certificate compares two leading coefficients,
 the weighted homomorphism sums of the tree build_theorem2_H(d, x) into
-the weighted C5 and K2.  They are taken by a tree DP over the tree's
-seven vertex kinds (star leaf, pendant top, pendant middle, u2, q, p and
-the root u1), in which the d + 1 equal leaves of each star and the x - 3
-equal pendant paths enter as integer powers; the 2x + 2d-vertex tree is
-never built.
+the weighted C5 and K2.  They are taken by _treedp.kind_sum over the
+tree's six subtree kinds, written here as a table (leaf or pendant top,
+pendant middle, u2, q, p and the root u1), in which the d + 1 equal
+leaves of each star and the x - 3 equal pendant paths enter as integer
+powers; the 2x + 2d-vertex tree is never built.
 """
 
 from __future__ import annotations
@@ -410,37 +410,21 @@ def _theorem2_hom_sum(d: int, x: int, weights, neighbours) -> Fraction:
     """The weighted homomorphism sum of build_theorem2_H(d, x) into the
     pattern with these neighbour lists and Fraction weights, exactly.
 
-    This is the tree DP that blowup.HomSumPlan runs from the root u1, with
-    one table per vertex kind instead of one per vertex.  The weights are
-    scaled to integers w over their lcm D; N(q) is the set of neighbours
-    of q and L_q = sum_N(q) w_r.  The kinds' tables are
-
-        star leaf, pendant top   w_q
-        pendant middle           M_q = w_q L_q
-        u2                       U_q = w_q L_q^(d+1)
-        q                        Q_q = w_q sum_N(q) U_r
-        p                        P_q = w_q (sum_N(q) Q_r) (sum_N(q) M_r)^(x-3)
-        u1                       U_q sum_N(q) P_r
-
-    since u1 and u2 each have d + 1 leaves and p has x - 3 pendant paths.
-    The sum over q of u1's table, divided by D^(2x+2d), is the
-    homomorphism sum: O(|P|^2) integer operations and the powers, for any
-    d and x.
+    The tree's kinds, rooted at u1 and numbered from the leaves up, are
+    0 a leaf or pendant top, 1 a pendant middle (one leaf), 2 u2 (d + 1
+    leaves), 3 q (u2), 4 p (q and x - 3 pendant middles; none when x = 3)
+    and 5 u1 (d + 1 leaves and p).  The weights are scaled to integers
+    over their lcm D, and _treedp.kind_sum of the kinds, divided by
+    D^(2x+2d), is the homomorphism sum: O(|P|^2) integer operations and
+    the powers, for any d and x.
     """
+    from ._treedp import kind_sum
+
     den = math.lcm(*(q.denominator for q in weights))
     w = [q.numerator * (den // q.denominator) for q in weights]
-
-    def over(table):
-        """sum_N(q) of the table, for each q"""
-        return [sum(table[r] for r in nbrs) for nbrs in neighbours]
-
-    L = over(w)
-    M = [wq * lq for wq, lq in zip(w, L)]
-    U = [wq * lq ** (d + 1) for wq, lq in zip(w, L)]
-    Q = [wq * su for wq, su in zip(w, over(U))]
-    P = [wq * sq * sm ** (x - 3) for wq, sq, sm in zip(w, over(Q), over(M))]
-    total = sum(uq * sp for uq, sp in zip(U, over(P)))
-    return Fraction(total, den ** (2 * x + 2 * d))
+    kinds = ((), ((0, 1),), ((0, d + 1),), ((2, 1),), ((3, 1), (1, x - 3)),
+             ((0, d + 1), (4, 1)))
+    return Fraction(kind_sum(kinds, w, neighbours), den ** (2 * x + 2 * d))
 
 
 def theorem2_end_to_end(lam, x: int | None = None) -> Theorem2Certificate:
@@ -449,7 +433,7 @@ def theorem2_end_to_end(lam, x: int | None = None) -> Theorem2Certificate:
 
     Both coefficients are weighted homomorphism sums of the tree
     build_theorem2_H(d, x), C5 at (a, b, c, c, c) and K2 at (1/2, 1/2).
-    _theorem2_hom_sum takes each by the tree DP with one table per vertex
+    _theorem2_hom_sum takes each by the tree DP with one table per subtree
     kind, the d + 1 leaves of each star and the x - 3 pendant paths of p
     entering as integer powers, so the 2x + 2d-vertex tree is never
     built.

@@ -246,10 +246,10 @@ def build_theorem2_H(d: int, x: int) -> Graph:
     middles to blob 2, and the three internal path vertices u1-p-q-u2 give
     p -> blob 3, q -> blob 4, u2 -> blob 5 (u1 is the blob-2 center).
 
-    bounds._theorem2_hom_sum describes the same tree a second time, by its
-    seven vertex kinds, and sums over it without building it;
+    bounds._theorem2_hom_sum describes the same tree a second time, as a
+    table of its six subtree kinds, and sums over it without building it;
     tests/test_bounds.py::test_theorem2_hom_sum_matches_hom_sum_plan ties
-    the two descriptions together.
+    that table to the kinds built from this tree.
     """
     if d < 1:
         raise ValueError("d must be at least 1")

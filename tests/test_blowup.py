@@ -277,6 +277,42 @@ def test_optimize_deterministic_across_workers(monkeypatch):
         assert w1.weights == w2.weights and c1.value == c2.value
 
 
+# Coefficients the float ascent, replaced by the integer one, returned for
+# (pattern, skeleton, grid); the integer ascent may only improve on them.
+# The tree is the certify benchmark workload's pattern at seed 1.
+FLOAT_ASCENT_COEFFICIENTS = (
+    (star_graph(3), K2, 5,
+     Fraction(62499999999999998125839, 500000000000000000000000)),
+    (star_graph(4), K2, 30, Fraction(213333333333286957, 2560000000000000000)),
+    (build_gps_example1(11), cycle_graph(5), 20, Fraction(
+        int("10990264456025373841730657327561780152840383573078482304803751"
+            "0286114320954334161027895902801134905195258622653760481369"),
+        2 ** 109 * 5 ** 132)),
+    (build_theorem2_H(1, 4), cycle_graph(5), 10, Fraction(1, 512)),
+    (Graph(7, [(0, 5), (0, 6), (1, 5), (2, 3), (2, 5), (4, 6)]),
+     cycle_graph(5), 30, Fraction(1, 64)),
+)
+
+
+@pytest.mark.parametrize("h, p, grid, floor", FLOAT_ASCENT_COEFFICIENTS)
+def test_integer_ascent_never_falls(h, p, grid, floor):
+    # the result is exact over grid * 2^REFINE_BITS, at least the grid
+    # seed's value, and at least what the float ascent returned
+    wp, coeff = optimize_weights(h, p, grid)
+    assert blowup.REFINE_BITS == 20
+    assert all((grid << 20) % w.denominator == 0 for w in wp.weights)
+    plan = HomSumPlan(h, p)
+    seed = _best_seed(plan, p, grid, 1)
+    assert coeff.value >= plan([Fraction(a, grid) for a in seed])
+    assert coeff.value == plan(wp.weights) >= floor
+
+
+def test_integer_ascent_reaches_k2_balance():
+    # the float ascent stopped at 499963/1000000 on K1,3 into K2
+    wp, coeff = optimize_weights(star_graph(3), K2, grid=5)
+    assert wp.weights == HALF and coeff.value == Fraction(1, 8)
+
+
 def run_compositions(runs, grid):
     """The compositions of `grid` that runs (prefix, lo, hi) stand for, in
     order."""

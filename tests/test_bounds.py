@@ -12,7 +12,9 @@ from extremal_count import (Graph, WeightedPattern, build_theorem2_H,
                             optimal_Delta_fraction, path_graph,
                             solve_theorem2_params, theorem2_end_to_end,
                             thm1_chain_check, thm1_coefficient, thm1_sweep)
-from extremal_count import bounds
+from extremal_count import _treedp, bounds
+from extremal_count._treedp import kind_sum
+from extremal_count.blowup import _tree_kinds
 from extremal_count.bounds import admissible_x, sweep_pairs
 
 from naive import naive_hom_sum, naive_homomorphisms, naive_theorem2_params
@@ -239,10 +241,24 @@ def _random_weights(rng, k):
     return tuple(r / sum(raw) for r in raw)
 
 
+def _shape(kinds, i):
+    """Kind i as nested sorted (child shape, multiplicity) pairs, the pairs
+    of multiplicity 0 left out: equal for isomorphic rooted trees."""
+    return tuple(sorted((_shape(kinds, c), m) for c, m in kinds[i] if m))
+
+
 @pytest.mark.parametrize("d", range(1, 6))
-def test_theorem2_hom_sum_matches_hom_sum_plan(d):
-    # the vertex-kind recurrence against the generic tree DP over the
-    # pattern built vertex by vertex
+def test_theorem2_hom_sum_matches_hom_sum_plan(d, monkeypatch):
+    # the hand-written kinds table of bounds against the kinds that
+    # blowup._tree_kinds builds from the tree: the same rooted tree, and
+    # the same sums as the plan over the built pattern
+    tables = []
+
+    def recording_kind_sum(kinds, weights, neighbours):
+        tables.append(kinds)
+        return kind_sum(kinds, weights, neighbours)
+
+    monkeypatch.setattr(_treedp, "kind_sum", recording_kind_sum)
     rng = random.Random(100 + d)
     c5, k2 = cycle_graph(5), path_graph(2)
     half = (Fraction(1, 2), Fraction(1, 2))
@@ -258,6 +274,8 @@ def test_theorem2_hom_sum_matches_hom_sum_plan(d):
                     == leading_coefficient(h, WeightedPattern(c5, weights)).value)
         assert (bounds._theorem2_hom_sum(d, x, half, _neighbours(k2))
                 == leading_coefficient(h, WeightedPattern(k2, half)).value)
+        built = _tree_kinds(h, range(h.n))
+        assert _shape(tables[-1], -1) == _shape(built, -1)
 
 
 @pytest.mark.parametrize("d, x, p", [(1, 3, cycle_graph(5)),

@@ -541,26 +541,32 @@ def test_optimize_triangle_skeleton_exit_2(tmp_path, c4_file, capsys):
 
 # Modules each command must not load: `count` opens no process pool and
 # needs no certificate or search code, and `verify lemma2` needs only the
-# graph predicates.  `verify thm2-e2e` sums over the vertex kinds of its
-# tree, so it needs no graph, hom-sum plan, embedding search or kernel, and
-# `verify thm2-params` no graph at all.
+# graph predicates.  `verify thm2-e2e` sums over the subtree kinds of its
+# tree with the tree DP alone, so it needs no graph, hom-sum plan,
+# embedding search or kernel; `verify thm2-params` and `verify
+# thm1-chain` need no graph at all.  Only the commands that sum over a
+# tree load the tree DP.
 # No command loads dataclasses or its inspect, nor csv without --format
 # csv, and count does not load fractions.
 STARTUP = ("dataclasses", "inspect", "csv")
 IMPORT_SCOPE = {
     "count": STARTUP + ("fractions", "multiprocessing",
                         "concurrent.futures.process", "extremal_count.bounds",
-                        "extremal_count.blowup", "extremal_count.oracle"),
+                        "extremal_count.blowup", "extremal_count.oracle",
+                        "extremal_count._treedp"),
     "lemma2": STARTUP + ("extremal_count.blowup", "extremal_count.oracle",
-                         "extremal_count.embeddings"),
+                         "extremal_count.embeddings", "extremal_count._treedp"),
     "search": STARTUP + ("multiprocessing", "concurrent.futures.process",
-                         "extremal_count.bounds", "extremal_count.blowup"),
+                         "extremal_count.bounds", "extremal_count.blowup",
+                         "extremal_count._treedp"),
+    "thm1-chain": STARTUP + ("extremal_count.graphs", "extremal_count.blowup",
+                             "extremal_count._treedp"),
     "thm2-e2e": STARTUP + ("multiprocessing", "concurrent.futures.process",
                            "extremal_count.graphs", "extremal_count.blowup",
                            "extremal_count.oracle", "extremal_count.embeddings",
                            "extremal_count._pykernels"),
     "thm2-params": STARTUP + ("multiprocessing", "extremal_count.graphs",
-                              "extremal_count.blowup"),
+                              "extremal_count.blowup", "extremal_count._treedp"),
 }
 
 SCOPE_PROBE = """
@@ -580,6 +586,7 @@ def test_command_import_scope(command, tmp_path):
     args = {"count": ["count", str(pattern), str(host)],
             "lemma2": ["verify", "lemma2", "--graph", str(host)],
             "search": ["search", str(pattern), "6"],
+            "thm1-chain": ["verify", "thm1-chain", "--x", "17", "--d", "1"],
             "thm2-e2e": ["verify", "thm2-e2e", "--lam", "1"],
             "thm2-params": ["verify", "thm2-params", "--lam", "1"]}[command]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
