@@ -14,7 +14,7 @@ import argparse
 import random
 import time
 
-from extremal_count import _kernels, _pykernels
+from extremal_count import _kernels, _pykernels, _pyplace
 from extremal_count.embeddings import search_plan
 from extremal_count.graphs import build_gps_example1, complete_bipartite
 
@@ -34,7 +34,7 @@ def bench_count(repeats):
     host = complete_bipartite(8, 8)
     _, parents = search_plan(pattern)
     rows = list(host.rows)
-    pure_t, pure_v = best_of(repeats, _pykernels.count_injective,
+    pure_t, pure_v = best_of(repeats, _pyplace.count_injective,
                              host.rows, host.n, parents)
     rows_out = [("count embeddings (8-vertex tree in K_{8,8})", "pure", pure_t, pure_v)]
     if _kernels.HAS_FAST:

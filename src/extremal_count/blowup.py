@@ -11,9 +11,11 @@ common denominator, which the integer sum is divided by once at the end
 (homogeneity of degree |V(H)|).  Tree components are evaluated by the
 dynamic program of _treedp over the classes of their rooted subtrees, so
 equal subtrees share one table (mandatory for the large trees the
-counterexample construction produces); each cyclic component is tallied
-once into its homomorphism polynomial, {occupancy vector: number of
-homomorphisms into P}, and evaluated from it at every weight vector.  A
+counterexample construction produces), and each class of equal tree
+components is evaluated once and raised to its multiplicity; each cyclic
+component is tallied once into its homomorphism polynomial, {occupancy
+vector: number of homomorphisms into P}, and evaluated from it at every
+weight vector.  A
 simplex optimizer searches for the blob weights maximizing the
 coefficient: the integer grid compositions are scored exactly, in runs
 along which the sum is a polynomial continued by forward differences, and
@@ -30,6 +32,7 @@ from collections import deque
 from itertools import accumulate, chain, islice
 from typing import Iterator, NamedTuple
 
+from ._pyplace import embeddings_listing, occupancy_profile
 from ._treedp import kind_sum
 from .graphs import (BudgetExceededError, Graph, connected_components,
                      is_triangle_free)
@@ -94,14 +97,16 @@ class HomSumPlan:
     """The weight-independent part of weighted_hom_sum(H, P, .), built once
     and evaluated at many weight vectors.
 
-    Holds the components of H in vertex order.  A tree component keeps its
-    subtree kinds (_tree_kinds) and is evaluated by _treedp.kind_sum, one
-    table per kind, repeated children entering as powers.  A cyclic
-    component keeps its homomorphism polynomial: the occupancy profile of
-    its homomorphisms into P (how many component vertices land on each
-    vertex of P, with the number of homomorphisms doing so), built once.
-    It is evaluated as sum mult * prod_q w_q^occ_q over the profile; the
-    profile has at most as many terms as the component has homomorphisms.
+    A tree component of H is held by its subtree kinds (_tree_kinds) and
+    evaluated by _treedp.kind_sum, one table per kind, repeated children
+    entering as powers; equal tree components share their kinds, so each
+    class is held once with its multiplicity and evaluated once, as a
+    power.  A cyclic component keeps its homomorphism polynomial: the
+    occupancy profile of its homomorphisms into P (how many component
+    vertices land on each vertex of P, with the number of homomorphisms
+    doing so), built once.  It is evaluated as sum mult * prod_q
+    w_q^occ_q over the profile; the profile has at most as many terms as
+    the component has homomorphisms.
 
     Int and float weights are used as they are.  Fraction weights (mixed
     with ints or not) are scaled to integer numerators over their least
@@ -110,29 +115,30 @@ class HomSumPlan:
     |V(H)|; no Fraction is formed inside the loops.
     """
 
-    __slots__ = ("k", "m", "p_nbrs", "components")
+    __slots__ = ("k", "m", "p_nbrs", "trees", "cycles")
 
     def __init__(self, patternH: Graph, patternP: Graph):
         self.k = patternP.n
         self.m = patternH.n
         self.p_nbrs = tuple(tuple(patternP.neighbors(q)) for q in range(patternP.n))
-        components = []
+        trees, cycles = {}, []
         _, comps = connected_components(patternH)
         for comp in comps:
             # a connected graph is a tree iff its degree sum is 2(|C| - 1)
             if sum(map(patternH.degree, comp)) == 2 * len(comp) - 2:
-                components.append((True, _tree_kinds(patternH, comp)))
+                kinds = _tree_kinds(patternH, comp)
+                trees[kinds] = trees.get(kinds, 0) + 1
             else:
-                from ._kernels import occupancy_profile
-
                 # caps of len(comp) never bind
                 profile = occupancy_profile(
                     patternP.rows, (len(comp),) * self.k,
                     _cyclic_parents(patternH, comp))
-                components.append((False, tuple(
+                cycles.append(tuple(
                     (mult, tuple((q, o) for q, o in enumerate(occ) if o))
-                    for occ, mult in profile.items())))
-        self.components = tuple(components)
+                    for occ, mult in profile.items()))
+        # (kinds, multiplicity) per class of tree components
+        self.trees = tuple(trees.items())
+        self.cycles = tuple(cycles)
 
     def __call__(self, weights):
         if len(weights) != self.k:
@@ -148,11 +154,10 @@ class HomSumPlan:
     def _sum(self, weights):
         """The sum at weights used as given, without the length check."""
         total = 1
-        for is_tree, structure in self.components:
-            if is_tree:
-                total *= kind_sum(structure, weights, self.p_nbrs)
-            else:
-                total *= _polynomial_sum(structure, weights)
+        for kinds, count in self.trees:
+            total *= kind_sum(kinds, weights, self.p_nbrs) ** count
+        for terms in self.cycles:
+            total *= _polynomial_sum(terms, weights)
         return total
 
 
@@ -326,8 +331,6 @@ def automorphism_maps(g: Graph) -> list[tuple[int, ...]]:
 
     Raises BudgetExceededError, having listed AUT_BUDGET + 1 of them, when
     the graph has more than AUT_BUDGET."""
-    from .embeddings import embeddings_listing
-
     auts = list(islice(embeddings_listing(g, g), AUT_BUDGET + 1))
     if len(auts) > AUT_BUDGET:
         raise BudgetExceededError(

@@ -1,16 +1,12 @@
-"""Executable forms of the proof inequalities: the triangle-free edge bound,
-the minimum-degree coefficient chain, and the counterexample parameters.
+"""Theorem 2's certificates, the counterexample parameters and the
+end-to-end comparison of leading coefficients, and `CertCheck`, the
+record of one exact inequality, which Theorem 1's certificates use too.
 
 Every certificate is exact rational arithmetic; floats appear only as
 search seeds (locating the integer threshold before the exact powering
-check confirms it).  The Theorem-1 chain is evaluated in plain integers:
-each expression is an unreduced (numerator, denominator) pair read off its
-displayed form, with a positive denominator, and every relation between
-two of them is decided by cross-multiplication (by the numerators alone
-over equal denominators); a reduced Fraction is formed only where a
-report holds the value.  Fractional exponents never
-arise: an inequality involving t^(lambda+1) with lambda = u/w is
-certified by raising both positive sides to the w-th power.
+check confirms it).  Fractional exponents never arise: an inequality
+involving t^(lambda+1) with lambda = u/w is certified by raising both
+positive sides to the w-th power.
 
 The end-to-end Theorem-2 certificate compares two leading coefficients,
 the weighted homomorphism sums of the tree build_theorem2_H(d, x) into
@@ -19,6 +15,11 @@ tree's six subtree kinds, written here as a table (leaf or pendant top,
 pendant middle, u2, q, p and the root u1), in which the d + 1 equal
 leaves of each star and the x - 3 equal pendant paths enter as integer
 powers; the 2x + 2d-vertex tree is never built.
+
+Theorem 1's coefficient, chain and sweep are in `thm1`, and the
+triangle-free edge bound is in `graphs`, so `verify thm2-*` compiles no
+Theorem-1 code and `verify lemma2` does not load this module.  Their old
+names here are resolved from those modules on first access (PEP 562).
 """
 
 from __future__ import annotations
@@ -48,200 +49,21 @@ def _check(name: str, lhs, rhs, relation: str) -> CertCheck:
     return CertCheck(name, lhs, rhs, relation, _RELATIONS[relation](lhs, rhs))
 
 
-# ---------------------------------------------------------------------------
-# edge bound for triangle-free graphs
-# ---------------------------------------------------------------------------
-
-class EdgeBoundReport(NamedTuple):
-    edges: int
-    max_degree: int
-    bound: int
-    holds: bool
-    equality: bool
-    equality_is_complete_bipartite: bool | None
+# names that moved out of this module -> the module that defines them
+_MOVED = {"EdgeBoundReport": "graphs", "edge_bound_check": "graphs",
+          **dict.fromkeys(("ChainReport", "SweepReport", "Theorem1Coefficient",
+                           "optimal_Delta_fraction", "sweep_pairs",
+                           "thm1_chain_check", "thm1_coefficient",
+                           "thm1_sweep"), "thm1")}
 
 
-def edge_bound_check(g: Graph) -> EdgeBoundReport:
-    """|E| <= Delta * (n - Delta) for triangle-free g; on equality, verify
-    the graph is the complete bipartite K_{Delta, n-Delta}."""
-    from .graphs import degree_stats, is_complete_bipartite, is_triangle_free
+def __getattr__(name):
+    module = _MOVED.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
 
-    if not is_triangle_free(g):
-        raise ValueError("edge bound applies to triangle-free graphs only")
-    if g.n == 0:
-        return EdgeBoundReport(0, 0, 0, True, True, True)
-    stats = degree_stats(g)
-    delta = stats.delta_max
-    bound = delta * (g.n - delta)
-    edges = stats.edge_count
-    equality = edges == bound
-    is_cb = is_complete_bipartite(g) if equality else None
-    return EdgeBoundReport(edges, delta, bound, edges <= bound, equality, is_cb)
-
-
-# ---------------------------------------------------------------------------
-# minimum-degree coefficient for the matching theorem
-# ---------------------------------------------------------------------------
-
-class Theorem1Coefficient(NamedTuple):
-    x: int
-    d: int
-    value: Fraction
-    exceeds_two_fifths: bool
-
-
-def thm1_coefficient(x: int, d: int) -> Theorem1Coefficient:
-    """(d+x-1)^(2d+2x-2) / (2 (2d+x-1)^(2d+x-1) (x-1)^(x-1)), exact."""
-    _require_x_d(x, d)
-    value = _coefficient_pair(x, d)
-    return Theorem1Coefficient(x, d, Fraction(*value),
-                               _holds(value, _TWO_FIFTHS, ">"))
-
-
-def _coefficient_pair(x: int, d: int) -> tuple[int, int]:
-    """thm1_coefficient's value as its unreduced (numerator, denominator)."""
-    y, e = x - 1, 2 * d + x - 1
-    return (d + y) ** (2 * d + 2 * y), 2 * e ** e * y ** y
-
-
-def optimal_Delta_fraction(x: int, d: int) -> Fraction:
-    """The maximizer Delta/n of Delta^(2d+x-1) (n-Delta)^(x-1)."""
-    den = 2 * d + 2 * x - 2
-    if den == 0:
-        raise ValueError("degenerate maximization for x=1, d=0")
-    return Fraction(2 * d + x - 1, den)
-
-
-class ChainReport(NamedTuple):
-    x: int
-    d: int
-    hypothesis_ok: bool
-    expressions: tuple[Fraction, ...]
-    steps: tuple[CertCheck, ...]
-    all_hold: bool
-
-
-# The chain's steps: step i relates expression i to expression i + 1, and
-# the last step relates the last expression to 2/5.
-_CHAIN_STEPS = (
-    ("raw equals factored", "=="),
-    ("denominator relaxation", ">="),
-    ("exponent split", "=="),
-    ("difference of squares", "=="),
-    ("Bernoulli lower bounds", ">="),
-    ("defect bound substitution", ">="),
-    ("numeric tail exceeds 2/5", ">"),
-)
-_TWO_FIFTHS = (2, 5)
-
-
-def _require_x_d(x: int, d: int) -> None:
-    if x < 2:
-        raise ValueError("x must be at least 2")
-    if d < 0:
-        raise ValueError("d must be non-negative")
-
-
-def _holds(lhs: tuple[int, int], rhs: tuple[int, int], relation: str) -> bool:
-    """lhs relation rhs for (numerator, positive denominator) pairs, by
-    cross-multiplication, or by the numerators alone over equal
-    denominators."""
-    if lhs[1] == rhs[1]:
-        return _RELATIONS[relation](lhs[0], rhs[0])
-    return _RELATIONS[relation](lhs[0] * rhs[1], rhs[0] * lhs[1])
-
-
-def _chain_pairs(x: int, d: int) -> tuple[tuple[int, int], ...]:
-    """The seven chain expressions as unreduced (numerator, denominator)
-    pairs with positive denominators, each read off its displayed form
-    with r = d/(x-1):
-
-        (d+x-1)^(2d+2x-2) / (2 (2d+x-1)^(2d+x-1) (x-1)^(x-1))
-        1/2 (1 - d/(2d+x-1))^(2d+x-1) (1+r)^(x-1)
-        1/2 (1-r)^(2d+x-1) (1+r)^(x-1)
-        1/2 (1-r)^(2d) ((1-r)(1+r))^(x-1)
-        1/2 (1-r)^(2d) (1-r^2)^(x-1)
-        1/2 (1 - 2d^2/(x-1)) (1 - d^2/(x-1))
-        1/2 (14/16) (15/16)
-    """
-    y, e = x - 1, 2 * d + x - 1
-    coefficient = _coefficient_pair(x, d)
-    squares = y * y
-    plus = (y + d) ** y
-    tail = (y - d) ** (2 * d)
-    split_den = 2 * y ** (2 * d) * squares ** y
-    return (
-        coefficient,
-        ((e - d) ** e * plus, coefficient[1]),
-        ((y - d) ** e * plus, 2 * y ** e * y ** y),
-        (tail * ((y - d) * (y + d)) ** y, split_den),
-        (tail * (squares - d * d) ** y, split_den),
-        ((y - 2 * d * d) * (y - d * d), 2 * squares),
-        (14 * 15, 2 * 16 * 16),
-    )
-
-
-def _step_verdicts(pairs):
-    """Each chain step's name, relation and verdict over the expression
-    pairs, in order, each decided when it is reached."""
-    for (name, relation), lhs, rhs in zip(_CHAIN_STEPS, pairs,
-                                          (*pairs[1:], _TWO_FIFTHS)):
-        yield name, relation, _holds(lhs, rhs, relation)
-
-
-def thm1_chain_check(x: int, d: int) -> ChainReport:
-    """Evaluate the displayed chain from the raw coefficient down to 2/5 and
-    verify each consecutive relation exactly.
-
-    A violated hypothesis (16 d^2 > x-1 or d >= x-1) is reported, and the
-    chain is still evaluated; steps then simply hold or fail as arithmetic
-    dictates.
-    """
-    _require_x_d(x, d)
-    hyp_ok = 16 * d * d <= x - 1 and d < x - 1
-    pairs = _chain_pairs(x, d)
-    values = tuple(Fraction(*pair) for pair in pairs)
-    steps = tuple(
-        CertCheck(name, lhs, rhs, relation, holds)
-        for (name, relation, holds), lhs, rhs in zip(
-            _step_verdicts(pairs), values, (*values[1:], Fraction(*_TWO_FIFTHS))))
-    return ChainReport(x, d, hyp_ok, values, steps,
-                       all(s.holds for s in steps))
-
-
-class SweepReport(NamedTuple):
-    x_max: int
-    pairs_checked: int
-    violations: tuple[tuple[int, int, str], ...]
-
-
-def sweep_pairs(x_max: int):
-    """All (x, d) with 2 <= x <= x_max and 16 d^2 <= x-1."""
-    for x in range(2, x_max + 1):
-        d = 0
-        while 16 * d * d <= x - 1:
-            yield x, d
-            d += 1
-
-
-def thm1_sweep(x_max: int = 300) -> SweepReport:
-    """Exact sweep: every hypothesis pair has coefficient > 2/5 and a fully
-    valid chain; violations are collected, not suppressed.  The chain's
-    first expression is the coefficient itself."""
-    if x_max < 2:
-        raise ValueError("x_max must be at least 2")
-    violations = []
-    checked = 0
-    for x, d in sweep_pairs(x_max):
-        checked += 1
-        pairs = _chain_pairs(x, d)
-        if not _holds(pairs[0], _TWO_FIFTHS, ">"):
-            violations.append((x, d, "coefficient"))
-        bad = next((name for name, _, holds in _step_verdicts(pairs)
-                    if not holds), None)
-        if bad is not None:
-            violations.append((x, d, f"chain step: {bad}"))
-    return SweepReport(x_max, checked, tuple(violations))
+    return getattr(import_module(f"{__package__}.{module}"), name)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,6 @@ builds only its own part of the package.
 from __future__ import annotations
 
 import argparse
-import io
-import json
 import os
 import sys
 
@@ -168,11 +166,13 @@ def build_parser() -> argparse.ArgumentParser:
 # subcommands
 # ---------------------------------------------------------------------------
 
-# A command that reads or builds a graph imports graphs before any other
-# module of the package.  Compiled from source, graphs takes the largest
-# transient memory of them (about 1.2 MB, measured with tracemalloc), and
-# compiling it while the least is live keeps the command's peak memory
-# where importing graphs with this module kept it.
+# Each command imports only the modules it runs.  Compiled from source, a
+# module takes transient parser memory of about 1 MB per 15-20 KB of
+# source (measured with tracemalloc: graphs 1.25 MB, cli 1.2, blowup 1.1),
+# so a command's peak memory follows the code it compiles.  A command that
+# reads or builds a graph imports graphs before any other module of the
+# package, and json is imported only to render the output, so graphs, the
+# largest, compiles while the least is live.
 
 def cmd_count(args):
     from .graphs import read_graph_file
@@ -206,31 +206,37 @@ def _require(args, names):
 def cmd_verify(args):
     theorem = args.theorem
     if theorem == "lemma2":
-        from .graphs import read_graph_file
-    from . import bounds
+        from .graphs import edge_bound_check, read_graph_file
 
-    if theorem == "lemma2":
         _require(args, ["graph"])
-        cert = bounds.edge_bound_check(read_graph_file(args.graph))
+        cert = edge_bound_check(read_graph_file(args.graph))
         ok = cert.holds and (cert.equality_is_complete_bipartite
                              if cert.equality else True)
     elif theorem == "thm1-coeff":
+        from . import thm1
+
         if args.sweep_max is not None:
-            cert = bounds.thm1_sweep(args.sweep_max)
+            cert = thm1.thm1_sweep(args.sweep_max)
             ok = not cert.violations
         else:
             _require(args, ["x", "d"])
-            cert = bounds.thm1_coefficient(args.x, args.d)
+            cert = thm1.thm1_coefficient(args.x, args.d)
             ok = cert.exceeds_two_fifths
     elif theorem == "thm1-chain":
+        from . import thm1
+
         _require(args, ["x", "d"])
-        cert = bounds.thm1_chain_check(args.x, args.d)
+        cert = thm1.thm1_chain_check(args.x, args.d)
         ok = cert.all_hold
     elif theorem == "thm2-params":
+        from . import bounds
+
         _require(args, ["lam"])
         cert = bounds.solve_theorem2_params(args.lam)
         ok = cert.all_hold
     else:  # thm2-e2e
+        from . import bounds
+
         _require(args, ["lam"])
         cert = bounds.theorem2_end_to_end(args.lam, args.x)
         ok = cert.holds and cert.params.all_hold
@@ -430,22 +436,44 @@ def _flatten(payload, prefix=""):
     return rows
 
 
-def render(payload, fmt: str | None) -> str:
-    """The output text of a payload: graph text (from gen) as it is, any
-    other payload as JSON or CSV."""
+# JSON is written in batches of at least this many characters: with
+# unbuffered standard streams each write is a system call, and a search
+# whose every host ties prints over a megabyte.
+WRITE_BATCH = 1 << 16
+
+
+def render(payload, fmt: str | None, out) -> None:
+    """Write the output of a payload to the text stream `out`: graph text
+    (from gen) as it is, any other payload as JSON or CSV.  The payload is
+    encoded before the first write, so a failure writes nothing.  JSON is
+    streamed from the encoder in batches of WRITE_BATCH characters and is
+    never held whole; CSV is written in one piece."""
     if isinstance(payload, str):
-        return payload
+        out.write(payload)
+        return
     payload = _encode(payload)
     if fmt == "json":
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        import json
+
+        batch, size = [], 0
+        for chunk in json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload):
+            batch.append(chunk)
+            size += len(chunk)
+            if size >= WRITE_BATCH:
+                out.write("".join(batch))
+                batch, size = [], 0
+        batch.append("\n")
+        out.write("".join(batch))
+        return
     import csv
+    import io
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["key", "value"])
     for key, value in _flatten(payload):
         writer.writerow([key, value])
-    return buf.getvalue()
+    out.write(buf.getvalue())
 
 
 def main(argv=None) -> int:
@@ -466,13 +494,13 @@ def main(argv=None) -> int:
         # a failed internal self-check, not a false inequality (exit 1)
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    text = render(payload, getattr(args, "format", None))
+    fmt = getattr(args, "format", None)
     if not args.out:
-        sys.stdout.write(text)
+        render(payload, fmt, sys.stdout)
         return code
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            render(payload, fmt, fh)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,12 +8,15 @@ always come from the occupancy profile of the pattern's homomorphisms into
 Q, evaluated at the class sizes, by exact division.  A bare embedding
 count goes through Q when Q is smaller than the host, and otherwise
 backtracks over the host's vertices along a static pattern-vertex order
-with bit-set candidate pruning.
+with bit-set candidate pruning.  The search plan, and the injective
+listing that `optimize` takes a skeleton's automorphisms from without
+loading this module, are in `_pyplace`.
 """
 
 from __future__ import annotations
 
 from . import _kernels as kernels
+from ._pyplace import search_plan
 from .graphs import Graph, is_triangle_free, twin_quotient
 
 
@@ -23,30 +26,6 @@ def __getattr__(name):
         from concurrent.futures import ProcessPoolExecutor
         return ProcessPoolExecutor
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def search_plan(pattern: Graph):
-    """Static search order and per-position earlier-neighbor lists.
-
-    Vertices are ordered by degree descending, then by number of already
-    placed neighbors, then by index; deterministic.
-    """
-    m = pattern.n
-    remaining = list(range(m))
-    placed_mask = 0
-    order = []
-    while remaining:
-        remaining.sort(key=lambda v: (-pattern.degree(v),
-                                      -(pattern.rows[v] & placed_mask).bit_count(),
-                                      v))
-        v = remaining.pop(0)
-        order.append(v)
-        placed_mask |= 1 << v
-    pos = {v: i for i, v in enumerate(order)}
-    parents = []
-    for i, v in enumerate(order):
-        parents.append(sorted(pos[u] for u in pattern.neighbors(v) if pos[u] < i))
-    return order, parents
 
 
 def count_embeddings(pattern: Graph, host: Graph) -> int:
@@ -103,38 +82,6 @@ def _exact_division(num: int, den: int, num_name: str, den_name: str) -> int:
         raise RuntimeError(f"{num_name} {num} not divisible by {den_name} "
                            f"{den}; this indicates a counting bug")
     return q
-
-
-def embeddings_listing(pattern: Graph, host: Graph):
-    """Yield every injective embedding as a tuple image[p] = host vertex.
-
-    Intended for small instances (tests and H-degree spot checks)."""
-    order, parents = search_plan(pattern)
-    m = pattern.n
-    if m == 0:
-        yield ()
-        return
-    full = (1 << host.n) - 1
-    sel = [0] * m
-
-    def rec(level, used):
-        cand = full & ~used
-        for p in parents[level]:
-            cand &= host.rows[sel[p]]
-        while cand:
-            bit = cand & -cand
-            v = bit.bit_length() - 1
-            sel[level] = v
-            if level == m - 1:
-                image = [0] * m
-                for i, pv in enumerate(order):
-                    image[pv] = sel[i]
-                yield tuple(image)
-            else:
-                yield from rec(level + 1, used | bit)
-            cand &= cand - 1
-
-    yield from rec(0, 0)
 
 
 class HDegreeReport:

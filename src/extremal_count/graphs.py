@@ -3,7 +3,10 @@
 Adjacency is stored as one Python integer per vertex (bit j of rows[v] set
 iff v ~ j), so triangle tests and embedding pruning are word-parallel
 intersections.  Vertex labels are advisory strings used for provenance
-(e.g. blob membership of a blow-up); no algorithm consults them.
+(e.g. blob membership of a blow-up); no algorithm consults them.  The
+triangle-free edge bound, the certificate of `verify lemma2`, is here
+too: it needs only the structural predicates, so that command loads no
+other module of the package.
 """
 
 from __future__ import annotations
@@ -355,6 +358,35 @@ def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     labels = dict(g1.labels)
     labels.update({v + g1.n: lab for v, lab in g2.labels.items()})
     return Graph(g1.n + g2.n, edges, labels)
+
+
+# ---------------------------------------------------------------------------
+# the edge bound for triangle-free graphs (verify lemma2)
+# ---------------------------------------------------------------------------
+
+class EdgeBoundReport(NamedTuple):
+    edges: int
+    max_degree: int
+    bound: int
+    holds: bool
+    equality: bool
+    equality_is_complete_bipartite: bool | None
+
+
+def edge_bound_check(g: Graph) -> EdgeBoundReport:
+    """|E| <= Delta * (n - Delta) for triangle-free g; on equality, verify
+    the graph is the complete bipartite K_{Delta, n-Delta}."""
+    if not is_triangle_free(g):
+        raise ValueError("edge bound applies to triangle-free graphs only")
+    if g.n == 0:
+        return EdgeBoundReport(0, 0, 0, True, True, True)
+    stats = degree_stats(g)
+    delta = stats.delta_max
+    bound = delta * (g.n - delta)
+    edges = stats.edge_count
+    equality = edges == bound
+    is_cb = is_complete_bipartite(g) if equality else None
+    return EdgeBoundReport(edges, delta, bound, edges <= bound, equality, is_cb)
 
 
 # ---------------------------------------------------------------------------

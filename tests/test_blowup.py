@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -164,6 +165,21 @@ def test_coefficient_multiplicative_over_components():
         assert (leading_coefficient(both, wp).value
                 == leading_coefficient(h1, wp).value
                 * leading_coefficient(h2, wp).value)
+
+
+def test_equal_tree_components_summed_once():
+    # 100 disjoint edges are one class of tree components, summed once and
+    # raised to the 100th power at each of the optimizer's evaluations;
+    # summing each component at every evaluation takes about 0.05 s
+    c5 = cycle_graph(5)
+    matching = Graph(200, [(2 * i, 2 * i + 1) for i in range(100)])
+    assert HomSumPlan(matching, c5).trees == ((HomSumPlan(K2, c5).trees[0][0], 100),)
+    one_wp, one = optimize_weights(K2, c5, 10)
+    start = time.perf_counter()
+    wp, coeff = optimize_weights(matching, c5, 10)
+    assert time.perf_counter() - start < 0.025
+    assert wp.weights == one_wp.weights
+    assert coeff == (one.value ** 100, one.hom_count ** 100)
 
 
 def test_hom_sum_homogeneity():

@@ -12,10 +12,11 @@ from extremal_count import (Graph, WeightedPattern, build_theorem2_H,
                             optimal_Delta_fraction, path_graph,
                             solve_theorem2_params, theorem2_end_to_end,
                             thm1_chain_check, thm1_coefficient, thm1_sweep)
-from extremal_count import _treedp, bounds
+from extremal_count import _treedp, bounds, thm1
 from extremal_count._treedp import kind_sum
 from extremal_count.blowup import _tree_kinds
-from extremal_count.bounds import admissible_x, sweep_pairs
+from extremal_count.bounds import admissible_x
+from extremal_count.thm1 import sweep_pairs
 
 from naive import naive_hom_sum, naive_homomorphisms, naive_theorem2_params
 
@@ -134,7 +135,7 @@ def test_sweep_names_the_first_failing_step(monkeypatch):
     # first step the chain report finds failing, and a coefficient at or
     # below 2/5
     pairs = [(5, 3), (3, 2), (17, 2), (17, 1)]
-    monkeypatch.setattr(bounds, "sweep_pairs", lambda x_max: iter(pairs))
+    monkeypatch.setattr(thm1, "sweep_pairs", lambda x_max: iter(pairs))
     report = thm1_sweep(17)
     assert report.pairs_checked == len(pairs)
     expected = []

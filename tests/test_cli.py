@@ -1,6 +1,7 @@
 """CLI contract: subcommands, formats, exit codes."""
 
 import hashlib
+import io
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -425,6 +427,74 @@ def test_csv_projection(capsys, c4_file, k22_file):
     assert "copies,1" in lines
 
 
+class _RecordingStream(io.StringIO):
+    """A text stream that also records the length of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(len(text))
+        return super().write(text)
+
+
+def _payload(args):
+    parsed = cli.build_parser().parse_args(args)
+    return parsed.func(parsed)[0]
+
+
+@pytest.mark.parametrize("command", ["thm2-params", "count", "search"])
+def test_render_streams_the_json_of_the_encoded_payload(command, tmp_path,
+                                                        c4_file, k22_file):
+    k1 = tmp_path / "k1.graph"
+    write_graph_file(Graph(1), k1)
+    payload = _payload({"thm2-params": ["verify", "thm2-params", "--lam", "1/3"],
+                        "count": ["count", c4_file, k22_file],
+                        # every host ties: about 200 KB of witnesses
+                        "search": ["search", str(k1), "8"]}[command])
+    expected = json.dumps(cli._encode(payload), indent=2, sort_keys=True) + "\n"
+    out = _RecordingStream()
+    cli.render(payload, "json", out)
+    assert out.getvalue() == expected
+    # batches of at least WRITE_BATCH characters, one system call each on
+    # an unbuffered stream, and not one write per encoder chunk
+    assert all(n >= cli.WRITE_BATCH for n in out.writes[:-1])
+    assert len(out.writes) <= len(expected) // cli.WRITE_BATCH + 1
+
+
+@pytest.mark.parametrize("args", [["verify", "thm2-params", "--lam", "1/3"],
+                                  ["count", "{c4}", "{k22}", "--format", "csv"],
+                                  ["search", "{c4}", "6"],
+                                  ["gen", "blowup", "--pattern", "c5",
+                                   "--sizes", "3,1,2,2,1"]])
+def test_out_file_bytes_equal_stdout_bytes(args, tmp_path, c4_file, k22_file, capsys):
+    args = [a.format(c4=c4_file, k22=k22_file) for a in args]
+    code, out = run(args, capsys)
+    assert code == 0
+    target = tmp_path / "out.txt"
+    assert run(args + ["--out", str(target)], capsys) == (code, "")
+    assert target.read_bytes() == out.encode()
+
+
+def test_render_holds_no_whole_certificate(tmp_path):
+    # the 201 KB thm2-params certificate at lambda = 1/3, rendered to a
+    # file: the encoded payload, a quoted copy of one text and one batch
+    # are live at a time (about 513 KB traced), not the whole output text
+    # and its copies (about 613 KB)
+    payload = _payload(["verify", "thm2-params", "--lam", "1/3"])
+    with open(tmp_path / "cert.json", "w", encoding="utf-8") as sink:
+        # json, decimal and the table of powers are in place before tracing
+        cli.render(payload, "json", sink)
+        tracemalloc.start()
+        try:
+            cli.render(payload, "json", sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 560_000
+
+
 # sha256 of (stdout, stderr) of the help texts and of usage errors, recorded
 # with every subcommand's parser built up front (Python 3.11, 80 columns)
 PARSER_DIGESTS = {
@@ -540,12 +610,15 @@ def test_optimize_triangle_skeleton_exit_2(tmp_path, c4_file, capsys):
 
 
 # Modules each command must not load: `count` opens no process pool and
-# needs no certificate or search code, and `verify lemma2` needs only the
-# graph predicates.  `verify thm2-e2e` sums over the subtree kinds of its
-# tree with the tree DP alone, so it needs no graph, hom-sum plan,
-# embedding search or kernel; `verify thm2-params` and `verify
-# thm1-chain` need no graph at all.  Only the commands that sum over a
-# tree load the tree DP.
+# needs no certificate, search or enumeration code, and `verify lemma2`
+# needs only the graph predicates, not even exact rationals.  `verify
+# thm2-e2e` sums over the subtree kinds of its tree with the tree DP
+# alone, so it needs no graph, hom-sum plan, embedding search or kernel;
+# `verify thm2-params` and `verify thm1-chain` need no graph at all, and
+# neither Theorem-2 command compiles Theorem 1.  `optimize` lists its
+# skeleton's automorphisms with the placement kernels alone, so it loads
+# no embedding counting, enumeration or certificate code.  Only the
+# commands that sum over a tree load the tree DP.
 # No command loads dataclasses or its inspect, nor csv without --format
 # csv, and count does not load fractions.
 STARTUP = ("dataclasses", "inspect", "csv")
@@ -553,9 +626,12 @@ IMPORT_SCOPE = {
     "count": STARTUP + ("fractions", "multiprocessing",
                         "concurrent.futures.process", "extremal_count.bounds",
                         "extremal_count.blowup", "extremal_count.oracle",
-                        "extremal_count._treedp"),
-    "lemma2": STARTUP + ("extremal_count.blowup", "extremal_count.oracle",
+                        "extremal_count._treedp", "extremal_count._pykernels"),
+    "lemma2": STARTUP + ("fractions", "decimal", "extremal_count.bounds",
+                         "extremal_count.blowup", "extremal_count.oracle",
                          "extremal_count.embeddings", "extremal_count._treedp"),
+    "optimize": STARTUP + ("extremal_count.embeddings", "extremal_count.oracle",
+                           "extremal_count.bounds", "extremal_count._pykernels"),
     "search": STARTUP + ("multiprocessing", "concurrent.futures.process",
                          "extremal_count.bounds", "extremal_count.blowup",
                          "extremal_count._treedp"),
@@ -564,9 +640,10 @@ IMPORT_SCOPE = {
     "thm2-e2e": STARTUP + ("multiprocessing", "concurrent.futures.process",
                            "extremal_count.graphs", "extremal_count.blowup",
                            "extremal_count.oracle", "extremal_count.embeddings",
-                           "extremal_count._pykernels"),
+                           "extremal_count._pykernels", "extremal_count.thm1"),
     "thm2-params": STARTUP + ("multiprocessing", "extremal_count.graphs",
-                              "extremal_count.blowup", "extremal_count._treedp"),
+                              "extremal_count.blowup", "extremal_count._treedp",
+                              "extremal_count.thm1"),
 }
 
 SCOPE_PROBE = """
@@ -578,6 +655,17 @@ print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)
 """
 
 
+def _loaded_modules(probe, args=()):
+    """(stdout, the last stderr line as JSON) of a fresh interpreter that
+    runs `probe` with `args` and finds this package first."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(cli.__file__))]
+        + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", probe, *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+    return proc.stdout, json.loads(proc.stderr.strip().splitlines()[-1])
+
+
 @pytest.mark.parametrize("command", sorted(IMPORT_SCOPE))
 def test_command_import_scope(command, tmp_path):
     pattern, host = tmp_path / "p4.graph", tmp_path / "k33.graph"
@@ -585,18 +673,26 @@ def test_command_import_scope(command, tmp_path):
     write_graph_file(complete_bipartite(3, 3), host)
     args = {"count": ["count", str(pattern), str(host)],
             "lemma2": ["verify", "lemma2", "--graph", str(host)],
+            "optimize": ["optimize", str(pattern), "c5", "--grid", "10"],
             "search": ["search", str(pattern), "6"],
             "thm1-chain": ["verify", "thm1-chain", "--x", "17", "--d", "1"],
             "thm2-e2e": ["verify", "thm2-e2e", "--lam", "1"],
             "thm2-params": ["verify", "thm2-params", "--lam", "1"]}[command]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [os.path.dirname(os.path.dirname(cli.__file__))]
-        + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    proc = subprocess.run([sys.executable, "-c", SCOPE_PROBE, *args],
-                          capture_output=True, text=True, env=env, timeout=60)
-    code, loaded = json.loads(proc.stderr.strip().splitlines()[-1])
+    _, (code, loaded) = _loaded_modules(SCOPE_PROBE, args)
     assert code == 0
     assert not set(IMPORT_SCOPE[command]) & set(loaded)
+
+
+def test_backend_probe_loads_no_enumeration_or_embedding_code():
+    # reading BACKEND imports the kernel dispatch, which compiles the
+    # enumeration kernels only when one is first called
+    out, loaded = _loaded_modules(
+        "import json, sys, extremal_count\n"
+        "print(extremal_count.BACKEND)\n"
+        "print(json.dumps(sorted(sys.modules)), file=sys.stderr)")
+    assert out.strip() in ("compiled", "python")
+    assert "extremal_count._kernels" in loaded
+    assert not {"extremal_count._pykernels", "extremal_count.embeddings"} & set(loaded)
 
 
 def test_every_package_export_resolves():
