@@ -44,7 +44,6 @@ def _pure():
 
 
 # staircase mask helpers are backend-independent
-
 def mask_from_rows(rows, n: int) -> int:
     return _pure().mask_from_rows(rows, n)
 
