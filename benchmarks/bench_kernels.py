@@ -15,7 +15,6 @@ import random
 import time
 
 from extremal_count import _kernels, _pykernels, _pyplace
-from extremal_count.embeddings import search_plan
 from extremal_count.graphs import build_gps_example1, complete_bipartite
 
 
@@ -32,7 +31,7 @@ def best_of(repeats, fn, *args):
 def bench_count(repeats):
     pattern = build_gps_example1(4)   # 8-vertex tree
     host = complete_bipartite(8, 8)
-    _, parents = search_plan(pattern)
+    _, parents = _pyplace.search_plan(pattern)
     rows = list(host.rows)
     pure_t, pure_v = best_of(repeats, _pyplace.count_injective,
                              host.rows, host.n, parents)

@@ -2,18 +2,18 @@
 """Compiled kernels for the hot inner loops: injective-embedding counting
 and canonical-form minimization.
 
-Mirrors `_pykernels` exactly (same mask packing); see that module for the
-conventions.  Triangle-free enumeration has no compiled twin: the pure
-generator runs on the compiled `canonical_mask`.  H-degrees come from the
-pure occupancy profile on both backends.  Limits: hosts up to 64
-vertices and counts below 2**63 for the counter, 16 vertices for canonical
-forms.  Callers dispatch to the pure kernels beyond these.
+Mirrors `_pyplace.count_injective` and `_pykernels.canonical_mask` exactly
+(same mask packing); see `_pykernels` for the conventions.  `_kernels`
+reports the backend and dispatches here.  Triangle-free enumeration has
+no compiled twin: the pure generator runs on the compiled
+`canonical_mask`.  H-degrees come from the pure occupancy profile on
+both backends.  Limits: hosts up to 64 vertices and counts below 2**63
+for the counter, 16 vertices for canonical forms.  Callers dispatch to
+the pure kernels beyond these.
 """
 
 from libc.stdint cimport uint64_t, uint32_t
 from cpython.mem cimport PyMem_Malloc, PyMem_Free
-
-BACKEND = "compiled"
 
 cdef extern from *:
     """

@@ -1,16 +1,17 @@
 """Pure-Python enumeration kernels: canonical forms, the staircase mask
 helpers, and triangle-free enumeration.
 
-The canonical form mirrors the compiled kernel in `_fastkernels` and is
-selected when the extension is unavailable (or when
-EXTREMAL_COUNT_FORCE_PYTHON is set).  Triangle-free enumeration, on both
-backends, is one growth step from the maximal triangle-free graphs on n-1
-vertices to those on n, and one closure from those under single-edge
-deletion; both take the canonical form to use as an argument.  The
-placement kernels (injective counting, occupancy profiles and the
-injective listing) are in `_pyplace`; `_kernels` imports this module only
-when a canonical form or an enumeration is first asked for, so commands
-that only count never compile it.
+The canonical form mirrors the compiled kernel in `_fastkernels`;
+`_kernels.canonical_mask` dispatches to it when the extension is
+unavailable (or when EXTREMAL_COUNT_FORCE_PYTHON is set).  Triangle-free
+enumeration, on both backends, is one growth step from the maximal
+triangle-free graphs on n-1 vertices to those on n, and one closure from
+those under single-edge deletion; both take the canonical form to use as
+an argument, which the `_kernels` entry points pass in.  The staircase
+mask helpers have no compiled twin: `oracle` and the `search` command
+import them from here.  The placement kernels (injective counting,
+occupancy profiles and the injective listing) are in `_pyplace`.  Only
+`search` loads this module, so commands that only count never compile it.
 
 Twins are vertices u, v with N(u) - v == N(v) - u.  Swapping two twins is
 an automorphism that fixes every other vertex, so the canonical-form
@@ -26,8 +27,6 @@ integer over all vertex relabelings.
 """
 
 from __future__ import annotations
-
-BACKEND = "python"
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ Each kernel places the pattern's vertices, one position at a time along a
 static search plan, on host vertices held as bit rows; none needs a
 canonical form, so commands that only count (`count`, `optimize`) never
 compile the enumeration kernels of `_pykernels`.  `count_injective`
-mirrors the compiled kernel in `_fastkernels`; the occupancy profile,
-the one source of H-degrees and pair degrees, has no compiled twin.
+mirrors the compiled kernel in `_fastkernels`, and `_kernels` imports
+this module only when it first falls back to it.  The other kernels
+here, among them the occupancy profile (the one source of H-degrees and
+pair degrees), have no compiled twin; callers import them from here.
 Counts use Python integers, so this path has no host-size or
 count-magnitude limits, only speed ones.  Patterns and hosts are read
 through `n`, `rows`, `degree` and `neighbors` alone; this module imports

@@ -276,8 +276,8 @@ def cmd_optimize(args):
 
 def cmd_search(args):
     from .graphs import read_graph_file, write_graph_file
-    from . import _kernels as kernels
     from .oracle import find_maximizers
+    from ._pykernels import mask_from_rows
 
     pattern = read_graph_file(args.pattern)
     report = find_maximizers(pattern, args.n)
@@ -286,7 +286,7 @@ def cmd_search(args):
         witnesses.append({
             "index": i,
             # each witness is built from its canonical mask
-            "canonical_mask": kernels.mask_from_rows(w.rows, w.n),
+            "canonical_mask": mask_from_rows(w.rows, w.n),
             "edges": [[u, v] for u, v in w.edges()],
         })
     if args.witness_dir:

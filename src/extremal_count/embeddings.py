@@ -8,15 +8,18 @@ always come from the occupancy profile of the pattern's homomorphisms into
 Q, evaluated at the class sizes, by exact division.  A bare embedding
 count goes through Q when Q is smaller than the host, and otherwise
 backtracks over the host's vertices along a static pattern-vertex order
-with bit-set candidate pruning.  The search plan, and the injective
-listing that `optimize` takes a skeleton's automorphisms from without
-loading this module, are in `_pyplace`.
+with bit-set candidate pruning.  Only that backtracking count has a
+compiled twin, so it alone goes through the `_kernels` dispatch; the
+search plan and the occupancy profile with its moments are imported from
+`_pyplace`, which also holds the injective listing that `optimize` takes
+a skeleton's automorphisms from without loading this module.
 """
 
 from __future__ import annotations
 
 from . import _kernels as kernels
-from ._pyplace import search_plan
+from ._pyplace import (occupancy_moments, occupancy_profile,
+                       occupancy_second_moment, occupancy_total, search_plan)
 from .graphs import Graph, is_triangle_free, twin_quotient
 
 
@@ -42,8 +45,8 @@ def _count_planned(parents, host: Graph) -> int:
     larger than the host; lets a caller scoring many hosts plan once."""
     skeleton, sizes, _ = twin_quotient(host)
     if skeleton.n < host.n:
-        profile = kernels.occupancy_profile(skeleton.rows, sizes, parents)
-        return kernels.occupancy_total(profile, sizes)
+        profile = occupancy_profile(skeleton.rows, sizes, parents)
+        return occupancy_total(profile, sizes)
     return kernels.count_injective(host.rows, host.n, parents)
 
 
@@ -51,8 +54,8 @@ def count_blowup_embeddings(pattern: Graph, skeleton: Graph, sizes) -> int:
     """count_embeddings(pattern, build_blowup(skeleton, sizes)), from the
     occupancy profile over the skeleton, without building the blow-up."""
     _, parents = search_plan(pattern)
-    profile = kernels.occupancy_profile(skeleton.rows, sizes, parents)
-    return kernels.occupancy_total(profile, sizes)
+    profile = occupancy_profile(skeleton.rows, sizes, parents)
+    return occupancy_total(profile, sizes)
 
 
 def count_automorphisms(pattern: Graph) -> int:
@@ -98,10 +101,9 @@ class HDegreeReport:
     def __init__(self, pattern: Graph, host: Graph):
         _, parents = search_plan(pattern)
         skeleton, self._sizes, self._classes = twin_quotient(host)
-        self._profile = kernels.occupancy_profile(skeleton.rows, self._sizes,
-                                                  parents)
+        self._profile = occupancy_profile(skeleton.rows, self._sizes, parents)
         self._second = None
-        total, first = kernels.occupancy_moments(self._profile, self._sizes)
+        total, first = occupancy_moments(self._profile, self._sizes)
         per_class = [_exact_division(f, s, "first occupancy moment",
                                      "class size")
                      for f, s in zip(first, self._sizes)]
@@ -116,8 +118,7 @@ class HDegreeReport:
         if u == v:
             return self.h[u]
         if self._second is None:
-            self._second = kernels.occupancy_second_moment(self._profile,
-                                                           self._sizes)
+            self._second = occupancy_second_moment(self._profile, self._sizes)
         q, r = self._classes[u], self._classes[v]
         den = self._sizes[q] * (self._sizes[r] - (q == r))
         return _exact_division(self._second[q][r], den,

@@ -24,8 +24,9 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import _kernels as kernels
-from .embeddings import (_count_planned, copies_from_counts, count_automorphisms,
-                         search_plan)
+from ._pykernels import rows_from_mask
+from ._pyplace import search_plan
+from .embeddings import _count_planned, copies_from_counts, count_automorphisms
 from .graphs import (BudgetExceededError, Graph, is_bipartite,
                      is_complete_bipartite, is_triangle_free)
 
@@ -49,7 +50,7 @@ def canonical_form(g: Graph) -> int:
 
 
 def graph_from_canonical_mask(n: int, mask: int) -> Graph:
-    return Graph.from_rows(kernels.rows_from_mask(n, mask))
+    return Graph.from_rows(rows_from_mask(n, mask))
 
 
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:

@@ -8,8 +8,9 @@ import pytest
 
 from extremal_count import (Graph, WeightedPattern, build_theorem2_H,
                             complete_bipartite, complete_graph, cycle_graph,
-                            edge_bound_check, leading_coefficient,
-                            optimal_Delta_fraction, path_graph,
+                            edge_bound_check, is_bipartite,
+                            leading_coefficient, optimal_Delta_fraction,
+                            path_graph,
                             solve_theorem2_params, theorem2_end_to_end,
                             thm1_chain_check, thm1_coefficient, thm1_sweep)
 from extremal_count import _treedp, bounds, thm1
@@ -302,3 +303,25 @@ def test_theorem2_below_threshold_reports_honestly():
 def test_theorem2_rejects_incompatible_x():
     with pytest.raises(ValueError):
         theorem2_end_to_end(1, x=5)  # lambda*x odd
+
+
+def test_c5_beats_k2_with_about_eleven_root_x_unmatched_vertices():
+    # x = 10240 with 2d = 1112 unmatched vertices, about 11 sqrt(x - 1):
+    # 2d/x is about 0.11, below every lambda that `verify thm2-e2e`
+    # reaches.  The C5 weights are a float ascent's argmax rounded to
+    # denominator 10^6; the comparison is exact
+    x, d = 10240, 556
+    weights = (Fraction(59, 62500), Fraction(474157, 1000000),
+               Fraction(131201, 250000), Fraction(23, 500000),
+               Fraction(49, 1000000))
+    assert sum(weights) == 1
+    half = (Fraction(1, 2), Fraction(1, 2))
+    coeff_c5 = bounds._theorem2_hom_sum(d, x, weights, bounds._C5_NEIGHBOURS)
+    coeff_k2 = bounds._theorem2_hom_sum(d, x, half, bounds._K2_NEIGHBOURS)
+    assert coeff_c5 > coeff_k2
+    assert 1.2395 < coeff_c5 / coeff_k2 < 1.2397
+    # equal colour classes, so the balanced K2 is the best complete
+    # bipartite blow-up
+    side0, side1 = is_bipartite(build_theorem2_H(d, x))
+    assert len(side0) == len(side1) == x + d
+    assert 10.98 < 2 * d / math.sqrt(x - 1) < 11

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from extremal_count import (Graph, _kernels, canonical_form, cli,
+from extremal_count import (Graph, _kernels, canonical_form, cli, embeddings,
                             read_graph_file, triangle_free_masks)
 from extremal_count.graphs import (write_graph_file, cycle_graph, complete_bipartite,
                                    path_graph, star_graph)
@@ -86,13 +86,13 @@ def test_count_failed_self_check_exit_3(tmp_path, capsys, monkeypatch):
     pattern, host = tmp_path / "p3.graph", tmp_path / "c5.graph"
     write_graph_file(path_graph(3), pattern)
     write_graph_file(cycle_graph(5), host)
-    real = _kernels.occupancy_moments
+    real = embeddings.occupancy_moments
 
     def off_by_one(profile, sizes):
         total, first = real(profile, sizes)
         return total, [first[0] + 1] + first[1:]
 
-    monkeypatch.setattr(_kernels, "occupancy_moments", off_by_one)
+    monkeypatch.setattr(embeddings, "occupancy_moments", off_by_one)
     code = cli.main(["count", str(pattern), str(host)])
     captured = capsys.readouterr()
     assert code == 3
@@ -104,13 +104,13 @@ def test_count_failed_self_check_exit_3(tmp_path, capsys, monkeypatch):
 def test_count_inexact_moment_exit_3(c4_file, k22_file, capsys, monkeypatch):
     # K_{2,2} is counted through its twin quotient; a first occupancy moment
     # that its class size does not divide is a counting bug
-    real = _kernels.occupancy_moments
+    real = embeddings.occupancy_moments
 
     def off_by_one(profile, sizes):
         total, first = real(profile, sizes)
         return total, [first[0] + 1] + first[1:]
 
-    monkeypatch.setattr(_kernels, "occupancy_moments", off_by_one)
+    monkeypatch.setattr(embeddings, "occupancy_moments", off_by_one)
     code = cli.main(["count", c4_file, k22_file])
     captured = capsys.readouterr()
     assert code == 3
@@ -684,15 +684,20 @@ def test_command_import_scope(command, tmp_path):
 
 
 def test_backend_probe_loads_no_enumeration_or_embedding_code():
-    # reading BACKEND imports the kernel dispatch, which compiles the
-    # enumeration kernels only when one is first called
+    # reading BACKEND imports the kernel dispatch alone (and the extension,
+    # when built); each pure kernel module is compiled only when one of its
+    # kernels is first called
     out, loaded = _loaded_modules(
         "import json, sys, extremal_count\n"
         "print(extremal_count.BACKEND)\n"
         "print(json.dumps(sorted(sys.modules)), file=sys.stderr)")
     assert out.strip() in ("compiled", "python")
-    assert "extremal_count._kernels" in loaded
-    assert not {"extremal_count._pykernels", "extremal_count.embeddings"} & set(loaded)
+    package = {name for name in loaded if name.split(".")[0] == "extremal_count"}
+    assert "extremal_count._kernels" in package
+    assert package <= {"extremal_count", "extremal_count._kernels",
+                       "extremal_count._fastkernels"}
+    assert not {"extremal_count._pyplace", "extremal_count._pykernels",
+                "extremal_count.embeddings"} & package
 
 
 def test_every_package_export_resolves():

@@ -6,12 +6,13 @@ import time
 
 import pytest
 
-from extremal_count import (Graph, _kernels, build_blowup, build_theorem2_H,
+from extremal_count import (Graph, build_blowup, build_theorem2_H,
                             clone_move, complete_bipartite,
                             count_automorphisms, count_copies,
                             count_embeddings, cycle_graph, disjoint_union,
-                            h_degrees, is_bipartite, is_isomorphic,
-                            is_triangle_free, path_graph, star_graph)
+                            embeddings, h_degrees, is_bipartite,
+                            is_isomorphic, is_triangle_free, path_graph,
+                            star_graph)
 from extremal_count.graphs import twin_quotient
 
 from naive import (naive_count_embeddings, naive_h_degree, naive_pair_degree,
@@ -257,12 +258,12 @@ def test_tree_in_k10_10_counts_through_the_quotient():
 
 
 def test_inexact_second_moment_raises(monkeypatch):
-    real = _kernels.occupancy_second_moment
+    real = embeddings.occupancy_second_moment
 
     def off_by_one(profile, sizes):
         return [[x + 1 for x in row] for row in real(profile, sizes)]
 
-    monkeypatch.setattr(_kernels, "occupancy_second_moment", off_by_one)
+    monkeypatch.setattr(embeddings, "occupancy_second_moment", off_by_one)
     report = h_degrees(path_graph(3), complete_bipartite(3, 3))
     with pytest.raises(RuntimeError, match="not divisible"):
         report.pair(0, 1)
