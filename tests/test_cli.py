@@ -694,10 +694,9 @@ def test_backend_probe_loads_no_enumeration_or_embedding_code():
     assert out.strip() in ("compiled", "python")
     package = {name for name in loaded if name.split(".")[0] == "extremal_count"}
     assert "extremal_count._kernels" in package
+    # no _pyplace, _pykernels or embeddings
     assert package <= {"extremal_count", "extremal_count._kernels",
                        "extremal_count._fastkernels"}
-    assert not {"extremal_count._pyplace", "extremal_count._pykernels",
-                "extremal_count.embeddings"} & package
 
 
 def test_every_package_export_resolves():
