@@ -15,7 +15,7 @@ import random
 import time
 
 from extremal_count import _kernels, _pykernels, _pyplace
-from extremal_count.graphs import build_gps_example1, complete_bipartite
+from extremal_count.families import build_gps_example1, complete_bipartite
 
 
 def best_of(repeats, fn, *args):

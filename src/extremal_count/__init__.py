@@ -10,22 +10,23 @@ from importlib import import_module
 
 _EXPORTS = {
     "_kernels": ("BACKEND", "HAS_FAST"),
-    "blowup": ("LeadingCoefficient", "SaturationReport", "WeightedPattern",
-               "leading_coefficient", "optimize_weights", "saturation_check",
-               "saturation_converges", "weighted_hom_sum"),
+    "blowup": ("SaturationReport", "optimize_weights", "saturation_check",
+               "saturation_converges"),
     "bounds": ("Theorem2Certificate", "Theorem2Params",
                "solve_theorem2_params", "theorem2_end_to_end"),
     "embeddings": ("HDegreeReport", "clone_move", "count_automorphisms",
                    "count_copies", "count_embeddings", "h_degrees"),
+    "families": ("build_blowup", "build_gps_example1", "build_theorem2_H",
+                 "build_turan2", "complete_bipartite", "complete_graph",
+                 "cycle_graph", "path_graph", "star_graph"),
     "graphs": ("BudgetExceededError", "DegreeStats", "EdgeBoundReport",
-               "Graph", "GraphFormatError", "build_blowup",
-               "build_gps_example1", "build_theorem2_H", "build_turan2",
-               "complete_bipartite", "complete_graph", "connected_components",
-               "cycle_graph", "degree_stats", "disjoint_union",
-               "edge_bound_check", "is_bipartite", "is_complete_bipartite",
-               "is_triangle_free", "path_graph", "read_graph_file",
-               "read_graph_text", "star_graph", "write_graph_file",
+               "Graph", "GraphFormatError", "connected_components",
+               "degree_stats", "disjoint_union", "edge_bound_check",
+               "is_bipartite", "is_complete_bipartite", "is_triangle_free",
+               "read_graph_file", "read_graph_text", "write_graph_file",
                "write_graph_text"),
+    "homsum": ("LeadingCoefficient", "WeightedPattern", "leading_coefficient",
+               "weighted_hom_sum"),
     "matchings": ("HypothesisVerdict", "MatchingReport", "NotBipartiteError",
                   "check_theorem1_hypothesis", "maximum_matching"),
     "oracle": ("MaximizerReport", "canonical_form", "enumerate_triangle_free",

@@ -86,6 +86,14 @@ C_HALVING_DEPTH = 60
 # powered.
 POWER_BUDGET = 5 * 10 ** 6
 
+# Largest estimated size, in bits, of the denominator D^(2x+2d) of the C5
+# coefficient in theorem2_end_to_end, D the lcm of the denominators of a,
+# b and c; both coefficients are reduced by a gcd, quadratic in that size.
+# Measured as POWER_BUDGET: lambda = 1/7 at its own x (0.99e6 bits) takes
+# 5.7 s, lambda = 1 at x = 26,666 (1.2e6 bits) 3.7 s, and at x = 60,000
+# (2.7e6 bits) 12 s.  Over the budget, nothing is powered.
+COEFFICIENT_BUDGET = 12 * 10 ** 5
+
 
 class Theorem2Params(NamedTuple):
     lam: Fraction
@@ -280,6 +288,13 @@ def theorem2_end_to_end(lam, x: int | None = None) -> Theorem2Certificate:
     m = 2 * x + 2 * d
 
     a, b, c = params.a, params.b, params.c
+    bits = m * math.lcm(a.denominator, b.denominator, c.denominator).bit_length()
+    if bits > COEFFICIENT_BUDGET:
+        from .graphs import BudgetExceededError
+
+        raise BudgetExceededError(
+            f"the coefficients at x = {x}, d = {d} have denominators of an "
+            f"estimated {bits} bits, over the budget of {COEFFICIENT_BUDGET} bits")
     half = Fraction(1, 2)
     coeff_c5 = _theorem2_hom_sum(d, x, (a, b, c, c, c), _C5_NEIGHBOURS)
     coeff_k2 = _theorem2_hom_sum(d, x, (half, half), _K2_NEIGHBOURS)

@@ -8,9 +8,20 @@ budget errors, 3 a failed internal self-check.  Output depends only on the
 arguments, never on worker count, ordering of parallel partial results, or
 the clock.
 
-Each subcommand imports the modules it runs when it runs, and only its own
-subcommand's arguments are added to the parser, so a command loads and
-builds only its own part of the package.
+Each subcommand's own arguments and code are in its module `_cmd_<name>`
+(`_cmd_count`, `_cmd_verify`, `_cmd_optimize`, `_cmd_search`,
+`_cmd_gen`), imported when that subcommand's parser first parses; this
+module holds the top-level parser, the argument groups the subcommands
+share, the renderer and `main`.  A command module imports the package
+modules it runs when it runs.  With the bytecode cache off, compiling a
+module from source holds transient parser memory of about 1 MB per 15-20
+KB of source, so a command's peak memory follows the code it compiles:
+a command compiles no other command's code, and json is imported only to
+render the output, while the least is live.
+
+No module imports this one: `python -m extremal_count.cli` runs this file
+as `__main__`, so an import of `extremal_count.cli` from a command module
+would compile and run it a second time, as a second module.
 """
 
 from __future__ import annotations
@@ -18,17 +29,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-
-
-def fraction(text: str) -> Fraction:
-    """Fraction parsing for argparse, which reports a ValueError, but not a
-    ZeroDivisionError, as a usage error."""
-    from fractions import Fraction
-
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+from importlib import import_module
 
 
 def worker_count(text: str) -> int:
@@ -48,20 +49,25 @@ def _default_workers() -> int:
 
 
 class _SubcommandParser(argparse.ArgumentParser):
-    """A subcommand's parser that adds its arguments, through `build`, when
-    it first parses: argparse hands the arguments to the parser of the
-    invoked subcommand only, so a command builds no other subcommand's
-    arguments.  The top-level help lists each subcommand by its name and
-    help text alone."""
+    """A subcommand's parser that, when it first parses, adds the command's
+    shared argument group and imports the command's module, which adds the
+    command's own arguments and runs it: argparse hands the arguments to
+    the parser of the invoked subcommand only, so a command builds no other
+    subcommand's arguments and compiles no other subcommand's code.  The
+    top-level help lists each subcommand by its name and help text alone."""
 
-    def __init__(self, *args, build, **kwargs):
+    def __init__(self, *args, command, **kwargs):
         super().__init__(*args, **kwargs)
-        self._build = build
+        self._command = command
 
     def parse_known_args(self, args=None, namespace=None):
-        if self._build is not None:
-            build, self._build = self._build, None
-            build(self)
+        if self._command is not None:
+            name, self._command = self._command, None
+            shared_args, _ = COMMANDS[name]
+            shared_args(self)
+            module = import_module(f"{__package__}._cmd_{name}")
+            module.add_arguments(self)
+            self.set_defaults(func=module.run)
         return super().parse_known_args(args, namespace)
 
 
@@ -85,60 +91,15 @@ def _parallel_args(p):
                         "no effect on search")
 
 
-def _count_args(p):
-    _report_args(p)
-    p.add_argument("pattern", help="pattern graph file")
-    p.add_argument("host", help="host graph file")
-    p.set_defaults(func=cmd_count)
-
-
-def _verify_args(p):
-    _report_args(p)
-    p.add_argument("theorem", choices=("lemma2", "thm1-coeff", "thm1-chain",
-                                       "thm2-params", "thm2-e2e"))
-    p.add_argument("--graph", help="graph file (lemma2)")
-    p.add_argument("--x", type=int, help="matching size parameter")
-    p.add_argument("--d", type=int, help="half-defect parameter")
-    p.add_argument("--sweep-max", type=int,
-                   help="sweep all (x, d) hypothesis pairs up to this x (thm1-coeff)")
-    p.add_argument("--lam", type=fraction,
-                   help="defect ratio lambda as a fraction, e.g. 1 or 1/2")
-    p.set_defaults(func=cmd_verify)
-
-
-def _optimize_args(p):
-    _parallel_args(p)
-    p.add_argument("pattern", help="pattern graph file")
-    p.add_argument("blowup_pattern",
-                   help="blow-up skeleton: k2, c5, or a graph file path")
-    p.add_argument("--grid", type=int, default=50,
-                   help="grid resolution per simplex coordinate")
-    p.set_defaults(func=cmd_optimize)
-
-
-def _search_args(p):
-    _parallel_args(p)
-    p.add_argument("pattern", help="pattern graph file")
-    p.add_argument("n", type=int, help="host vertex count")
-    p.add_argument("--witness-dir",
-                   help="also write each witness as a graph file here")
-    p.set_defaults(func=cmd_search)
-
-
-def _gen_args(p):
-    _output_args(p)
-    p.add_argument("family", choices=("turan2", "complete-bipartite", "path",
-                                      "cycle", "star", "gps-example1",
-                                      "theorem2-h", "blowup"))
-    p.add_argument("--n", type=int, help="vertex count (turan2, path, cycle, star)")
-    p.add_argument("--a", type=int, help="first side (complete-bipartite)")
-    p.add_argument("--b", type=int, help="second side (complete-bipartite)")
-    p.add_argument("--k", type=int, help="star size parameter (gps-example1)")
-    p.add_argument("--d", type=int, help="half-defect (theorem2-h)")
-    p.add_argument("--x", type=int, help="matching size (theorem2-h)")
-    p.add_argument("--pattern", help="blow-up skeleton: k2, c5, or a file (blowup)")
-    p.add_argument("--sizes", help="comma-separated blob sizes (blowup)")
-    p.set_defaults(func=cmd_gen)
+# subcommand -> (its shared argument group, its help text); its own
+# arguments and its code are in the module _cmd_<subcommand>
+COMMANDS = {
+    "count": (_report_args, "embeddings, automorphisms, copies, H-degrees"),
+    "verify": (_report_args, "emit an exact inequality certificate"),
+    "optimize": (_parallel_args, "maximize the blow-up leading coefficient"),
+    "search": (_parallel_args, "exact maximizers over triangle-free hosts"),
+    "gen": (_output_args, "write a named construction as a graph file"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -149,197 +110,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "optimization, and inequality certificates.")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_SubcommandParser)
-    sub.add_parser("count", build=_count_args,
-                   help="embeddings, automorphisms, copies, H-degrees")
-    sub.add_parser("verify", build=_verify_args,
-                   help="emit an exact inequality certificate")
-    sub.add_parser("optimize", build=_optimize_args,
-                   help="maximize the blow-up leading coefficient")
-    sub.add_parser("search", build=_search_args,
-                   help="exact maximizers over triangle-free hosts")
-    sub.add_parser("gen", build=_gen_args,
-                   help="write a named construction as a graph file")
+    for name, (_, help_text) in COMMANDS.items():
+        sub.add_parser(name, command=name, help=help_text)
     return parser
-
-
-# ---------------------------------------------------------------------------
-# subcommands
-# ---------------------------------------------------------------------------
-
-# Each command imports only the modules it runs.  Compiled from source, a
-# module takes transient parser memory of about 1 MB per 15-20 KB of
-# source (measured with tracemalloc: graphs 1.25 MB, cli 1.2, blowup 1.1),
-# so a command's peak memory follows the code it compiles.  A command that
-# reads or builds a graph imports graphs before any other module of the
-# package, and json is imported only to render the output, so graphs, the
-# largest, compiles while the least is live.
-
-def cmd_count(args):
-    from .graphs import read_graph_file
-    from .embeddings import count_automorphisms, copies_from_counts, h_degrees
-
-    pattern = read_graph_file(args.pattern)
-    host = read_graph_file(args.host)
-    report = h_degrees(pattern, host)
-    automorphisms = count_automorphisms(pattern)
-    payload = {
-        "command": "count",
-        "pattern_file": args.pattern,
-        "host_file": args.host,
-        "pattern_vertices": pattern.n,
-        "host_vertices": host.n,
-        "embeddings": report.total,
-        "automorphisms": automorphisms,
-        "copies": copies_from_counts(report.total, automorphisms),
-        "h_degrees": [report.h[v] for v in range(host.n)],
-    }
-    return payload, 0
-
-
-def _require(args, names):
-    what = args.theorem if args.command == "verify" else args.family
-    for name in names:
-        if getattr(args, name) is None:
-            raise ValueError(f"{args.command} {what} requires --{name.replace('_', '-')}")
-
-
-def cmd_verify(args):
-    theorem = args.theorem
-    if theorem == "lemma2":
-        from .graphs import edge_bound_check, read_graph_file
-
-        _require(args, ["graph"])
-        cert = edge_bound_check(read_graph_file(args.graph))
-        ok = cert.holds and (cert.equality_is_complete_bipartite
-                             if cert.equality else True)
-    elif theorem == "thm1-coeff":
-        from . import thm1
-
-        if args.sweep_max is not None:
-            cert = thm1.thm1_sweep(args.sweep_max)
-            ok = not cert.violations
-        else:
-            _require(args, ["x", "d"])
-            cert = thm1.thm1_coefficient(args.x, args.d)
-            ok = cert.exceeds_two_fifths
-    elif theorem == "thm1-chain":
-        from . import thm1
-
-        _require(args, ["x", "d"])
-        cert = thm1.thm1_chain_check(args.x, args.d)
-        ok = cert.all_hold
-    elif theorem == "thm2-params":
-        from . import bounds
-
-        _require(args, ["lam"])
-        cert = bounds.solve_theorem2_params(args.lam)
-        ok = cert.all_hold
-    else:  # thm2-e2e
-        from . import bounds
-
-        _require(args, ["lam"])
-        cert = bounds.theorem2_end_to_end(args.lam, args.x)
-        ok = cert.holds and cert.params.all_hold
-    payload = {"command": "verify", "theorem": theorem,
-               "certificate": cert, "all_hold": ok}
-    return payload, 0 if ok else 1
-
-
-def _load_blowup_pattern(spec_text: str) -> Graph:
-    from .graphs import cycle_graph, path_graph, read_graph_file
-
-    if spec_text == "k2":
-        return path_graph(2)
-    if spec_text == "c5":
-        return cycle_graph(5)
-    return read_graph_file(spec_text)
-
-
-def cmd_optimize(args):
-    from .graphs import read_graph_file
-    from .blowup import optimize_weights
-
-    pattern = read_graph_file(args.pattern)
-    skeleton = _load_blowup_pattern(args.blowup_pattern)
-    wp, coeff = optimize_weights(pattern, skeleton, args.grid, args.workers)
-    payload = {
-        "command": "optimize",
-        "pattern_file": args.pattern,
-        "blowup_pattern": args.blowup_pattern,
-        "grid_resolution": args.grid,
-        "weights": wp.weights,
-        "coefficient": coeff.value,
-        "hom_count": coeff.hom_count,
-    }
-    return payload, 0
-
-
-def cmd_search(args):
-    from .graphs import read_graph_file, write_graph_file
-    from .oracle import find_maximizers
-    from ._pykernels import mask_from_rows
-
-    pattern = read_graph_file(args.pattern)
-    report = find_maximizers(pattern, args.n)
-    witnesses = []
-    for i, w in enumerate(report.witnesses):
-        witnesses.append({
-            "index": i,
-            # each witness is built from its canonical mask
-            "canonical_mask": mask_from_rows(w.rows, w.n),
-            "edges": [[u, v] for u, v in w.edges()],
-        })
-    if args.witness_dir:
-        os.makedirs(args.witness_dir, exist_ok=True)
-        for i, w in enumerate(report.witnesses):
-            write_graph_file(w, os.path.join(args.witness_dir,
-                                             f"witness_{i:03d}.graph"))
-    payload = {
-        "command": "search",
-        "pattern_file": args.pattern,
-        "n": args.n,
-        "max_count": report.max_count,
-        "witness_count": len(report.witnesses),
-        "witnesses": witnesses,
-        "all_bipartite": report.all_bipartite,
-        "all_complete_bipartite": report.all_complete_bipartite,
-    }
-    return payload, 0
-
-
-def cmd_gen(args):
-    from .graphs import (build_blowup, build_gps_example1, build_theorem2_H,
-                         build_turan2, complete_bipartite, cycle_graph,
-                         path_graph, star_graph, write_graph_text)
-
-    family = args.family
-    if family == "turan2":
-        _require(args, ["n"])
-        g = build_turan2(args.n)
-    elif family == "complete-bipartite":
-        _require(args, ["a", "b"])
-        g = complete_bipartite(args.a, args.b)
-    elif family == "path":
-        _require(args, ["n"])
-        g = path_graph(args.n)
-    elif family == "cycle":
-        _require(args, ["n"])
-        g = cycle_graph(args.n)
-    elif family == "star":
-        _require(args, ["n"])
-        g = star_graph(args.n)
-    elif family == "gps-example1":
-        _require(args, ["k"])
-        g = build_gps_example1(args.k)
-    elif family == "theorem2-h":
-        _require(args, ["d", "x"])
-        g = build_theorem2_H(args.d, args.x)
-    else:  # blowup
-        _require(args, ["pattern", "sizes"])
-        base = _load_blowup_pattern(args.pattern)
-        sizes = [int(s) for s in args.sizes.split(",")]
-        g = build_blowup(base, sizes)
-    return write_graph_text(g), 0
 
 
 # ---------------------------------------------------------------------------
@@ -397,12 +170,18 @@ def _int_str(n: int) -> str:
         return str(digits(n))
 
 
+# the values _encode returns as they are, without a look inside
+_PLAIN = frozenset((int, str, bool, float, type(None)))
+
+
 def _encode(node, texts=None):
     """A payload as plain JSON values: a record (a NamedTuple) becomes an
     object keyed by field name, or by the name its class's `_json_keys`
-    gives the field, a Fraction exact "p/q" text, and any other tuple an
-    array.  `texts` maps each Fraction already rendered in the payload to
-    its text, so an equal value is rendered once."""
+    gives the field, a Fraction exact "p/q" text, and any other tuple with
+    a record or a Fraction inside an array.  A list, dict or tuple with
+    none inside is returned as it is, not copied.  `texts` maps each
+    Fraction already rendered in the payload to its text, so an equal value
+    is rendered once."""
     if texts is None:
         texts = {}
     if isinstance(node, tuple) and hasattr(node, "_fields"):
@@ -416,11 +195,19 @@ def _encode(node, texts=None):
         if node not in texts:
             texts[node] = frac_str(node)
         return texts[node]
-    if isinstance(node, dict):
-        return {key: _encode(value, texts) for key, value in node.items()}
-    if isinstance(node, (list, tuple)):
-        return [_encode(item, texts) for item in node]
-    return node
+    if not isinstance(node, (dict, list, tuple)):
+        return node
+    is_dict = isinstance(node, dict)
+    out = None
+    for key, value in node.items() if is_dict else enumerate(node):
+        if type(value) in _PLAIN:
+            continue
+        new = _encode(value, texts)
+        if new is not value:
+            if out is None:
+                out = dict(node) if is_dict else list(node)
+            out[key] = new
+    return node if out is None else out
 
 
 def _flatten(payload, prefix=""):
@@ -428,7 +215,7 @@ def _flatten(payload, prefix=""):
     if isinstance(payload, dict):
         for key in sorted(payload):
             rows.extend(_flatten(payload[key], f"{prefix}{key}."))
-    elif isinstance(payload, list):
+    elif isinstance(payload, (list, tuple)):
         for i, item in enumerate(payload):
             rows.extend(_flatten(item, f"{prefix}{i}."))
     else:
@@ -438,7 +225,9 @@ def _flatten(payload, prefix=""):
 
 # JSON is written in batches of at least this many characters: with
 # unbuffered standard streams each write is a system call, and a search
-# whose every host ties prints over a megabyte.
+# whose every host ties prints over a megabyte.  An encoder chunk of this
+# length or more, a certificate's long integer text, is written on its
+# own, after the pending batch, and never copied into a batch.
 WRITE_BATCH = 1 << 16
 
 
@@ -457,6 +246,12 @@ def render(payload, fmt: str | None, out) -> None:
 
         batch, size = [], 0
         for chunk in json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload):
+            if len(chunk) >= WRITE_BATCH:
+                if batch:
+                    out.write("".join(batch))
+                    batch, size = [], 0
+                out.write(chunk)
+                continue
             batch.append(chunk)
             size += len(chunk)
             if size >= WRITE_BATCH:

@@ -72,11 +72,42 @@ _CHAIN_STEPS = (
 _TWO_FIFTHS = (2, 5)
 
 
+# Largest estimated size, in bits, of the largest power a certificate of
+# one pair (x, d) takes, (d+x-1)^(2d+2x-2): _pair_bits.  Each of the
+# chain's seven expressions is reduced by a gcd, quadratic in that size.
+# Measured end to end (whole CLI command, fresh process, pure Python 3.11,
+# 2 vCPU, single runs) at d = 1: thm1-chain takes 2.7 s at x = 20,000
+# (6.0e5 bits) and 7.3 s at x = 30,000 (9.0e5 bits), thm1-coeff 1.4 s at
+# x = 30,000 and 5.1 s at x = 60,000 (1.9e6 bits).  Over the budget,
+# nothing is powered.
+PAIR_BUDGET = 8 * 10 ** 5
+
+# Largest estimated total of _pair_bits over the pairs of a sweep, which
+# compares unreduced pairs.  Measured as above: --sweep-max 1,000 (6.7e7
+# bits) takes 2.8 s and 1,200 (1.1e8 bits) 5.5 s.
+SWEEP_BUDGET = 10 ** 8
+
+
+def _pair_bits(x: int, d: int) -> int:
+    return (2 * d + 2 * x - 2) * (d + x - 1).bit_length()
+
+
+def _budget_error(message: str):
+    from .graphs import BudgetExceededError
+
+    return BudgetExceededError(message)
+
+
 def _require_x_d(x: int, d: int) -> None:
     if x < 2:
         raise ValueError("x must be at least 2")
     if d < 0:
         raise ValueError("d must be non-negative")
+    bits = _pair_bits(x, d)
+    if bits > PAIR_BUDGET:
+        raise _budget_error(
+            f"certifying (x, d) = ({x}, {d}) takes powers of an estimated "
+            f"{bits} bits, over the budget of {PAIR_BUDGET} bits")
 
 
 def _holds(lhs: tuple[int, int], rhs: tuple[int, int], relation: str) -> bool:
@@ -167,6 +198,13 @@ def thm1_sweep(x_max: int = 300) -> SweepReport:
     first expression is the coefficient itself."""
     if x_max < 2:
         raise ValueError("x_max must be at least 2")
+    total = 0
+    for x, d in sweep_pairs(x_max):
+        total += _pair_bits(x, d)
+        if total > SWEEP_BUDGET:
+            raise _budget_error(
+                f"the sweep to x = {x_max} takes powers of more than "
+                f"{SWEEP_BUDGET} bits in all, over the budget")
     violations = []
     checked = 0
     for x, d in sweep_pairs(x_max):

@@ -21,7 +21,8 @@ from extremal_count import (WeightedPattern, build_gps_example1,
                             solve_theorem2_params, star_graph,
                             theorem2_end_to_end, thm1_chain_check, thm1_sweep)
 from extremal_count.bounds import admissible_x
-from extremal_count.graphs import build_turan2, write_graph_file
+from extremal_count.families import build_turan2
+from extremal_count.graphs import write_graph_file
 
 from naive import (naive_count_embeddings, naive_hom_sum,
                    random_bipartite_with_components, random_graph)

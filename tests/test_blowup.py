@@ -17,9 +17,9 @@ from extremal_count import (Graph, WeightedPattern, blowup, build_blowup,
                             optimize_weights, path_graph, saturation_check,
                             saturation_converges, star_graph,
                             weighted_hom_sum)
-from extremal_count.blowup import (AUT_BUDGET, GRID_BUDGET, HomSumPlan,
-                                   _best_in_runs, _best_seed, _grid_seeds,
-                                   rounded_blob_sizes)
+from extremal_count.blowup import (AUT_BUDGET, GRID_BUDGET, _best_in_runs,
+                                   _best_seed, _grid_seeds, rounded_blob_sizes)
+from extremal_count.homsum import HomSumPlan
 from extremal_count.oracle import BudgetExceededError
 
 from naive import (as_fractions, naive_chain_candidates,

@@ -15,7 +15,7 @@ from extremal_count import (Graph, WeightedPattern, build_theorem2_H,
                             thm1_chain_check, thm1_coefficient, thm1_sweep)
 from extremal_count import _treedp, bounds, thm1
 from extremal_count._treedp import kind_sum
-from extremal_count.blowup import _tree_kinds
+from extremal_count.homsum import _tree_kinds
 from extremal_count.bounds import admissible_x
 from extremal_count.thm1 import sweep_pairs
 
@@ -252,7 +252,7 @@ def _shape(kinds, i):
 @pytest.mark.parametrize("d", range(1, 6))
 def test_theorem2_hom_sum_matches_hom_sum_plan(d, monkeypatch):
     # the hand-written kinds table of bounds against the kinds that
-    # blowup._tree_kinds builds from the tree: the same rooted tree, and
+    # homsum._tree_kinds builds from the tree: the same rooted tree, and
     # the same sums as the plan over the built pattern
     tables = []
 
@@ -325,3 +325,27 @@ def test_c5_beats_k2_with_about_eleven_root_x_unmatched_vertices():
     side0, side1 = is_bipartite(build_theorem2_H(d, x))
     assert len(side0) == len(side1) == x + d
     assert 10.98 < 2 * d / math.sqrt(x - 1) < 11
+
+
+@pytest.mark.parametrize("x, d, weights, ratio, per_root", [
+    (40, 32, ((7049, 1000000), (10877, 15625), (65863, 250000),
+              (22451, 1000000), (273, 25000)), 1.9226, 10.2),
+    (640, 128, ((207679, 500000), (9042, 15625), (163, 250000),
+                (769, 1000000), (4533, 1000000)), 1.1316, 10.1),
+    (2560, 269, ((226051, 500000), (545497, 1000000), (177, 1000000),
+                 (39, 200000), (2029, 1000000)), 2.0642, 10.6),
+])
+def test_c5_beats_k2_at_the_other_float_thresholds(x, d, weights, ratio, per_root):
+    # the three other points where a float ascent first found a C5
+    # weighting that beats K2, with 2d about 10-11 sqrt(x - 1) unmatched
+    # vertices; weights rounded to denominator 10^6, compared exactly
+    weights = tuple(Fraction(*w) for w in weights)
+    assert sum(weights) == 1
+    half = (Fraction(1, 2), Fraction(1, 2))
+    coeff_c5 = bounds._theorem2_hom_sum(d, x, weights, bounds._C5_NEIGHBOURS)
+    coeff_k2 = bounds._theorem2_hom_sum(d, x, half, bounds._K2_NEIGHBOURS)
+    assert coeff_c5 > coeff_k2
+    assert round(float(coeff_c5 / coeff_k2), 4) == ratio
+    side0, side1 = is_bipartite(build_theorem2_H(d, x))
+    assert len(side0) == len(side1) == x + d
+    assert round(2 * d / math.sqrt(x - 1), 1) == per_root

@@ -16,8 +16,9 @@ import pytest
 
 from extremal_count import (Graph, _kernels, canonical_form, cli, embeddings,
                             read_graph_file, triangle_free_masks)
-from extremal_count.graphs import (write_graph_file, cycle_graph, complete_bipartite,
-                                   path_graph, star_graph)
+from extremal_count.families import (cycle_graph, complete_bipartite, path_graph,
+                                     star_graph)
+from extremal_count.graphs import write_graph_file
 
 
 @pytest.fixture
@@ -302,6 +303,22 @@ def test_verify_thm2_small_lambda_budget_exit_2(theorem, capsys):
     assert captured.err.startswith("error: ") and "budget" in captured.err
 
 
+@pytest.mark.parametrize("args", [["thm1-chain", "--x", "100000", "--d", "1"],
+                                  ["thm1-coeff", "--x", "100000", "--d", "1"],
+                                  ["thm1-coeff", "--sweep-max", "3000"],
+                                  ["thm2-e2e", "--lam", "1", "--x", "60000"]])
+def test_verify_certificate_power_budget_exit_2(args, capsys):
+    # each power's size, or the sweep's total, is estimated before any
+    # power is taken; these ran for 12 s to over a minute unchecked
+    start = time.monotonic()
+    code = cli.main(["verify"] + args)
+    assert time.monotonic() - start < 1.0
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "budget" in captured.err
+
+
 @pytest.mark.parametrize("args", [["verify", "thm1-chain", "--x", "17", "--d", "1",
                                    "--workers", "2"],
                                   ["gen", "cycle", "--n", "4", "--format", "csv"]])
@@ -458,9 +475,27 @@ def test_render_streams_the_json_of_the_encoded_payload(command, tmp_path,
     cli.render(payload, "json", out)
     assert out.getvalue() == expected
     # batches of at least WRITE_BATCH characters, one system call each on
-    # an unbuffered stream, and not one write per encoder chunk
-    assert all(n >= cli.WRITE_BATCH for n in out.writes[:-1])
-    assert len(out.writes) <= len(expected) // cli.WRITE_BATCH + 1
+    # an unbuffered stream, and not one write per encoder chunk: a shorter
+    # write before the last only flushes the batch ahead of an encoder
+    # chunk of WRITE_BATCH characters or more, which is written on its own
+    writes = out.writes
+    assert all(writes[i + 1] >= cli.WRITE_BATCH
+               for i, n in enumerate(writes[:-1]) if n < cli.WRITE_BATCH)
+    assert len(writes) <= 2 * (len(expected) // cli.WRITE_BATCH) + 1
+
+
+def test_encode_returns_plain_values_uncopied(tmp_path):
+    # the search payload holds no record and no Fraction: _encode returns
+    # it, and its witness lists, as they are
+    k1 = tmp_path / "k1.graph"
+    write_graph_file(Graph(1), k1)
+    payload = _payload(["search", str(k1), "6"])
+    assert cli._encode(payload) is payload
+    nested = {"plain": [[0, 1], ("a", None)], "exact": [Fraction(1, 3), 2]}
+    encoded = cli._encode(nested)
+    assert encoded == {"plain": [[0, 1], ("a", None)], "exact": ["1/3", 2]}
+    assert encoded["plain"] is nested["plain"]
+    assert nested["exact"] == [Fraction(1, 3), 2]
 
 
 @pytest.mark.parametrize("args", [["verify", "thm2-params", "--lam", "1/3"],
@@ -479,9 +514,10 @@ def test_out_file_bytes_equal_stdout_bytes(args, tmp_path, c4_file, k22_file, ca
 
 def test_render_holds_no_whole_certificate(tmp_path):
     # the 201 KB thm2-params certificate at lambda = 1/3, rendered to a
-    # file: the encoded payload, a quoted copy of one text and one batch
-    # are live at a time (about 513 KB traced), not the whole output text
-    # and its copies (about 613 KB)
+    # file: the encoded payload and the quoted copy of one 100 KB text,
+    # written on its own, are live at a time (about 410 KB traced), not a
+    # batch that copies that text (about 513 KB), nor the whole output
+    # text and its copies (about 613 KB)
     payload = _payload(["verify", "thm2-params", "--lam", "1/3"])
     with open(tmp_path / "cert.json", "w", encoding="utf-8") as sink:
         # json, decimal and the table of powers are in place before tracing
@@ -492,7 +528,7 @@ def test_render_holds_no_whole_certificate(tmp_path):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peak < 560_000
+    assert peak < 440_000
 
 
 # sha256 of (stdout, stderr) of the help texts and of usage errors, recorded
@@ -552,8 +588,12 @@ def test_command_builds_only_its_parser(monkeypatch, capsys):
     def not_built(parser):
         raise AssertionError(f"built the parser of {parser.prog}")
 
-    for name in ("_count_args", "_optimize_args", "_search_args", "_gen_args"):
-        monkeypatch.setattr(cli, name, not_built)
+    # no other command's argument group is added, and no other command's
+    # module is imported: None in sys.modules makes its import fail
+    for name, (_, help_text) in cli.COMMANDS.items():
+        if name != "verify":
+            monkeypatch.setitem(cli.COMMANDS, name, (not_built, help_text))
+            monkeypatch.setitem(sys.modules, f"extremal_count._cmd_{name}", None)
     code, out = run(["verify", "thm1-chain", "--x", "17", "--d", "1"], capsys)
     assert code == 0 and json.loads(out)["all_hold"] is True
 
@@ -609,47 +649,71 @@ def test_optimize_triangle_skeleton_exit_2(tmp_path, c4_file, capsys):
     assert captured.err.startswith("error: ") and "triangle" in captured.err
 
 
-# Modules each command must not load: `count` opens no process pool and
-# needs no certificate, search or enumeration code, and `verify lemma2`
-# needs only the graph predicates, not even exact rationals.  `verify
-# thm2-e2e` sums over the subtree kinds of its tree with the tree DP
-# alone, so it needs no graph, hom-sum plan, embedding search or kernel;
-# `verify thm2-params` and `verify thm1-chain` need no graph at all, and
-# neither Theorem-2 command compiles Theorem 1.  `optimize` lists its
-# skeleton's automorphisms with the placement kernels alone, so it loads
-# no embedding counting, enumeration or certificate code.  Only the
-# commands that sum over a tree load the tree DP.
+# Modules each command must not load: no command loads another command's
+# module, nor cli a second time.  `count` opens no process pool and needs no certificate, search
+# or enumeration code, and `verify lemma2` needs only the graph
+# predicates, not even exact rationals.  `verify thm2-e2e` sums over the
+# subtree kinds of its tree with the tree DP alone, so it needs no graph,
+# hom-sum plan, embedding search or kernel; `verify thm2-params` and
+# `verify thm1-chain` need no graph at all, and neither Theorem-2 command
+# compiles Theorem 1.  `optimize` lists its skeleton's automorphisms with
+# the placement kernels alone, so it loads no embedding counting,
+# enumeration or certificate code, and `gen` builds its graph from the
+# named families alone.  Only `gen` and `optimize` load the named graph
+# families, only `optimize` the hom sums, and only the commands that sum
+# over a tree the tree DP.
 # No command loads dataclasses or its inspect, nor csv without --format
 # csv, and count does not load fractions.
 STARTUP = ("dataclasses", "inspect", "csv")
+NOT_BUILT = ("extremal_count.families", "extremal_count.homsum")
+
+
+def _scope(command, *modules):
+    return STARTUP + modules + ("extremal_count.cli",) + tuple(
+        f"extremal_count._cmd_{name}" for name in cli.COMMANDS if name != command)
+
+
 IMPORT_SCOPE = {
-    "count": STARTUP + ("fractions", "multiprocessing",
-                        "concurrent.futures.process", "extremal_count.bounds",
-                        "extremal_count.blowup", "extremal_count.oracle",
-                        "extremal_count._treedp", "extremal_count._pykernels"),
-    "lemma2": STARTUP + ("fractions", "decimal", "extremal_count.bounds",
-                         "extremal_count.blowup", "extremal_count.oracle",
-                         "extremal_count.embeddings", "extremal_count._treedp"),
-    "optimize": STARTUP + ("extremal_count.embeddings", "extremal_count.oracle",
-                           "extremal_count.bounds", "extremal_count._pykernels"),
-    "search": STARTUP + ("multiprocessing", "concurrent.futures.process",
-                         "extremal_count.bounds", "extremal_count.blowup",
-                         "extremal_count._treedp"),
-    "thm1-chain": STARTUP + ("extremal_count.graphs", "extremal_count.blowup",
-                             "extremal_count._treedp"),
-    "thm2-e2e": STARTUP + ("multiprocessing", "concurrent.futures.process",
-                           "extremal_count.graphs", "extremal_count.blowup",
-                           "extremal_count.oracle", "extremal_count.embeddings",
-                           "extremal_count._pykernels", "extremal_count.thm1"),
-    "thm2-params": STARTUP + ("multiprocessing", "extremal_count.graphs",
-                              "extremal_count.blowup", "extremal_count._treedp",
-                              "extremal_count.thm1"),
+    "count": _scope("count", "fractions", "multiprocessing",
+                    "concurrent.futures.process", "extremal_count.bounds",
+                    "extremal_count.blowup", "extremal_count.oracle",
+                    "extremal_count._treedp", "extremal_count._pykernels",
+                    *NOT_BUILT),
+    "gen": _scope("gen", "fractions", "multiprocessing", "extremal_count.bounds",
+                  "extremal_count.blowup", "extremal_count.oracle",
+                  "extremal_count.embeddings", "extremal_count._kernels",
+                  "extremal_count.homsum"),
+    "lemma2": _scope("verify", "fractions", "decimal", "extremal_count.bounds",
+                     "extremal_count.blowup", "extremal_count.oracle",
+                     "extremal_count.embeddings", "extremal_count._treedp",
+                     *NOT_BUILT),
+    "optimize": _scope("optimize", "extremal_count.embeddings",
+                       "extremal_count.oracle", "extremal_count.bounds",
+                       "extremal_count._pykernels"),
+    "search": _scope("search", "multiprocessing", "concurrent.futures.process",
+                     "extremal_count.bounds", "extremal_count.blowup",
+                     "extremal_count._treedp", *NOT_BUILT),
+    "thm1-chain": _scope("verify", "extremal_count.graphs",
+                         "extremal_count.blowup", "extremal_count._treedp",
+                         *NOT_BUILT),
+    "thm2-e2e": _scope("verify", "multiprocessing", "concurrent.futures.process",
+                       "extremal_count.graphs", "extremal_count.blowup",
+                       "extremal_count.oracle", "extremal_count.embeddings",
+                       "extremal_count._pykernels", "extremal_count.thm1",
+                       *NOT_BUILT),
+    "thm2-params": _scope("verify", "multiprocessing", "extremal_count.graphs",
+                          "extremal_count.blowup", "extremal_count._treedp",
+                          "extremal_count.thm1", *NOT_BUILT),
 }
 
+# runs the command as `python -m extremal_count.cli` does, with cli as
+# __main__, so an import of extremal_count.cli would load it a second time
 SCOPE_PROBE = """
-import json, sys
-from extremal_count import cli
-code = cli.main(sys.argv[1:])
+import json, runpy, sys
+try:
+    runpy.run_module("extremal_count.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
 sys.stdout.flush()
 print(json.dumps([code, sorted(sys.modules)]), file=sys.stderr)
 """
@@ -672,6 +736,7 @@ def test_command_import_scope(command, tmp_path):
     write_graph_file(path_graph(4), pattern)
     write_graph_file(complete_bipartite(3, 3), host)
     args = {"count": ["count", str(pattern), str(host)],
+            "gen": ["gen", "cycle", "--n", "5"],
             "lemma2": ["verify", "lemma2", "--graph", str(host)],
             "optimize": ["optimize", str(pattern), "c5", "--grid", "10"],
             "search": ["search", str(pattern), "6"],

@@ -12,9 +12,10 @@ import pytest
 
 from extremal_count import _kernels, _pykernels, _pyplace
 from extremal_count.embeddings import h_degrees
-from extremal_count.graphs import (Graph, build_blowup, build_gps_example1,
-                                   complete_bipartite, cycle_graph,
-                                   disjoint_union, path_graph, star_graph)
+from extremal_count.families import (build_blowup, build_gps_example1,
+                                     complete_bipartite, cycle_graph,
+                                     path_graph, star_graph)
+from extremal_count.graphs import Graph, disjoint_union
 from extremal_count.oracle import _maximal_masks, triangle_free_masks
 
 from naive import (naive_canonical_mask, naive_count_embeddings, naive_h_degree,

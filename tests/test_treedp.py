@@ -10,7 +10,7 @@ from extremal_count import (Graph, WeightedPattern, build_gps_example1,
                             build_theorem2_H, connected_components,
                             leading_coefficient, path_graph, star_graph)
 from extremal_count._treedp import kind_sum
-from extremal_count.blowup import _tree_kinds
+from extremal_count.homsum import _tree_kinds
 
 from naive import naive_hom_sum, naive_homomorphisms, random_graph
 
