@@ -272,7 +272,9 @@ def theorem2_end_to_end(lam, x: int | None = None) -> Theorem2Certificate:
     homomorphism lower bound: the exponent 2x + lam*x consistent with the
     pattern size, and the exponent 2x + 2*lam appearing in the displayed
     inequality (the two disagree unless lam*x = 2*lam); neither is assumed,
-    both are evaluated.
+    both are evaluated.  Raises BudgetExceededError, before either sum,
+    when the coefficients' denominators are estimated past
+    COEFFICIENT_BUDGET bits.
     """
     lam = Fraction(lam)
     params = solve_theorem2_params(lam)

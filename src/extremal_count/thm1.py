@@ -195,7 +195,9 @@ def sweep_pairs(x_max: int):
 def thm1_sweep(x_max: int = 300) -> SweepReport:
     """Exact sweep: every hypothesis pair has coefficient > 2/5 and a fully
     valid chain; violations are collected, not suppressed.  The chain's
-    first expression is the coefficient itself."""
+    first expression is the coefficient itself.  Raises
+    BudgetExceededError, before any power, when the pairs' powers total
+    past SWEEP_BUDGET bits."""
     if x_max < 2:
         raise ValueError("x_max must be at least 2")
     total = 0

@@ -650,22 +650,22 @@ def test_optimize_triangle_skeleton_exit_2(tmp_path, c4_file, capsys):
 
 
 # Modules each command must not load: no command loads another command's
-# module, nor cli a second time.  `count` opens no process pool and needs no certificate, search
-# or enumeration code, and `verify lemma2` needs only the graph
-# predicates, not even exact rationals.  `verify thm2-e2e` sums over the
-# subtree kinds of its tree with the tree DP alone, so it needs no graph,
-# hom-sum plan, embedding search or kernel; `verify thm2-params` and
-# `verify thm1-chain` need no graph at all, and neither Theorem-2 command
-# compiles Theorem 1.  `optimize` lists its skeleton's automorphisms with
-# the placement kernels alone, so it loads no embedding counting,
-# enumeration or certificate code, and `gen` builds its graph from the
-# named families alone.  Only `gen` and `optimize` load the named graph
-# families, only `optimize` the hom sums, and only the commands that sum
-# over a tree the tree DP.
+# module, nor cli a second time.  `count` opens no process pool and needs
+# no certificate, search or enumeration code, and `verify lemma2` needs
+# only the graph predicates, not even exact rationals.  `verify thm2-e2e`
+# sums over the subtree kinds of its tree with the tree DP alone, so it
+# needs no graph, hom-sum plan, embedding search or kernel; `verify
+# thm2-params` and `verify thm1-chain` need no graph at all, and neither
+# Theorem-2 command compiles Theorem 1.  `optimize` lists its skeleton's
+# automorphisms with the placement kernels alone, so it loads no embedding
+# counting, enumeration or certificate code, and `gen` builds its graph
+# from the named families alone.  Only `gen` and `optimize` load the named
+# graph families, only `optimize` the hom sums, and only the commands that
+# sum over a tree the tree DP.
 # No command loads dataclasses or its inspect, nor csv without --format
 # csv, and count does not load fractions.
 STARTUP = ("dataclasses", "inspect", "csv")
-NOT_BUILT = ("extremal_count.families", "extremal_count.homsum")
+FAMILIES_AND_HOMSUM = ("extremal_count.families", "extremal_count.homsum")
 
 
 def _scope(command, *modules):
@@ -678,7 +678,7 @@ IMPORT_SCOPE = {
                     "concurrent.futures.process", "extremal_count.bounds",
                     "extremal_count.blowup", "extremal_count.oracle",
                     "extremal_count._treedp", "extremal_count._pykernels",
-                    *NOT_BUILT),
+                    *FAMILIES_AND_HOMSUM),
     "gen": _scope("gen", "fractions", "multiprocessing", "extremal_count.bounds",
                   "extremal_count.blowup", "extremal_count.oracle",
                   "extremal_count.embeddings", "extremal_count._kernels",
@@ -686,24 +686,24 @@ IMPORT_SCOPE = {
     "lemma2": _scope("verify", "fractions", "decimal", "extremal_count.bounds",
                      "extremal_count.blowup", "extremal_count.oracle",
                      "extremal_count.embeddings", "extremal_count._treedp",
-                     *NOT_BUILT),
+                     *FAMILIES_AND_HOMSUM),
     "optimize": _scope("optimize", "extremal_count.embeddings",
                        "extremal_count.oracle", "extremal_count.bounds",
                        "extremal_count._pykernels"),
     "search": _scope("search", "multiprocessing", "concurrent.futures.process",
                      "extremal_count.bounds", "extremal_count.blowup",
-                     "extremal_count._treedp", *NOT_BUILT),
+                     "extremal_count._treedp", *FAMILIES_AND_HOMSUM),
     "thm1-chain": _scope("verify", "extremal_count.graphs",
                          "extremal_count.blowup", "extremal_count._treedp",
-                         *NOT_BUILT),
+                         *FAMILIES_AND_HOMSUM),
     "thm2-e2e": _scope("verify", "multiprocessing", "concurrent.futures.process",
                        "extremal_count.graphs", "extremal_count.blowup",
                        "extremal_count.oracle", "extremal_count.embeddings",
                        "extremal_count._pykernels", "extremal_count.thm1",
-                       *NOT_BUILT),
+                       *FAMILIES_AND_HOMSUM),
     "thm2-params": _scope("verify", "multiprocessing", "extremal_count.graphs",
                           "extremal_count.blowup", "extremal_count._treedp",
-                          "extremal_count.thm1", *NOT_BUILT),
+                          "extremal_count.thm1", *FAMILIES_AND_HOMSUM),
 }
 
 # runs the command as `python -m extremal_count.cli` does, with cli as
