@@ -15,49 +15,42 @@ def add_arguments(p):
     p.add_argument("--sizes", help="comma-separated blob sizes (blowup)")
 
 
-def _require(args, *names):
+# requires the options `names` and refuses every other option of gen:
+# the chosen family would not read it
+def _options(args, *names):
     for name in names:
         if getattr(args, name) is None:
             raise ValueError(f"gen {args.family} requires --{name}")
+    for name in ("n", "a", "b", "k", "d", "x", "pattern", "sizes"):
+        if name not in names and getattr(args, name) is not None:
+            given = " ".join(f"--{n}" for n in names)
+            raise ValueError(f"gen {args.family} {given} does not read --{name}")
 
 
 def run(args):
-    from .graphs import read_graph_file, write_graph_text
-    from .families import (build_blowup, build_gps_example1, build_theorem2_H,
-                           build_turan2, complete_bipartite, cycle_graph,
-                           path_graph, star_graph)
+    from .graphs import write_graph_text
+    from .families import (blowup_skeleton, build_blowup, build_gps_example1,
+                           build_theorem2_H, build_turan2, complete_bipartite,
+                           cycle_graph, path_graph, star_graph)
 
     family = args.family
-    if family == "turan2":
-        _require(args, "n")
-        g = build_turan2(args.n)
+    by_n = {"turan2": build_turan2, "path": path_graph, "cycle": cycle_graph,
+            "star": star_graph}
+    if family in by_n:
+        _options(args, "n")
+        g = by_n[family](args.n)
     elif family == "complete-bipartite":
-        _require(args, "a", "b")
+        _options(args, "a", "b")
         g = complete_bipartite(args.a, args.b)
-    elif family == "path":
-        _require(args, "n")
-        g = path_graph(args.n)
-    elif family == "cycle":
-        _require(args, "n")
-        g = cycle_graph(args.n)
-    elif family == "star":
-        _require(args, "n")
-        g = star_graph(args.n)
     elif family == "gps-example1":
-        _require(args, "k")
+        _options(args, "k")
         g = build_gps_example1(args.k)
     elif family == "theorem2-h":
-        _require(args, "d", "x")
+        _options(args, "d", "x")
         g = build_theorem2_H(args.d, args.x)
     else:  # blowup
-        _require(args, "pattern", "sizes")
-        # the skeletons of optimize
-        if args.pattern == "k2":
-            base = path_graph(2)
-        elif args.pattern == "c5":
-            base = cycle_graph(5)
-        else:
-            base = read_graph_file(args.pattern)
+        _options(args, "pattern", "sizes")
+        base = blowup_skeleton(args.pattern)
         sizes = [int(s) for s in args.sizes.split(",")]
         g = build_blowup(base, sizes)
     return write_graph_text(g), 0

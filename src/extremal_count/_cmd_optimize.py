@@ -10,22 +10,13 @@ def add_arguments(p):
                    help="grid resolution per simplex coordinate")
 
 
-def _load_blowup_pattern(spec_text: str):
-    from .graphs import read_graph_file
-
-    if spec_text not in ("k2", "c5"):
-        return read_graph_file(spec_text)
-    from .families import cycle_graph, path_graph
-
-    return path_graph(2) if spec_text == "k2" else cycle_graph(5)
-
-
 def run(args):
     from .graphs import read_graph_file
     from .blowup import optimize_weights
+    from .families import blowup_skeleton
 
     pattern = read_graph_file(args.pattern)
-    skeleton = _load_blowup_pattern(args.blowup_pattern)
+    skeleton = blowup_skeleton(args.blowup_pattern)
     wp, coeff = optimize_weights(pattern, skeleton, args.grid, args.workers)
     payload = {
         "command": "optimize",

@@ -26,10 +26,17 @@ def add_arguments(p):
                    help="defect ratio lambda as a fraction, e.g. 1 or 1/2")
 
 
-def _require(args, *names):
-    for name in names:
+# requires the options `required` and refuses every option of verify
+# outside `required` and `optional`: the chosen theorem would not read it
+def _options(args, required, optional=()):
+    for name in required:
         if getattr(args, name) is None:
             raise ValueError(f"verify {args.theorem} requires --{name}")
+    for name in ("graph", "x", "d", "sweep_max", "lam"):
+        if name not in required + optional and getattr(args, name) is not None:
+            given = " ".join(f"--{n.replace('_', '-')}" for n in required)
+            raise ValueError(f"verify {args.theorem} {given} does not read "
+                             f"--{name.replace('_', '-')}")
 
 
 def run(args):
@@ -37,7 +44,7 @@ def run(args):
     if theorem == "lemma2":
         from .graphs import edge_bound_check, read_graph_file
 
-        _require(args, "graph")
+        _options(args, ("graph",))
         cert = edge_bound_check(read_graph_file(args.graph))
         ok = cert.holds and (cert.equality_is_complete_bipartite
                              if cert.equality else True)
@@ -45,28 +52,29 @@ def run(args):
         from . import thm1
 
         if args.sweep_max is not None:
+            _options(args, ("sweep_max",))
             cert = thm1.thm1_sweep(args.sweep_max)
             ok = not cert.violations
         else:
-            _require(args, "x", "d")
+            _options(args, ("x", "d"))
             cert = thm1.thm1_coefficient(args.x, args.d)
             ok = cert.exceeds_two_fifths
     elif theorem == "thm1-chain":
         from . import thm1
 
-        _require(args, "x", "d")
+        _options(args, ("x", "d"))
         cert = thm1.thm1_chain_check(args.x, args.d)
         ok = cert.all_hold
     elif theorem == "thm2-params":
         from . import bounds
 
-        _require(args, "lam")
+        _options(args, ("lam",))
         cert = bounds.solve_theorem2_params(args.lam)
         ok = cert.all_hold
     else:  # thm2-e2e
         from . import bounds
 
-        _require(args, "lam")
+        _options(args, ("lam",), ("x",))
         cert = bounds.theorem2_end_to_end(args.lam, args.x)
         ok = cert.holds and cert.params.all_hold
     payload = {"command": "verify", "theorem": theorem,

@@ -26,14 +26,16 @@ from math import perm
 # search plans
 # ---------------------------------------------------------------------------
 
-def search_plan(pattern):
-    """Static search order and per-position earlier-neighbor lists.
+def search_plan(pattern, verts=None):
+    """Static search order and per-position earlier-neighbor lists of the
+    pattern's vertices, or of `verts`, a union of its components.
 
     Vertices are ordered by degree descending, then by number of already
-    placed neighbors, then by index; deterministic.
+    placed neighbors, then by index; deterministic.  Every placement in
+    the package follows this order: injective counts and listings,
+    occupancy profiles and the homomorphism polynomials of `homsum`.
     """
-    m = pattern.n
-    remaining = list(range(m))
+    remaining = list(range(pattern.n) if verts is None else verts)
     placed_mask = 0
     order = []
     while remaining:
@@ -151,18 +153,6 @@ def occupancy_profile(q_rows, caps, parents: list[list[int]]) -> dict[tuple[int,
     field = (1 << width) - 1
     return {tuple(packed >> (q * width) & field for q in range(k)): mult
             for packed, mult in packed_profile.items()}
-
-
-def occupancy_total(profile, sizes) -> int:
-    """The total of `occupancy_moments` alone: the injective embedding
-    count in the blow-up with blob sizes `sizes`."""
-    total = 0
-    for occ, mult in profile.items():
-        for s, o in zip(sizes, occ):
-            if o:
-                mult *= perm(s, o)
-        total += mult
-    return total
 
 
 def occupancy_moments(profile, sizes):

@@ -5,8 +5,29 @@ rooted subtrees (the encoding of Aho, Hopcroft and Ullman), numbered from
 the leaves up.  Kind i is a tuple of (child kind, multiplicity) pairs, each
 child kind below i, and the last kind is the root's.  Equal subtrees share
 one table, so the cost grows with the number of kinds, not of vertices.
+`homogeneous_sum` is the one exact rule for summing over Fraction weights.
 This module imports nothing from the package.
 """
+
+import math
+from fractions import Fraction
+
+
+def homogeneous_sum(evaluate, weights, degree):
+    """evaluate(weights) for a sum homogeneous of degree `degree` in the
+    weights, exactly.
+
+    Fraction weights (mixed with ints or not) are scaled to integer
+    numerators over their least common denominator D, evaluated in plain
+    ints, and divided once by D^degree; no Fraction is formed inside the
+    evaluation.  Other weights are used as they are.
+    """
+    types = set(map(type, weights))
+    if Fraction in types and types <= {int, Fraction}:
+        den = math.lcm(*(w.denominator for w in weights))
+        return Fraction(evaluate([w.numerator * (den // w.denominator)
+                                  for w in weights]), den ** degree)
+    return evaluate(weights)
 
 
 def kind_sum(kinds, weights, neighbours):

@@ -19,12 +19,13 @@ from collections import deque
 from itertools import accumulate, chain, islice
 from typing import Iterator, NamedTuple
 
-from ._pyplace import embeddings_listing
+from ._pyplace import (embeddings_listing, occupancy_moments,
+                       occupancy_profile, search_plan)
 from .graphs import BudgetExceededError, Graph, is_triangle_free
 # the benchmark's span wrappers name leading_coefficient and
 # weighted_hom_sum as attributes of this module, so both are imported here
 # until a change to the benchmark points them at `homsum`, as bounds._MOVED
-# keeps Theorem 1's old names
+# keeps the two old names the wrappers read there
 from .homsum import (HomSumPlan, WeightedPattern, leading_coefficient,
                      weighted_hom_sum)
 
@@ -68,11 +69,11 @@ def saturation_check(patternH: Graph, wp: WeightedPattern,
     the occupancy profile of H over the skeleton; it is never built, so
     the cost does not grow with n beyond the size of the integers.
     """
-    from .embeddings import count_blowup_embeddings
-
     coeff = leading_coefficient(patternH, wp).value
     sizes = rounded_blob_sizes(wp.weights, n)
-    count = count_blowup_embeddings(patternH, wp.pattern, sizes)
+    _, parents = search_plan(patternH)
+    profile = occupancy_profile(wp.pattern.rows, sizes, parents)
+    count = occupancy_moments(profile, sizes)[0]
     normalized = Fraction(count, n ** patternH.n) if n else Fraction(count)
     return SaturationReport(n, count, normalized, coeff,
                             abs(normalized - coeff))

@@ -18,8 +18,10 @@ powers; the 2x + 2d-vertex tree is never built.
 
 Theorem 1's coefficient, chain and sweep are in `thm1`, and the
 triangle-free edge bound is in `graphs`, so `verify thm2-*` compiles no
-Theorem-1 code and `verify lemma2` does not load this module.  Their old
-names here are resolved from those modules on first access (PEP 562).
+Theorem-1 code and `verify lemma2` does not load this module.  Two old
+names, `edge_bound_check` and `thm1_sweep`, which the benchmark's span
+wrappers still read here, are resolved from those modules on first access
+(PEP 562).
 """
 
 from __future__ import annotations
@@ -49,12 +51,9 @@ def _check(name: str, lhs, rhs, relation: str) -> CertCheck:
     return CertCheck(name, lhs, rhs, relation, _RELATIONS[relation](lhs, rhs))
 
 
-# names that moved out of this module -> the module that defines them
-_MOVED = {"EdgeBoundReport": "graphs", "edge_bound_check": "graphs",
-          **dict.fromkeys(("ChainReport", "SweepReport", "Theorem1Coefficient",
-                           "optimal_Delta_fraction", "sweep_pairs",
-                           "thm1_chain_check", "thm1_coefficient",
-                           "thm1_sweep"), "thm1")}
+# names that moved out of this module and are still read here by the
+# benchmark's span wrappers -> the module that defines them
+_MOVED = {"edge_bound_check": "graphs", "thm1_sweep": "thm1"}
 
 
 def __getattr__(name):
@@ -220,14 +219,20 @@ class Theorem2Certificate(NamedTuple):
     checks: tuple[CertCheck, ...]
 
 
+def _half_defect(lam: Fraction, x: int) -> int | None:
+    """d when lam*x is an even integer 2d >= 2, else None."""
+    d2 = lam * x
+    if d2.denominator == 1 and d2.numerator % 2 == 0 and d2 >= 2:
+        return d2.numerator // 2
+    return None
+
+
 def admissible_x(lam: Fraction, x_min: int) -> int:
     """Smallest x >= max(x_min, 3) making d = lam*x/2 a positive integer."""
     x = max(x_min, 3)
-    while True:
-        d2 = lam * x
-        if d2.denominator == 1 and d2.numerator % 2 == 0 and d2 >= 2:
-            return x
+    while _half_defect(lam, x) is None:
         x += 1
+    return x
 
 
 # The two weighted patterns of the certificate, as neighbour lists: the
@@ -243,18 +248,17 @@ def _theorem2_hom_sum(d: int, x: int, weights, neighbours) -> Fraction:
     The tree's kinds, rooted at u1 and numbered from the leaves up, are
     0 a leaf or pendant top, 1 a pendant middle (one leaf), 2 u2 (d + 1
     leaves), 3 q (u2), 4 p (q and x - 3 pendant middles; none when x = 3)
-    and 5 u1 (d + 1 leaves and p).  The weights are scaled to integers
-    over their lcm D, and _treedp.kind_sum of the kinds, divided by
-    D^(2x+2d), is the homomorphism sum: O(|P|^2) integer operations and
-    the powers, for any d and x.
+    and 5 u1 (d + 1 leaves and p).  _treedp.kind_sum of the kinds, taken
+    by _treedp.homogeneous_sum on the weights scaled to integers, is the
+    homomorphism sum: O(|P|^2) integer operations and the powers, for any
+    d and x.
     """
-    from ._treedp import kind_sum
+    from ._treedp import homogeneous_sum, kind_sum
 
-    den = math.lcm(*(q.denominator for q in weights))
-    w = [q.numerator * (den // q.denominator) for q in weights]
     kinds = ((), ((0, 1),), ((0, d + 1),), ((2, 1),), ((3, 1), (1, x - 3)),
              ((0, d + 1), (4, 1)))
-    return Fraction(kind_sum(kinds, w, neighbours), den ** (2 * x + 2 * d))
+    return homogeneous_sum(lambda w: kind_sum(kinds, w, neighbours), weights,
+                           2 * x + 2 * d)
 
 
 def theorem2_end_to_end(lam, x: int | None = None) -> Theorem2Certificate:
@@ -280,11 +284,10 @@ def theorem2_end_to_end(lam, x: int | None = None) -> Theorem2Certificate:
     params = solve_theorem2_params(lam)
     if x is None:
         x = admissible_x(lam, params.x_min)
-    d2 = lam * x
-    if d2.denominator != 1 or d2.numerator % 2 != 0 or d2 < 2:
-        raise ValueError(f"lambda*x = {d2} does not give an integer d >= 1; "
-                         "adjust x")
-    d = d2.numerator // 2
+    d = _half_defect(lam, x)
+    if d is None:
+        raise ValueError(f"lambda*x = {lam * x} does not give an integer "
+                         "d >= 1; adjust x")
     if x < 3:
         raise ValueError("x must be at least 3")
     m = 2 * x + 2 * d

@@ -6,20 +6,22 @@ twin quotient Q (classes of vertices with equal rows; a twin-free host is
 its own quotient, with classes of size 1).  H-degrees and pair degrees
 always come from the occupancy profile of the pattern's homomorphisms into
 Q, evaluated at the class sizes, by exact division.  A bare embedding
-count goes through Q when Q is smaller than the host, and otherwise
-backtracks over the host's vertices along a static pattern-vertex order
+count is the total of the same moments when Q is smaller than the host,
+and otherwise backtracks over the host's vertices along the search plan
 with bit-set candidate pruning.  Only that backtracking count has a
 compiled twin, so it alone goes through the `_kernels` dispatch; the
 search plan and the occupancy profile with its moments are imported from
 `_pyplace`, which also holds the injective listing that `optimize` takes
-a skeleton's automorphisms from without loading this module.
+a skeleton's automorphisms from.  A blow-up given by its skeleton and
+sizes is counted by `blowup.saturation_check` from `_pyplace` alone,
+without loading this module.
 """
 
 from __future__ import annotations
 
 from . import _kernels as kernels
 from ._pyplace import (occupancy_moments, occupancy_profile,
-                       occupancy_second_moment, occupancy_total, search_plan)
+                       occupancy_second_moment, search_plan)
 from .graphs import Graph, is_triangle_free, twin_quotient
 
 
@@ -46,16 +48,8 @@ def _count_planned(parents, host: Graph) -> int:
     skeleton, sizes, _ = twin_quotient(host)
     if skeleton.n < host.n:
         profile = occupancy_profile(skeleton.rows, sizes, parents)
-        return occupancy_total(profile, sizes)
+        return occupancy_moments(profile, sizes)[0]
     return kernels.count_injective(host.rows, host.n, parents)
-
-
-def count_blowup_embeddings(pattern: Graph, skeleton: Graph, sizes) -> int:
-    """count_embeddings(pattern, build_blowup(skeleton, sizes)), from the
-    occupancy profile over the skeleton, without building the blow-up."""
-    _, parents = search_plan(pattern)
-    profile = occupancy_profile(skeleton.rows, sizes, parents)
-    return occupancy_total(profile, sizes)
 
 
 def count_automorphisms(pattern: Graph) -> int:

@@ -3,11 +3,12 @@ stars, the balanced bipartite Turan graph, blow-ups of a skeleton, and the
 paper's two constructions, the double star of Gyori, Pach and Simonovits
 (build_gps_example1) and the tree of Theorem 2 (build_theorem2_H).
 
-Only `gen`, the k2 and c5 skeletons of `optimize`, the tests and the kernel
-benchmark build them, so no other command compiles this module.
+Only `gen`, `optimize` (through `blowup_skeleton`, the one reading of a
+skeleton argument), the tests and the kernel benchmark build them, so no
+other command compiles this module.
 """
 
-from .graphs import Graph
+from .graphs import Graph, read_graph_file
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
@@ -73,6 +74,16 @@ def build_blowup(pattern: Graph, sizes) -> Graph:
         for i in range(s):
             labels[start[v] + i] = f"blob{v}"
     return Graph(total, edges, labels)
+
+
+def blowup_skeleton(spec: str) -> Graph:
+    """The blow-up skeleton a command line names: k2 the edge, c5 the
+    five-cycle, and anything else the graph file at that path."""
+    if spec == "k2":
+        return path_graph(2)
+    if spec == "c5":
+        return cycle_graph(5)
+    return read_graph_file(spec)
 
 
 def build_gps_example1(k: int) -> Graph:

@@ -9,24 +9,24 @@ fractions w is the weighted homomorphism sum
 
 computed here exactly: rational weights are scaled to integers over one
 common denominator, which the integer sum is divided by once at the end
-(homogeneity of degree |V(H)|).  Tree components are evaluated by the
-dynamic program of _treedp over the classes of their rooted subtrees, so
-equal subtrees share one table (mandatory for the large trees the
-counterexample construction produces), and each class of equal tree
-components is evaluated once and raised to its multiplicity; each cyclic
-component is tallied once into its homomorphism polynomial, {occupancy
-vector: number of homomorphisms into P}, and evaluated from it at every
-weight vector.
+(homogeneity of degree |V(H)|; _treedp.homogeneous_sum).  Tree
+components are evaluated by the dynamic program of _treedp over the
+classes of their rooted subtrees, so equal subtrees share one table
+(mandatory for the large trees the counterexample construction
+produces), and each class of equal tree components is evaluated once and
+raised to its multiplicity; each cyclic component is tallied once into
+its homomorphism polynomial, {occupancy vector: number of homomorphisms
+into P}, placed along the component's _pyplace.search_plan, and
+evaluated from it at every weight vector.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from ._pyplace import occupancy_profile
-from ._treedp import kind_sum
+from ._pyplace import occupancy_profile, search_plan
+from ._treedp import homogeneous_sum, kind_sum
 from .graphs import Graph, connected_components
 
 
@@ -87,15 +87,13 @@ class HomSumPlan:
     power.  A cyclic component keeps its homomorphism polynomial: the
     occupancy profile of its homomorphisms into P (how many component
     vertices land on each vertex of P, with the number of homomorphisms
-    doing so), built once.  It is evaluated as sum mult * prod_q
-    w_q^occ_q over the profile; the profile has at most as many terms as
-    the component has homomorphisms.
+    doing so), built once along the component's search plan.  It is
+    evaluated as sum mult * prod_q w_q^occ_q over the profile; the
+    profile has at most as many terms as the component has homomorphisms.
 
-    Int and float weights are used as they are.  Fraction weights (mixed
-    with ints or not) are scaled to integer numerators over their least
-    common denominator D, summed in plain ints, and divided once by
-    D^|V(H)|, which is exact because the sum is homogeneous of degree
-    |V(H)|; no Fraction is formed inside the loops.
+    Int and float weights are used as they are; Fraction weights go
+    through _treedp.homogeneous_sum, summed in plain ints over their
+    least common denominator and divided once by its |V(H)|-th power.
     """
 
     __slots__ = ("k", "m", "p_nbrs", "trees", "cycles")
@@ -115,7 +113,7 @@ class HomSumPlan:
                 # caps of len(comp) never bind
                 profile = occupancy_profile(
                     patternP.rows, (len(comp),) * self.k,
-                    _cyclic_parents(patternH, comp))
+                    search_plan(patternH, comp)[1])
                 cycles.append(tuple(
                     (mult, tuple((q, o) for q, o in enumerate(occ) if o))
                     for occ, mult in profile.items()))
@@ -126,13 +124,7 @@ class HomSumPlan:
     def __call__(self, weights):
         if len(weights) != self.k:
             raise ValueError("one weight per pattern-P vertex required")
-        kinds = set(map(type, weights))
-        if Fraction in kinds and kinds <= {int, Fraction}:
-            den = math.lcm(*(w.denominator for w in weights))
-            total = self._sum([w.numerator * (den // w.denominator)
-                               for w in weights])
-            return Fraction(total, den ** self.m)
-        return self._sum(weights)
+        return homogeneous_sum(self._sum, weights, self.m)
 
     def _sum(self, weights):
         """The sum at weights used as given, without the length check."""
@@ -177,22 +169,6 @@ def _tree_kinds(H: Graph, verts):
             siblings = children[parent[v]]
             siblings[kind_id] = siblings.get(kind_id, 0) + 1
     return tuple(number)
-
-
-def _cyclic_parents(H: Graph, verts):
-    """Earlier-neighbor positions of each vertex of a component in a
-    connectivity-first order (most placed neighbors, then smallest index)."""
-    order = [verts[0]]
-    placed = {verts[0]}
-    rest = list(verts[1:])
-    while rest:
-        rest.sort(key=lambda v: (-len([u for u in H.neighbors(v) if u in placed]), v))
-        v = rest.pop(0)
-        order.append(v)
-        placed.add(v)
-    pos = {v: i for i, v in enumerate(order)}
-    return tuple(tuple(pos[u] for u in H.neighbors(v) if pos[u] < i)
-                 for i, v in enumerate(order))
 
 
 def leading_coefficient(patternH: Graph, wp: WeightedPattern) -> LeadingCoefficient:

@@ -19,6 +19,7 @@ from extremal_count import (Graph, WeightedPattern, blowup, build_blowup,
                             weighted_hom_sum)
 from extremal_count.blowup import (AUT_BUDGET, GRID_BUDGET, _best_in_runs,
                                    _best_seed, _grid_seeds, rounded_blob_sizes)
+from extremal_count._pyplace import search_plan
 from extremal_count.homsum import HomSumPlan
 from extremal_count.oracle import BudgetExceededError
 
@@ -93,7 +94,12 @@ def test_fraction_hom_sum_matches_naive_over_mixed_denominators():
         if sum(weights) and h.n:
             wp = WeightedPattern(p, [w / sum(weights) for w in weights])
             assert leading_coefficient(h, wp).value == naive_hom_sum(h, p, wp.weights, homs)
-    for h in (tree_and_cycle, Graph(0)):
+    # K2,3's search plan places its two degree-3 vertices first, the second
+    # with no placed neighbour, so its homomorphism polynomial is built
+    # from an unconstrained second placement
+    k23 = complete_bipartite(2, 3)
+    assert search_plan(k23)[1][:2] == [[], []]
+    for h in (tree_and_cycle, k23, Graph(0)):
         for p in (K2, cycle_graph(5)):
             homs = naive_homomorphisms(h, p)
             zeros = [Fraction(0, 1)] * p.n
@@ -253,6 +259,15 @@ def test_saturation_matches_built_blowup():
         count = saturation_check(pattern, wp, n).count
         assert count == count_embeddings(pattern, host)
         assert count == naive_count_embeddings(pattern, host)
+    # K2,3 has no placed neighbour at its second placement (see
+    # test_fraction_hom_sum_matches_naive_over_mixed_denominators)
+    k23 = complete_bipartite(2, 3)
+    for skeleton in skeletons:
+        wp = WeightedPattern(skeleton, [Fraction(1, skeleton.n)] * skeleton.n)
+        for n in (5, 7):
+            host = build_blowup(skeleton, rounded_blob_sizes(wp.weights, n))
+            count = saturation_check(k23, wp, n).count
+            assert count == naive_count_embeddings(k23, host)
 
 
 def test_saturation_converges_at_hundreds():

@@ -16,7 +16,8 @@ import pytest
 
 from extremal_count import (Graph, _kernels, canonical_form, cli, embeddings,
                             read_graph_file, triangle_free_masks)
-from extremal_count.families import (cycle_graph, complete_bipartite, path_graph,
+from extremal_count.families import (build_blowup, cycle_graph,
+                                     complete_bipartite, path_graph,
                                      star_graph)
 from extremal_count.graphs import write_graph_file
 
@@ -328,6 +329,26 @@ def test_option_without_effect_exit_2(args, capsys):
         cli.main(args)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, option", [
+    (["verify", "thm2-e2e", "--lam", "1", "--x", "6", "--d", "5"], "--d"),
+    (["verify", "thm1-coeff", "--sweep-max", "300", "--x", "17"], "--x"),
+    (["verify", "thm1-coeff", "--sweep-max", "300", "--d", "1"], "--d"),
+    (["verify", "thm2-params", "--lam", "1", "--x", "6"], "--x"),
+    (["verify", "lemma2", "--graph", "k22.graph", "--lam", "1"], "--lam"),
+    (["gen", "path", "--n", "3", "--k", "7"], "--k"),
+    (["gen", "blowup", "--pattern", "k2", "--sizes", "1,2", "--n", "3"], "--n"),
+])
+def test_option_the_choice_does_not_read_exit_2(args, option, capsys):
+    # an option that the chosen theorem or family would ignore is refused
+    # by name, before any work, instead of being dropped in silence
+    code = cli.main(args)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.err.endswith(f" does not read {option}\n")
 
 
 @pytest.mark.parametrize("args", [["complete-bipartite", "--a", "-1", "--b", "2"],
@@ -762,6 +783,22 @@ def test_backend_probe_loads_no_enumeration_or_embedding_code():
     # no _pyplace, _pykernels or embeddings
     assert package <= {"extremal_count", "extremal_count._kernels",
                        "extremal_count._fastkernels"}
+
+
+def test_saturation_check_loads_no_embedding_code():
+    # a blow-up given by its skeleton and sizes is counted from the
+    # occupancy profile of _pyplace alone
+    out, loaded = _loaded_modules(
+        "import json, sys\n"
+        "from fractions import Fraction\n"
+        "from extremal_count import WeightedPattern, cycle_graph, saturation_check\n"
+        "wp = WeightedPattern(cycle_graph(5), [Fraction(1, 5)] * 5)\n"
+        "print(saturation_check(cycle_graph(4), wp, 10).count)\n"
+        "print(json.dumps(sorted(sys.modules)), file=sys.stderr)")
+    host = build_blowup(cycle_graph(5), [2] * 5)
+    assert int(out) == embeddings.count_embeddings(cycle_graph(4), host) > 0
+    assert "extremal_count._pyplace" in loaded
+    assert not {"extremal_count.embeddings", "extremal_count._kernels"} & set(loaded)
 
 
 def test_every_package_export_resolves():
