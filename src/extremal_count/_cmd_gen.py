@@ -5,7 +5,8 @@ def add_arguments(p):
     p.add_argument("family", choices=("turan2", "complete-bipartite", "path",
                                       "cycle", "star", "gps-example1",
                                       "theorem2-h", "blowup"))
-    p.add_argument("--n", type=int, help="vertex count (turan2, path, cycle, star)")
+    p.add_argument("--n", type=int,
+                   help="vertex count (turan2, path, cycle); leaf count (star)")
     p.add_argument("--a", type=int, help="first side (complete-bipartite)")
     p.add_argument("--b", type=int, help="second side (complete-bipartite)")
     p.add_argument("--k", type=int, help="star size parameter (gps-example1)")

@@ -92,33 +92,33 @@ def count_injective(host_rows, n_host: int, parents: list[list[int]]) -> int:
 # occupancy profiles: counting in a blow-up through its skeleton
 # ---------------------------------------------------------------------------
 
-def occupancy_profile(q_rows, caps, parents: list[list[int]]) -> dict[tuple[int, ...], int]:
+def occupancy_profile(q_rows, caps, parents: list[list[int]]) -> dict[int, int]:
     """Homomorphisms of a pattern into a loopless graph Q that put at most
     caps[q] pattern vertices on vertex q, tallied by occupancy vector.
 
-    Returns {(occ_0, ..., occ_{k-1}): number of such homomorphisms}.
-    `q_rows` are Q's adjacency bit rows and `parents` is as for
-    `count_injective`.  In the blow-up of Q with independent blobs of sizes
-    s <= caps, a homomorphism with occupancy occ stands for
-    prod_q (s_q)_{occ_q} injective embeddings (falling factorials), so one
-    profile serves every size vector up to the caps (`occupancy_moments`).
+    Returns {packed occupancy: number of such homomorphisms}, occ_q in the
+    `width` bits from bit q * width, `width` the bit length of the largest
+    cap; `occupancy_terms` reads the keys.  `q_rows` are Q's adjacency bit
+    rows and `parents` is as for `count_injective`.  In the blow-up of Q
+    with independent blobs of sizes s = caps, a homomorphism with occupancy
+    occ stands for prod_q (s_q)_{occ_q} injective embeddings (falling
+    factorials; `occupancy_moments`).
 
-    Backtracks pattern positions over Q, keeping the occupancy packed into
-    one integer (`width` bits per vertex of Q) and the mask of vertices
-    still below their cap.  Last-position candidate masks are tallied per
-    occupancy and expanded once at the end, so the last level costs one
-    dictionary update per node.  Every graph is the blow-up of its twin
-    quotient, so with caps = the class sizes this one profile gives the
-    embedding count, every H-degree and every pair degree of any host; a
-    twin-free host is its own quotient with caps all 1.
+    Backtracks pattern positions over Q, keeping the packed occupancy and
+    the mask of vertices still below their cap.  Last-position candidate
+    masks are tallied per occupancy and expanded once at the end, so the
+    last level costs one dictionary update per node.  Every graph is the
+    blow-up of its twin quotient, so with caps = the class sizes this one
+    profile gives the embedding count, every H-degree and every pair degree
+    of any host; a twin-free host is its own quotient with caps all 1.
     """
     k = len(q_rows)
     m = len(parents)
     if m == 0:
-        return {(0,) * k: 1}
-    width = max(max(caps, default=0), 1).bit_length()
+        return {0: 1}
+    width = _field_width(caps)
+    field = (1 << width) - 1
     unit = [1 << q * width for q in range(k)]
-    occ = [0] * k
     sel = [0] * m
     last = m - 1
     leaves = defaultdict(int)  # packed occupancy << k | candidates -> count
@@ -136,27 +136,38 @@ def occupancy_profile(q_rows, caps, parents: list[list[int]]) -> dict[tuple[int,
             q = bit.bit_length() - 1
             cand ^= bit
             sel[level] = q
-            occ[q] += 1
-            rec(level + 1, packed + unit[q],
-                below_cap if occ[q] < caps[q] else below_cap ^ bit)
-            occ[q] -= 1
+            child = packed + unit[q]
+            full = child >> q * width & field == caps[q]
+            rec(level + 1, child, below_cap ^ bit if full else below_cap)
 
     rec(0, 0, sum(1 << q for q in range(k) if caps[q] > 0))
-    packed_profile = defaultdict(int)
+    profile = defaultdict(int)
     all_q = (1 << k) - 1
     for key, mult in leaves.items():
         packed, cand = key >> k, key & all_q
         while cand:
             bit = cand & -cand
             cand ^= bit
-            packed_profile[packed + unit[bit.bit_length() - 1]] += mult
+            profile[packed + unit[bit.bit_length() - 1]] += mult
+    return profile
+
+
+def _field_width(caps):
+    return max(max(caps, default=0), 1).bit_length()
+
+
+def occupancy_terms(profile, caps):
+    """(mult, ((q, occ_q), ...)) for each term of an occupancy profile
+    built with `caps`, over the occupied vertices q of Q in order."""
+    width = _field_width(caps)
     field = (1 << width) - 1
-    return {tuple(packed >> (q * width) & field for q in range(k)): mult
-            for packed, mult in packed_profile.items()}
+    for packed, mult in profile.items():
+        yield mult, tuple([(q, o) for q in range(len(caps))
+                           if (o := packed >> q * width & field)])
 
 
 def occupancy_moments(profile, sizes):
-    """(total, first) of an occupancy profile at blob sizes `sizes`.
+    """(total, first) of an occupancy profile at blob sizes `sizes`, its caps.
 
     Each occupancy vector occ weighs w = mult * prod_q (s_q)_{occ_q};
     total = sum w and first[q] = sum w * occ_q.  In the blow-up, total is
@@ -165,42 +176,37 @@ def occupancy_moments(profile, sizes):
     """
     total = 0
     first = [0] * len(sizes)
-    for occ, w, support in _weighted_terms(profile, sizes):
+    for w, factors in _weighted_terms(profile, sizes):
         total += w
-        for q in support:
-            first[q] += w * occ[q]
+        for q, o in factors:
+            first[q] += w * o
     return total, first
 
 
 def occupancy_second_moment(profile, sizes):
     """second[q][r] = sum w * occ_q * (occ_r - [q == r]) over an occupancy
-    profile at blob sizes `sizes`, with w as in `occupancy_moments`.
+    profile at its caps `sizes`, with w as in `occupancy_moments`.
 
     By exchangeability, second[q][r] / (s_q * (s_r - [q == r])) is the pair
     degree of two distinct vertices of blobs q and r.
     """
     k = len(sizes)
     second = [[0] * k for _ in range(k)]
-    for occ, w, support in _weighted_terms(profile, sizes):
-        for q in support:
-            wq = w * occ[q]
+    for w, factors in _weighted_terms(profile, sizes):
+        for q, o_q in factors:
+            wq = w * o_q
             row = second[q]
-            for r in support:
-                row[r] += wq * (occ[r] - (q == r))
+            for r, o_r in factors:
+                row[r] += wq * (o_r - (q == r))
     return second
 
 
 def _weighted_terms(profile, sizes):
-    """(occ, w, support) for each occupancy vector of nonzero weight w."""
-    for occ, mult in profile.items():
-        w = mult
-        support = []
-        for q, o in enumerate(occ):
-            if o:
-                w *= perm(sizes[q], o)
-                support.append(q)
-        if w:
-            yield occ, w, support
+    """(w, factors) for each term, w = mult * prod_q (s_q)_{occ_q}."""
+    for w, factors in occupancy_terms(profile, sizes):
+        for q, o in factors:
+            w *= perm(sizes[q], o)
+        yield w, factors
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from ._pyplace import occupancy_profile, search_plan
+from ._pyplace import occupancy_profile, occupancy_terms, search_plan
 from ._treedp import homogeneous_sum, kind_sum
 from .graphs import Graph, connected_components
 
@@ -84,12 +84,11 @@ class HomSumPlan:
     evaluated by _treedp.kind_sum, one table per kind, repeated children
     entering as powers; equal tree components share their kinds, so each
     class is held once with its multiplicity and evaluated once, as a
-    power.  A cyclic component keeps its homomorphism polynomial: the
-    occupancy profile of its homomorphisms into P (how many component
-    vertices land on each vertex of P, with the number of homomorphisms
-    doing so), built once along the component's search plan.  It is
-    evaluated as sum mult * prod_q w_q^occ_q over the profile; the
-    profile has at most as many terms as the component has homomorphisms.
+    power.  A cyclic component keeps its homomorphism polynomial, the
+    terms of its occupancy profile into P (_pyplace.occupancy_terms),
+    built once along the component's search plan and evaluated as
+    sum mult * prod_q w_q^occ_q; it has at most as many terms as the
+    component has homomorphisms.
 
     Int and float weights are used as they are; Fraction weights go
     through _treedp.homogeneous_sum, summed in plain ints over their
@@ -111,12 +110,10 @@ class HomSumPlan:
                 trees[kinds] = trees.get(kinds, 0) + 1
             else:
                 # caps of len(comp) never bind
+                caps = (len(comp),) * self.k
                 profile = occupancy_profile(
-                    patternP.rows, (len(comp),) * self.k,
-                    search_plan(patternH, comp)[1])
-                cycles.append(tuple(
-                    (mult, tuple((q, o) for q, o in enumerate(occ) if o))
-                    for occ, mult in profile.items()))
+                    patternP.rows, caps, search_plan(patternH, comp)[1])
+                cycles.append(tuple(occupancy_terms(profile, caps)))
         # (kinds, multiplicity) per class of tree components
         self.trees = tuple(trees.items())
         self.cycles = tuple(cycles)
@@ -132,19 +129,13 @@ class HomSumPlan:
         for kinds, count in self.trees:
             total *= kind_sum(kinds, weights, self.p_nbrs) ** count
         for terms in self.cycles:
-            total *= _polynomial_sum(terms, weights)
+            value = 0
+            for mult, factors in terms:
+                for q, o in factors:
+                    mult = mult * weights[q] ** o
+                value += mult
+            total *= value
         return total
-
-
-def _polynomial_sum(terms, weights):
-    """sum of mult * prod_q w_q^occ_q over a homomorphism polynomial's
-    terms (mult, ((q, occ_q) for each occupied q))."""
-    total = 0
-    for mult, factors in terms:
-        for q, o in factors:
-            mult = mult * weights[q] ** o
-        total += mult
-    return total
 
 
 def _tree_kinds(H: Graph, verts):

@@ -19,7 +19,7 @@ from extremal_count import (Graph, _kernels, canonical_form, cli, embeddings,
 from extremal_count.families import (build_blowup, cycle_graph,
                                      complete_bipartite, path_graph,
                                      star_graph)
-from extremal_count.graphs import write_graph_file
+from extremal_count.graphs import read_graph_text, write_graph_file
 
 
 @pytest.fixture
@@ -351,6 +351,29 @@ def test_option_the_choice_does_not_read_exit_2(args, option, capsys):
     assert captured.err.endswith(f" does not read {option}\n")
 
 
+@pytest.mark.parametrize("args, option", [
+    (["gen", "turan2"], "--n"),
+    (["gen", "theorem2-h", "--d", "1"], "--x"),
+    (["verify", "lemma2"], "--graph"),
+    (["verify", "thm1-chain", "--x", "5"], "--d"),
+    (["verify", "thm2-e2e", "--x", "6"], "--lam"),
+])
+def test_missing_required_option_exit_2(args, option, capsys):
+    # the option the chosen theorem or family needs is named, before any work
+    code = cli.main(args)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.err.endswith(f" requires {option}\n")
+
+
+def test_gen_star_n_is_the_leaf_count(capsys):
+    code, out = run(["gen", "star", "--n", "3"], capsys)
+    g = read_graph_text(out)
+    assert code == 0 and g.n == 4 and g.edge_count() == 3
+
+
 @pytest.mark.parametrize("args", [["complete-bipartite", "--a", "-1", "--b", "2"],
                                   ["star", "--n", "-1"]])
 def test_gen_negative_size_exit_2(args, capsys):
@@ -568,7 +591,7 @@ PARSER_DIGESTS = {
     "search --help":
         "51ae8353f7f6dfbd7be12c4f7424cd9e68ffeb3e4468620d6db183a3ef997121",
     "gen --help":
-        "bb03ffbcd12b288ac95b7d141412b546215736b4ab4f6d0292fcc8e3fd533d98",
+        "04adbd2122f6bb0bf71281df136251b6d1b857bbdd1ce03e8ed9bc047e276856",
     "":
         "d11e90934933cb325e46b6c5694b86ed89305004b57ed41a8f430bbe62b9d02a",
     "bogus":

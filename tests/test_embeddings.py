@@ -3,6 +3,7 @@
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -13,6 +14,7 @@ from extremal_count import (Graph, build_blowup, build_theorem2_H,
                             embeddings, h_degrees, is_bipartite,
                             is_isomorphic, is_triangle_free, path_graph,
                             star_graph)
+from extremal_count._pyplace import embeddings_listing
 from extremal_count.graphs import twin_quotient
 
 from naive import (naive_count_embeddings, naive_h_degree, naive_pair_degree,
@@ -255,6 +257,28 @@ def test_tree_in_k10_10_counts_through_the_quotient():
         side0, side1 = is_bipartite(tree)
         assert count_embeddings(tree, host) == \
             2 * math.perm(10, len(side0)) * math.perm(10, len(side1))
+
+
+def test_twin_free_h_degrees_hold_no_tuple_per_image_set():
+    # a twin-free host is its own quotient, and its occupancy profile has
+    # one key per image set of the pattern.  A 16-tuple key alone is 184
+    # bytes; tuple keys peaked at 387 traced bytes per image set here, and
+    # packed integer keys at 190
+    rng = random.Random(1)
+    host = Graph(16, rng.sample([(u, 8 + v) for u in range(8)
+                                 for v in range(8)], 40))
+    assert twin_quotient(host)[0].n == host.n
+    tree = Graph(7, [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5), (4, 6)])
+    image_sets = len({frozenset(image)
+                      for image in embeddings_listing(tree, host)})
+    tracemalloc.start()
+    try:
+        report = h_degrees(tree, host)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.total == 52342
+    assert peak < 256 * image_sets
 
 
 def test_inexact_second_moment_raises(monkeypatch):

@@ -197,18 +197,24 @@ def test_text_roundtrip_text_to_graph():
 
 
 def test_text_parse_errors_carry_line_numbers():
-    with pytest.raises(GraphFormatError) as err:
-        read_graph_text("n 3\n0 1\n1 x\n")
-    assert err.value.lineno == 3
-    with pytest.raises(GraphFormatError) as err:
-        read_graph_text("vertices 3\n")
-    assert err.value.lineno == 1
-    with pytest.raises(GraphFormatError) as err:
-        read_graph_text("n 2\n0 5\n")
-    assert err.value.lineno == 2
-    with pytest.raises(GraphFormatError) as err:
-        read_graph_text("n 3\n0 1\n# label 7 x\n")
-    assert err.value.lineno == 3
+    # (text, line number, part of the message): one input per branch
+    cases = [
+        ("n 3\n0 1\n1 x\n", 3, "bad edge endpoints"),
+        ("vertices 3\n", 1, "expected header"),
+        ("n 2\n0 5\n", 2, "out of range for n=2"),
+        ("n 3\n0 1\n# label 7 x\n", 3, "label vertex 7 out of range"),
+        ("n 2\n# label 0\n", 2, "label line needs a vertex and a text"),
+        ("n 2\n# label x text\n", 2, "bad label vertex"),
+        ("# counts\nn three\n", 2, "bad vertex count"),
+        ("\nn -1\n", 2, "vertex count must be non-negative"),
+        ("n 3\n0 1 2\n", 2, "expected edge 'u v'"),
+        ("n 3\n0 1\n1 1\n", 3, "self-loop at vertex 1"),
+        ("# no header\n", 1, "missing header"),
+    ]
+    for text, lineno, message in cases:
+        with pytest.raises(GraphFormatError, match=message) as err:
+            read_graph_text(text)
+        assert err.value.lineno == lineno, text
 
 
 def test_labels_do_not_affect_equality_of_structure():
