@@ -9,7 +9,7 @@ of the CLI loads only the modules it runs.
 from importlib import import_module
 
 _EXPORTS = {
-    "_kernels": ("BACKEND", "HAS_FAST"),
+    "_kernels": ("BACKEND",),
     "blowup": ("SaturationReport", "optimize_weights", "saturation_check",
                "saturation_converges"),
     "bounds": ("Theorem2Certificate", "Theorem2Params",

@@ -52,6 +52,10 @@ def run(args):
     else:  # blowup
         _options(args, "pattern", "sizes")
         base = blowup_skeleton(args.pattern)
-        sizes = [int(s) for s in args.sizes.split(",")]
+        try:
+            sizes = [int(s) for s in args.sizes.split(",")]
+        except ValueError:
+            raise ValueError(f"--sizes takes comma-separated integers, not "
+                             f"{args.sizes!r}") from None
         g = build_blowup(base, sizes)
     return write_graph_text(g), 0

@@ -1,15 +1,12 @@
 """Pure-Python enumeration kernels: canonical forms, the staircase mask
 helpers, and triangle-free enumeration.
 
-The canonical form mirrors the compiled kernel in `_fastkernels`;
-`_kernels.canonical_mask` dispatches to it when the extension is
-unavailable (or when EXTREMAL_COUNT_FORCE_PYTHON is set).  Triangle-free
-enumeration, on both backends, is one growth step from the maximal
+`_kernels` calls the canonical form and the two enumeration steps from
+here.  Triangle-free enumeration is one growth step from the maximal
 triangle-free graphs on n-1 vertices to those on n, and one closure from
-those under single-edge deletion; both take the canonical form to use as
-an argument, which the `_kernels` entry points pass in.  The staircase
-mask helpers have no compiled twin: `oracle` and the `search` command
-import them from here.  The placement kernels (injective counting,
+those under single-edge deletion; both canonicalize with this module's
+`canonical_mask`.  `oracle` and the `search` command import the staircase
+mask helpers from here.  The placement kernels (injective counting,
 occupancy profiles and the injective listing) are in `_pyplace`.  Only
 `search` loads this module, so commands that only count never compile it.
 
@@ -18,11 +15,11 @@ an automorphism that fixes every other vertex, so the canonical-form
 search, the growth step and the closure each try only one member of each
 twin class.
 
-Canonical-form convention shared by both kernels: edges are indexed in
-staircase order (0,1), (0,2), (1,2), (0,3), (1,3), (2,3), ... and the
-adjacency bit-string b_0 b_1 ... b_{E-1} is packed into an integer with b_0
-as the most significant bit, so integer comparison equals lexicographic
-string comparison.  The canonical form of a graph is the minimal such
+Canonical-form convention: edges are indexed in staircase order (0,1),
+(0,2), (1,2), (0,3), (1,3), (2,3), ... and the adjacency bit-string
+b_0 b_1 ... b_{E-1} is packed into an integer with b_0 as the most
+significant bit, so integer comparison equals lexicographic string
+comparison.  The canonical form of a graph is the minimal such
 integer over all vertex relabelings.
 """
 
@@ -147,7 +144,7 @@ def canonical_mask(rows, n: int) -> int:
 # triangle-free enumeration
 # ---------------------------------------------------------------------------
 
-def maximal_triangle_free_growth(n: int, parents, canon=None) -> list[int]:
+def maximal_triangle_free_growth(n: int, parents) -> list[int]:
     """All maximal triangle-free graphs on n vertices, one canonical mask
     per isomorphism class, in ascending mask order, grown from `parents`,
     the canonical masks of every such class on n-1 vertices.
@@ -159,10 +156,8 @@ def maximal_triangle_free_growth(n: int, parents, canon=None) -> list[int]:
     triangle forms; the result is maximal, and its child by N(v) is G.
     Within each twin class of the parent, S takes members lowest index
     first; any other choice is the image of one of these under a twin
-    swap.  `canon(rows, n)` computes the canonical forms; the default is
-    this module's `canonical_mask`.
+    swap.
     """
-    canon = canon or canonical_mask
     k = n - 1
     full = (1 << n) - 1
     out = set()
@@ -177,11 +172,11 @@ def maximal_triangle_free_growth(n: int, parents, canon=None) -> list[int]:
             child.append(s)
             # v, its neighbours and theirs must cover every vertex
             if all(full == 1 << v | r | _union(child, r) for v, r in enumerate(child)):
-                out.add(canon(child, n))
+                out.add(canonical_mask(child, n))
     return sorted(out)
 
 
-def triangle_free_canonical_masks(n: int, seeds, keep=None, canon=None) -> list[int]:
+def triangle_free_canonical_masks(n: int, seeds, keep=None) -> list[int]:
     """Every triangle-free class on n vertices that `keep` accepts, as
     ascending canonical masks: the closure of the canonical masks `seeds`
     under single-edge deletion.  `seeds` must hold every maximal class
@@ -196,10 +191,8 @@ def triangle_free_canonical_masks(n: int, seeds, keep=None, canon=None) -> list[
     back, is a parent edge of the result (`_is_parent_edge`); `keep` then
     filters, and the rest are canonicalized.  Every accepted class G is reached: unless G is
     maximal it has a parent edge f, and G + f is an accepted
-    triangle-free class with one more edge.  `canon` is as for
-    `maximal_triangle_free_growth`.
+    triangle-free class with one more edge.
     """
-    canon = canon or canonical_mask
     top = n * (n - 1) // 2 - 1
     found = set(seeds)
     todo = list(found)
@@ -214,7 +207,7 @@ def triangle_free_canonical_masks(n: int, seeds, keep=None, canon=None) -> list[
             if _is_parent_edge(child, i, j):
                 below.append(mask ^ 1 << top - j * (j - 1) // 2 - i)
         for host in (below if keep is None else keep(below)):
-            host = canon(rows_from_mask(n, host), n)
+            host = canonical_mask(rows_from_mask(n, host), n)
             if host not in found:
                 found.add(host)
                 todo.append(host)

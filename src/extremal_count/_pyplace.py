@@ -5,15 +5,13 @@ quotient with their moments.
 Each kernel places the pattern's vertices, one position at a time along a
 static search plan, on host vertices held as bit rows; none needs a
 canonical form, so commands that only count (`count`, `optimize`) never
-compile the enumeration kernels of `_pykernels`.  `count_injective`
-mirrors the compiled kernel in `_fastkernels`, and `_kernels` imports
-this module only when it first falls back to it.  The other kernels
-here, among them the occupancy profile (the one source of H-degrees and
-pair degrees), have no compiled twin; callers import them from here.
-Counts use Python integers, so this path has no host-size or
-count-magnitude limits, only speed ones.  Patterns and hosts are read
-through `n`, `rows`, `degree` and `neighbors` alone; this module imports
-nothing from the package.
+compile the enumeration kernels of `_pykernels`.  `_kernels` imports
+this module when `count_injective` is first called through it; the other
+kernels here, among them the occupancy profile (the one source of
+H-degrees and pair degrees), are imported from here directly.  Counts use
+Python integers, so there is no host-size or count-magnitude limit, only
+speed ones.  Patterns and hosts are read through `n`, `rows`, `degree`
+and `neighbors` alone; this module imports nothing from the package.
 """
 
 from __future__ import annotations

@@ -72,6 +72,11 @@ def __getattr__(name):
 A_SCAN_DENOMINATOR = 1024
 C_HALVING_DEPTH = 60
 
+# Largest size, in bits, of A_SCAN_DENOMINATOR^(u+2w), the denominator of
+# the 511 candidates the a-scan powers: 0.11 s at 4e4 bits, 0.33 s at 8e4
+# and 1.2 s at 1.6e5 (in process, pure Python 3.11, 2 vCPU).
+SCAN_BUDGET = 10 ** 5
+
 # Largest estimated size, in bits, of the exact power p_w^x_min that
 # certifies x_min: the float seed of x_min times the bit length of p_w.
 # Measured end to end (whole CLI command, fresh process, pure Python
@@ -111,6 +116,13 @@ class Theorem2Params(NamedTuple):
         return all(c.holds for c in self.checks)
 
 
+def _budget_error(message: str):
+    # graphs is imported only to refuse: a certificate that runs loads none
+    from .graphs import BudgetExceededError
+
+    return BudgetExceededError(message)
+
+
 def solve_theorem2_params(lam) -> Theorem2Params:
     """Rational (a, c, p, x_min) realizing the counterexample constraints.
 
@@ -129,11 +141,20 @@ def solve_theorem2_params(lam) -> Theorem2Params:
     or division by p_w.  p_w is reduced, so its powers are too; no gcd is
     taken between two powered numbers, and the certificate holds the
     powers at x_min and x_min - 1 that the search computed.
+
+    Raises BudgetExceededError, before the scan, when D^(u+2w) has more
+    than SCAN_BUDGET bits, and ValueError when no scanned a is admissible
+    or when p is not a finite float.
     """
     lam = Fraction(lam)
     if lam <= 0:
         raise ValueError("lambda must be positive")
     u, w = lam.numerator, lam.denominator
+    scan_bits = (u + 2 * w) * (A_SCAN_DENOMINATOR.bit_length() - 1)
+    if scan_bits > SCAN_BUDGET:
+        raise _budget_error(
+            f"the a-scan for lambda = {lam} compares integers of about "
+            f"{scan_bits} bits, over the budget of {SCAN_BUDGET} bits")
     half = A_SCAN_DENOMINATOR // 2
     # (1/2)^(u+2w) over the common denominator D^(u+2w)
     threshold = half ** (u + 2 * w)
@@ -143,9 +164,9 @@ def solve_theorem2_params(lam) -> Theorem2Params:
         if margin > best_margin:
             best_j, best_margin = j, margin
     if best_j is None:
-        raise RuntimeError(
-            "no admissible a found; the derivative argument guarantees one "
-            "at fine enough resolution")
+        raise ValueError(
+            f"no admissible a for lambda = {lam} at the scan's resolution "
+            f"1/A_SCAN_DENOMINATOR = 1/{A_SCAN_DENOMINATOR}")
     a = Fraction(half + best_j, A_SCAN_DENOMINATOR)
 
     for t in range(C_HALVING_DEPTH):
@@ -158,7 +179,11 @@ def solve_theorem2_params(lam) -> Theorem2Params:
     c = (1 - a) / (3 * s)
     b = 1 - a - 3 * c
 
-    p_float = float(a) ** (float(lam) + 1) * float(b) / 0.5 ** (float(lam) + 2)
+    half_power = 0.5 ** (float(lam) + 2)  # 0.0 from lambda = 1073 on
+    p_float = float(a) ** (float(lam) + 1) * float(b) / (half_power or math.nan)
+    if not math.isfinite(p_float):
+        raise ValueError(f"p = a^(lambda+1) b / (1/2)^(lambda+2) is not a "
+                         f"finite float at lambda = {lam}")
     ratio = 2 * a * b * b / c ** 3
     # p^w = a^(u+w) b^w 2^(u+2w); p^X > ratio is certified as p_w^X > ratio^w
     p_w = Fraction(b_margin, threshold * s ** w)
@@ -170,9 +195,7 @@ def solve_theorem2_params(lam) -> Theorem2Params:
         x = max(1, math.ceil(math.log(float(ratio)) / math.log(p_float)) - 2)
     bits = x * max(p_w.numerator.bit_length(), p_w.denominator.bit_length())
     if bits > POWER_BUDGET:
-        from .graphs import BudgetExceededError
-
-        raise BudgetExceededError(
+        raise _budget_error(
             f"certifying x_min for lambda = {lam} needs p^{w} to the power "
             f"of about {x}, an estimated {bits} bits, over the budget of "
             f"{POWER_BUDGET} bits")
@@ -295,9 +318,7 @@ def theorem2_end_to_end(lam, x: int | None = None) -> Theorem2Certificate:
     a, b, c = params.a, params.b, params.c
     bits = m * math.lcm(a.denominator, b.denominator, c.denominator).bit_length()
     if bits > COEFFICIENT_BUDGET:
-        from .graphs import BudgetExceededError
-
-        raise BudgetExceededError(
+        raise _budget_error(
             f"the coefficients at x = {x}, d = {d} have denominators of an "
             f"estimated {bits} bits, over the budget of {COEFFICIENT_BUDGET} bits")
     half = Fraction(1, 2)

@@ -8,8 +8,8 @@ always come from the occupancy profile of the pattern's homomorphisms into
 Q, evaluated at the class sizes, by exact division.  A bare embedding
 count is the total of the same moments when Q is smaller than the host,
 and otherwise backtracks over the host's vertices along the search plan
-with bit-set candidate pruning.  Only that backtracking count has a
-compiled twin, so it alone goes through the `_kernels` dispatch; the
+with bit-set candidate pruning.  That backtracking count alone is called
+through `_kernels`, whose entry points the benchmark's spans wrap; the
 search plan and the occupancy profile with its moments are imported from
 `_pyplace`, which also holds the injective listing that `optimize` takes
 a skeleton's automorphisms from.  A blow-up given by its skeleton and

@@ -4,11 +4,11 @@ pattern-copy counts over them.
 
 Canonical form: the lexicographically minimal adjacency bit-string over all
 vertex relabelings (staircase bit order; see _pykernels).  Enumeration has
-one growth step and one closure, both pure, whose canonical forms run on
-the compiled kernel when built.  The maximal triangle-free classes on n
-vertices are grown from those on n-1 vertices, and the triangle-free
-classes on n vertices are their closure under single-edge deletion.  Each
-level of either kind is built at most once per process and cached.
+one growth step and one closure, both called through `_kernels`.  The
+maximal triangle-free classes on n vertices are grown from those on n-1
+vertices, and the triangle-free classes on n vertices are their closure
+under single-edge deletion.  Each level of either kind is built at most
+once per process and cached.
 
 The maximizer search scores only the maximal triangle-free classes on n
 vertices.  Embedding counts never fall when an edge is added, and every

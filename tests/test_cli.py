@@ -16,10 +16,11 @@ import pytest
 
 from extremal_count import (Graph, _kernels, canonical_form, cli, embeddings,
                             read_graph_file, triangle_free_masks)
-from extremal_count.families import (build_blowup, cycle_graph,
-                                     complete_bipartite, path_graph,
-                                     star_graph)
-from extremal_count.graphs import read_graph_text, write_graph_file
+from extremal_count.families import (build_blowup, build_gps_example1,
+                                     build_theorem2_H, complete_bipartite,
+                                     cycle_graph, path_graph, star_graph)
+from extremal_count.graphs import read_graph_text, write_graph_file, write_graph_text
+from extremal_count.thm1 import thm1_coefficient
 
 
 @pytest.fixture
@@ -145,6 +146,18 @@ def test_verify_chain_success(capsys):
     code, out = run(["verify", "thm1-chain", "--x", "17", "--d", "1"], capsys)
     assert code == 0
     assert json.loads(out)["all_hold"] is True
+
+
+@pytest.mark.parametrize("x, d, code", [(17, 1, 0), (3, 2, 1)])
+def test_verify_thm1_coeff_pair(x, d, code, capsys):
+    # (3, 2) lies outside Theorem 1's hypothesis: the coefficient is 128/729
+    got, out = run(["verify", "thm1-coeff", "--x", str(x), "--d", str(d)], capsys)
+    payload = json.loads(out)
+    cert = thm1_coefficient(x, d)
+    assert got == code
+    assert payload["certificate"] == {"x": x, "d": d, "value": str(cert.value),
+                                      "exceeds_two_fifths": code == 0}
+    assert payload["all_hold"] is (code == 0)
 
 
 def test_verify_lemma2(k22_file, capsys):
@@ -304,6 +317,23 @@ def test_verify_thm2_small_lambda_budget_exit_2(theorem, capsys):
     assert captured.err.startswith("error: ") and "budget" in captured.err
 
 
+@pytest.mark.parametrize("theorem", ["thm2-params", "thm2-e2e"])
+@pytest.mark.parametrize("lam", ["1035", "1072", "1073", "1000000", "1/100000",
+                                 "1000001/1000000", "1/700"])
+def test_verify_thm2_extreme_lambda_exit_2(theorem, lam, capsys):
+    # p past a float (Infinity from 1035, a zero divisor from 1073), an
+    # a-scan over its budget, and no admissible a on the scan (1/700) are
+    # refused before the certificate's powers
+    start = time.monotonic()
+    code = cli.main(["verify", theorem, "--lam", lam])
+    assert time.monotonic() - start < 1.0
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"lambda = {lam}" in captured.err
+
+
 @pytest.mark.parametrize("args", [["thm1-chain", "--x", "100000", "--d", "1"],
                                   ["thm1-coeff", "--x", "100000", "--d", "1"],
                                   ["thm1-coeff", "--sweep-max", "3000"],
@@ -372,6 +402,23 @@ def test_gen_star_n_is_the_leaf_count(capsys):
     code, out = run(["gen", "star", "--n", "3"], capsys)
     g = read_graph_text(out)
     assert code == 0 and g.n == 4 and g.edge_count() == 3
+
+
+@pytest.mark.parametrize("args, graph", [
+    (["gps-example1", "--k", "4"], build_gps_example1(4)),
+    (["theorem2-h", "--d", "1", "--x", "3"], build_theorem2_H(1, 3)),
+])
+def test_gen_family_writes_its_graph(args, graph, capsys):
+    assert run(["gen"] + args, capsys) == (0, write_graph_text(graph))
+
+
+def test_gen_sizes_not_integers_exit_2(capsys):
+    code = cli.main(["gen", "blowup", "--pattern", "c5", "--sizes", "1,2,3,4,x"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: --sizes takes comma-separated integers, "
+                            "not '1,2,3,4,x'\n")
 
 
 @pytest.mark.parametrize("args", [["complete-bipartite", "--a", "-1", "--b", "2"],
@@ -793,19 +840,16 @@ def test_command_import_scope(command, tmp_path):
 
 
 def test_backend_probe_loads_no_enumeration_or_embedding_code():
-    # reading BACKEND imports the kernel dispatch alone (and the extension,
-    # when built); each pure kernel module is compiled only when one of its
-    # kernels is first called
+    # reading BACKEND imports the kernel entry points alone; each pure
+    # kernel module is compiled only when one of its kernels is first called
     out, loaded = _loaded_modules(
         "import json, sys, extremal_count\n"
         "print(extremal_count.BACKEND)\n"
         "print(json.dumps(sorted(sys.modules)), file=sys.stderr)")
-    assert out.strip() in ("compiled", "python")
+    assert out.strip() == "python"
     package = {name for name in loaded if name.split(".")[0] == "extremal_count"}
-    assert "extremal_count._kernels" in package
     # no _pyplace, _pykernels or embeddings
-    assert package <= {"extremal_count", "extremal_count._kernels",
-                       "extremal_count._fastkernels"}
+    assert package == {"extremal_count", "extremal_count._kernels"}
 
 
 def test_saturation_check_loads_no_embedding_code():
@@ -827,7 +871,7 @@ def test_saturation_check_loads_no_embedding_code():
 def test_every_package_export_resolves():
     import extremal_count
 
-    assert extremal_count.BACKEND in ("compiled", "python")
+    assert extremal_count.BACKEND == "python"
     for name in extremal_count.__all__:
         assert getattr(extremal_count, name) is not None, name
     assert set(extremal_count.__all__) <= set(dir(extremal_count))

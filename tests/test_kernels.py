@@ -1,16 +1,13 @@
-"""Kernel checks: compiled and pure kernels agree bit for bit, H-degrees
-and pair degrees from the occupancy profile and the twin-pruned canonical
-form match the brute-force oracles, and the twin-pruned growth of maximal
-triangle-free classes and the pruned edge-deletion closure reach every
-class the unpruned ones reach."""
+"""Kernel checks against the brute-force oracles of `naive`: H-degrees and
+pair degrees from the occupancy profile, the twin-pruned canonical form,
+and the twin-pruned growth of maximal triangle-free classes and the pruned
+edge-deletion closure, which reach every class the unpruned ones reach."""
 
 import itertools
+import os
 import random
-import types
 
-import pytest
-
-from extremal_count import _kernels, _pykernels, _pyplace
+from extremal_count import _kernels, _pykernels
 from extremal_count.embeddings import h_degrees
 from extremal_count.families import (build_blowup, build_gps_example1,
                                      complete_bipartite, cycle_graph,
@@ -22,21 +19,6 @@ from naive import (naive_canonical_mask, naive_count_embeddings, naive_h_degree,
                    naive_is_maximal_triangle_free, naive_pair_degree,
                    naive_triangle_free_levels, perm_canonical_mask,
                    random_graph, random_triangle_free)
-
-needs_fast = pytest.mark.skipif(not _kernels.HAS_FAST,
-                                reason="compiled kernels not built")
-
-
-@needs_fast
-def test_count_injective_agreement():
-    rng = random.Random(301)
-    for _ in range(150):
-        pattern = random_graph(rng, rng.randint(0, 5), 0.5)
-        host = random_graph(rng, rng.randint(0, 8), 0.5)
-        _, parents = _pyplace.search_plan(pattern)
-        pure = _pyplace.count_injective(host.rows, host.n, parents)
-        fast = _kernels.fast.count_injective(list(host.rows), host.n, parents)
-        assert pure == fast
 
 
 def _h_degree_cases():
@@ -66,45 +48,6 @@ def test_count_h_degrees_matches_naive():
                 == [naive_h_degree(pattern, host, v) for v in range(host.n)])
         for u, v in itertools.combinations(range(host.n), 2):
             assert report.pair(u, v) == naive_pair_degree(pattern, host, u, v)
-
-
-@needs_fast
-def test_canonical_agreement():
-    rng = random.Random(311)
-    for _ in range(200):
-        g = random_graph(rng, rng.randint(1, 8), 0.5)
-        assert (_pykernels.canonical_mask(g.rows, g.n)
-                == _kernels.fast.canonical_mask(list(g.rows), g.n))
-
-
-@needs_fast
-def test_generator_same_with_compiled_canonical_form():
-    for n in range(1, 8):
-        parents = _maximal_masks(n - 1)
-        maximal = _pykernels.maximal_triangle_free_growth(n, parents)
-        assert _pykernels.maximal_triangle_free_growth(
-            n, parents, _kernels.fast.canonical_mask) == maximal
-        assert (_pykernels.triangle_free_canonical_masks(
-                    n, maximal, canon=_kernels.fast.canonical_mask)
-                == _pykernels.triangle_free_canonical_masks(n, maximal))
-
-
-def test_dispatch_gives_generator_the_compiled_canonical_form(monkeypatch):
-    sizes = []
-
-    def compiled(rows, n):
-        assert isinstance(rows, list)
-        sizes.append(n)
-        return _pykernels.canonical_mask(rows, n)
-
-    parents, maximal, level = _maximal_masks(5), _maximal_masks(6), triangle_free_masks(6)
-    monkeypatch.setattr(_kernels, "HAS_FAST", True)
-    monkeypatch.setattr(_kernels, "fast", types.SimpleNamespace(canonical_mask=compiled))
-    assert _kernels.maximal_triangle_free_growth(6, parents) == list(maximal)
-    assert sizes and set(sizes) == {6}
-    sizes.clear()
-    assert _kernels.triangle_free_canonical_masks(6, maximal) == list(level)
-    assert sizes and set(sizes) == {6}
 
 
 def _twin_rich_graphs():
@@ -203,3 +146,15 @@ def test_mask_roundtrip():
         g = random_graph(rng, rng.randint(0, 8), 0.5)
         mask = _pykernels.mask_from_rows(g.rows, g.n)
         assert tuple(_pykernels.rows_from_mask(g.n, mask)) == g.rows
+
+
+def test_bench_kernels_runs_each_workload(monkeypatch):
+    # the timing script's workloads, as perfbench/run.py calls them, still
+    # give the counts they time
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir,
+                                             "benchmarks"))
+    import bench_kernels
+
+    assert [r[-1] for r in bench_kernels.bench_count(1)] == [5_644_800]
+    assert [r[-1] for r in bench_kernels.bench_canonical(1)] == [300]
+    assert [r[-1] for r in bench_kernels.bench_enumeration(1, 6)] == [38]
