@@ -1,11 +1,12 @@
-"""Kernel entry points: injective counting, the canonical form and the two
-triangle-free enumeration steps, each a call of its pure-Python kernel.
+"""Kernel entry points: injective counting, the canonical form and the
+triangle-free closure, each a call of its pure-Python kernel.
 
 A kernel module is imported when one of its kernels is first called here
 (`_pyplace` for counting, `_pykernels` for the rest), so reading `BACKEND`
 compiles this module alone.  `embeddings` and `oracle` call these kernels
-through here, where the benchmark's spans wrap them; the search plan,
-occupancy profiles and mask helpers are imported from their own modules.
+through here, where the benchmark's spans wrap them; the maximal
+triangle-free growth, the search plan, occupancy profiles and mask helpers
+are called in their own modules.
 """
 
 from __future__ import annotations
@@ -23,12 +24,6 @@ def canonical_mask(rows, n: int) -> int:
     from . import _pykernels
 
     return _pykernels.canonical_mask(rows, n)
-
-
-def maximal_triangle_free_growth(n: int, parents) -> list[int]:
-    from . import _pykernels
-
-    return _pykernels.maximal_triangle_free_growth(n, parents)
 
 
 def triangle_free_canonical_masks(n: int, seeds, keep=None) -> list[int]:

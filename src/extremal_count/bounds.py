@@ -189,10 +189,7 @@ def solve_theorem2_params(lam) -> Theorem2Params:
     p_w = Fraction(b_margin, threshold * s ** w)
 
     # float seed for the threshold, then exact adjustment
-    if ratio <= 1:
-        x = 1
-    else:
-        x = max(1, math.ceil(math.log(float(ratio)) / math.log(p_float)) - 2)
+    x = max(1, math.ceil(math.log(float(ratio)) / math.log(p_float)) - 2)
     bits = x * max(p_w.numerator.bit_length(), p_w.denominator.bit_length())
     if bits > POWER_BUDGET:
         raise _budget_error(

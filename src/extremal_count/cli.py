@@ -5,8 +5,8 @@ output (sorted keys, exact rationals as "p/q" strings); CSV is a flat
 key,value projection of the same payload.  Exit codes: 0 success / all
 inequalities hold, 1 a verified inequality is false, 2 usage, parse, or
 budget errors, 3 a failed internal self-check.  Output depends only on the
-arguments, never on worker count, ordering of parallel partial results, or
-the clock.
+arguments, never on the environment, worker count (`--workers`, default
+1), ordering of parallel partial results, or the clock.
 
 Each subcommand's own arguments and code are in its module `_cmd_<name>`
 (`_cmd_count`, `_cmd_verify`, `_cmd_optimize`, `_cmd_search`,
@@ -27,7 +27,6 @@ would compile and run it a second time, as a second module.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from importlib import import_module
 
@@ -38,14 +37,6 @@ def worker_count(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
-
-
-def _default_workers() -> int:
-    # a bad EXTREMAL_COUNT_WORKERS falls back to one process
-    try:
-        return max(1, int(os.environ.get("EXTREMAL_COUNT_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 class _SubcommandParser(argparse.ArgumentParser):
@@ -86,9 +77,8 @@ def _report_args(p):
 
 def _parallel_args(p):
     _report_args(p)
-    p.add_argument("--workers", type=worker_count, default=_default_workers(),
-                   help="worker processes (default: EXTREMAL_COUNT_WORKERS or 1); "
-                        "no effect on search")
+    p.add_argument("--workers", type=worker_count, default=1,
+                   help="worker processes (default: 1); no effect on search")
 
 
 # subcommand -> (its shared argument group, its help text); its own

@@ -4,11 +4,11 @@ pattern-copy counts over them.
 
 Canonical form: the lexicographically minimal adjacency bit-string over all
 vertex relabelings (staircase bit order; see _pykernels).  Enumeration has
-one growth step and one closure, both called through `_kernels`.  The
-maximal triangle-free classes on n vertices are grown from those on n-1
-vertices, and the triangle-free classes on n vertices are their closure
-under single-edge deletion.  Each level of either kind is built at most
-once per process and cached.
+one growth step, called in `_pykernels`, and one closure, called through
+`_kernels`.  The maximal triangle-free classes on n vertices are grown
+from those on n-1 vertices, and the triangle-free classes on n vertices
+are their closure under single-edge deletion.  Each level of either kind
+is built at most once per process and cached.
 
 The maximizer search scores only the maximal triangle-free classes on n
 vertices.  Embedding counts never fall when an edge is added, and every
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from . import _kernels as kernels
+from . import _kernels as kernels, _pykernels
 from ._pykernels import rows_from_mask
 from ._pyplace import search_plan
 from .embeddings import _count_planned, copies_from_counts, count_automorphisms
@@ -78,7 +78,7 @@ def _maximal_masks(n: int) -> tuple[int, ...]:
     vertices, from the process cache; a missing level is grown once from
     level n-1, itself taken from the cache or grown first."""
     if n not in _maximal_cache:
-        _maximal_cache[n] = tuple(kernels.maximal_triangle_free_growth(
+        _maximal_cache[n] = tuple(_pykernels.maximal_triangle_free_growth(
             n, _maximal_masks(n - 1)))
     return _maximal_cache[n]
 
@@ -121,6 +121,8 @@ def find_maximizers(pattern: Graph, n: int) -> MaximizerReport:
     triangle-free class, taken from the cached level without a closure.
     Hosts are scored in this process.
     """
+    if n < 0:
+        raise ValueError(f"host vertex count must be at least 0, got n={n}")
     if pattern.n > n:
         raise ValueError("pattern must not exceed the host size")
     _check_budget(n)

@@ -178,9 +178,9 @@ def test_criterion_9_determinism_across_workers(tmp_path):
         out8 = _run_cli([*search_args, "--workers", "8"])
         assert out1 == out8 and out1
 
-        # a five-vertex skeleton at grid 10 is large enough to engage the
-        # seed-evaluation pool, so the 8-worker run really parallelizes
-        opt_args = ["optimize", str(c4_file), "c5", "--grid", "10"]
+        # C5 at grid 24 has 382 runs, past POOL_MIN_RUNS: two chunks of
+        # RUN_CHUNK runs, so the 8-worker run scores them in two processes
+        opt_args = ["optimize", str(c4_file), "c5", "--grid", "24"]
         out1 = _run_cli([*opt_args, "--workers", "1"])
         out8 = _run_cli([*opt_args, "--workers", "8"])
         assert out1 == out8 and out1

@@ -226,6 +226,17 @@ def test_saturation_p3_error_is_half_over_n():
     assert holds and c == Fraction(1, 2)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: saturation_converges(path_graph(3), WeightedPattern(K2, HALF), 5, 5),
+     "need n1 < n2"),
+    (lambda: HomSumPlan(path_graph(3), cycle_graph(5))(HALF),
+     "one weight per pattern-P vertex required"),
+])
+def test_library_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_saturation_c4():
     wp = WeightedPattern(K2, HALF)
     c, holds, r1, r2 = saturation_converges(cycle_graph(4), wp, 8, 16)

@@ -14,8 +14,8 @@ from fractions import Fraction
 
 import pytest
 
-from extremal_count import (Graph, _kernels, canonical_form, cli, embeddings,
-                            read_graph_file, triangle_free_masks)
+from extremal_count import (Graph, _kernels, _pykernels, canonical_form, cli,
+                            embeddings, read_graph_file, triangle_free_masks)
 from extremal_count.families import (build_blowup, build_gps_example1,
                                      build_theorem2_H, complete_bipartite,
                                      cycle_graph, path_graph, star_graph)
@@ -165,6 +165,16 @@ def test_verify_lemma2(k22_file, capsys):
     assert code == 0
     cert = json.loads(out)["certificate"]
     assert cert["equality"] and cert["equality_is_complete_bipartite"]
+
+
+def test_verify_lemma2_empty_host(tmp_path, capsys):
+    empty = tmp_path / "empty.graph"
+    write_graph_file(Graph(0), empty)
+    code, out = run(["verify", "lemma2", "--graph", str(empty)], capsys)
+    assert code == 0
+    assert json.loads(out)["certificate"] == {
+        "bound": 0, "edges": 0, "equality": True,
+        "equality_is_complete_bipartite": True, "holds": True, "max_degree": 0}
 
 
 def test_verify_thm2_params_exact_fractions(capsys):
@@ -431,6 +441,31 @@ def test_gen_negative_size_exit_2(args, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("args, message", [
+    (["gen", "cycle", "--n", "2"], "cycle needs at least 3 vertices"),
+    (["gen", "turan2", "--n", "0"], "n must be positive"),
+    (["gen", "gps-example1", "--k", "2"], "k must be at least 3"),
+    (["gen", "blowup", "--pattern", "k2", "--sizes", "2,-1"],
+     "blob sizes must be non-negative"),
+    (["optimize", "{c4}", "{empty}"], "blow-up pattern needs at least one vertex"),
+    (["verify", "thm2-params", "--lam", "0"], "lambda must be positive"),
+    (["verify", "thm2-e2e", "--lam", "1", "--x", "2"], "x must be at least 3"),
+    (["verify", "thm1-chain", "--x", "5", "--d", "-1"], "d must be non-negative"),
+    (["search", "{c4}", "-1"], "host vertex count must be at least 0, got n=-1"),
+    (["search", "{empty}", "-3"], "host vertex count must be at least 0, got n=-3"),
+])
+def test_refusal_exit_2(args, message, tmp_path, capsys):
+    files = {}
+    for name, graph in (("c4", cycle_graph(4)), ("empty", Graph(0))):
+        files[name] = str(tmp_path / f"{name}.graph")
+        write_graph_file(graph, files[name])
+    code = cli.main([arg.format(**files) for arg in args])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("sweep_max", ["1", "-3"])
 def test_verify_vacuous_sweep_exit_2(sweep_max, capsys):
     code = cli.main(["verify", "thm1-coeff", "--sweep-max", sweep_max])
@@ -483,7 +518,7 @@ def test_search_budget_exit_2(c4_file, capsys, monkeypatch):
     def no_enumeration(*args, **kwargs):
         raise AssertionError("enumeration started past the budget")
 
-    monkeypatch.setattr(_kernels, "maximal_triangle_free_growth", no_enumeration)
+    monkeypatch.setattr(_pykernels, "maximal_triangle_free_growth", no_enumeration)
     monkeypatch.setattr(_kernels, "triangle_free_canonical_masks", no_enumeration)
     for workers in ("1", "2"):
         assert cli.main(["search", c4_file, "10", "--workers", workers]) == 2
@@ -634,9 +669,9 @@ PARSER_DIGESTS = {
     "verify --help":
         "a8c1bb91adbc941aca60539297f31725260ad6356b1038234a1b9aa47abc4197",
     "optimize --help":
-        "69fd4df88e181cf939c2b97e41a4c055e6c5f4f40ecac61fac8942ebce6b9a91",
+        "42ea51b92efd9da47c2fd0921a0cea308010d3d3241a8286d2c6f20b66b63410",
     "search --help":
-        "51ae8353f7f6dfbd7be12c4f7424cd9e68ffeb3e4468620d6db183a3ef997121",
+        "a849c3b358cec48258563294733fa279d1a2d557be6f6541adc2f39c2fbeb3b8",
     "gen --help":
         "04adbd2122f6bb0bf71281df136251b6d1b857bbdd1ce03e8ed9bc047e276856",
     "":
@@ -689,11 +724,19 @@ def test_command_builds_only_its_parser(monkeypatch, capsys):
     assert code == 0 and json.loads(out)["all_hold"] is True
 
 
-def test_workers_env_default(monkeypatch):
+@pytest.mark.parametrize("command", [["search", "x", "5"], ["optimize", "x", "k2"]])
+def test_workers_default_ignores_environment(command, monkeypatch):
     monkeypatch.setenv("EXTREMAL_COUNT_WORKERS", "4")
-    parser = cli.build_parser()
-    args = parser.parse_args(["search", "x", "5"])
-    assert args.workers == 4
+    assert cli.build_parser().parse_args(command).workers == 1
+
+
+def test_package_reads_no_environment():
+    src = os.path.dirname(cli.__file__)
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                text = fh.read()
+            assert "os.environ" not in text and "getenv" not in text, name
 
 
 @pytest.mark.parametrize("workers", ["0", "-2"])
@@ -707,13 +750,6 @@ def test_workers_below_one_exit_2(command, workers, c4_file, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "argument --workers: must be at least 1" in captured.err
-
-
-@pytest.mark.parametrize("value", ["-2", "0", "many"])
-def test_bad_workers_env_falls_back_to_one(value, monkeypatch):
-    monkeypatch.setenv("EXTREMAL_COUNT_WORKERS", value)
-    args = cli.build_parser().parse_args(["search", "x", "5"])
-    assert args.workers == 1
 
 
 @pytest.mark.parametrize("leaves, message", [(13, "capped at 10 vertices"),

@@ -146,6 +146,12 @@ def test_clone_move_rejects_equal_vertices():
         clone_move(cycle_graph(5), 2, 2)
 
 
+def test_clone_move_rejects_host_with_triangle():
+    host = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+    with pytest.raises(ValueError, match="requires a triangle-free host"):
+        clone_move(host, 3, 0)
+
+
 def test_clone_move_gain_ledger():
     # count(G') - count(G) >= h(v, u-bar) - h(u) on random triangle-free hosts
     rng = random.Random(127)

@@ -96,7 +96,7 @@ def test_cached_level_opens_no_pool(pools, levels, monkeypatch):
     def no_growth(*args, **kwargs):
         raise AssertionError("a cached level was grown again")
 
-    monkeypatch.setattr(oracle.kernels, "maximal_triangle_free_growth", no_growth)
+    monkeypatch.setattr(oracle._pykernels, "maximal_triangle_free_growth", no_growth)
     for pattern in (path_graph(2), star_graph(3)):
         find_maximizers(pattern, 7)
     assert pools == []

@@ -46,6 +46,24 @@ def test_graph_rejects_loops_and_bad_edges():
         Graph.from_rows([0b10, 0b00])  # asymmetric
 
 
+def _assign_attribute():
+    Graph(2).n = 3
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Graph(-1), ValueError, "vertex count must be non-negative"),
+    (_assign_attribute, AttributeError, "Graph is immutable"),
+    (lambda: Graph.from_rows([0b10, 0b101]), ValueError,
+     "adjacency row exceeds vertex range"),
+    (lambda: Graph.from_rows([0b01]), ValueError, "self-loop at vertex 0"),
+    (lambda: degree_stats(Graph(0)), ValueError,
+     "degree stats of the empty graph are undefined"),
+])
+def test_graph_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_builders_reject_negative_sizes():
     for a, b in ((-1, 2), (2, -1)):
         with pytest.raises(ValueError):

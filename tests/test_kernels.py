@@ -101,7 +101,7 @@ def test_twin_reduced_growth_reaches_every_child_class():
                          for v, r in enumerate(rows)] + [s]
                 if naive_is_maximal_triangle_free(child, k + 1):
                     every.add(_pykernels.canonical_mask(child, k + 1))
-            assert _kernels.maximal_triangle_free_growth(k + 1, [mask]) == sorted(every)
+            assert _pykernels.maximal_triangle_free_growth(k + 1, [mask]) == sorted(every)
 
 
 def test_twin_pruned_deletions_cover_every_orbit():

@@ -125,6 +125,14 @@ def test_find_maximizers_rejects_oversized_pattern():
         find_maximizers(cycle_graph(5), 4)
 
 
+@pytest.mark.parametrize("pattern, n", [(Graph(0), -3), (cycle_graph(4), -1)])
+def test_find_maximizers_rejects_negative_host_size(pattern, n):
+    # the host size is checked first, also for the 0-vertex pattern
+    with pytest.raises(ValueError, match=f"^host vertex count must be at "
+                                         f"least 0, got n={n}$"):
+        find_maximizers(pattern, n)
+
+
 def test_is_complete_bipartite():
     assert is_complete_bipartite(complete_bipartite(2, 6))
     assert is_complete_bipartite(complete_bipartite(0, 4))  # edgeless
