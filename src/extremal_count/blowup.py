@@ -125,13 +125,14 @@ MAX_SKELETON_VERTICES = 10
 # about 0.1 s in.
 AUT_BUDGET = math.factorial(8)
 
-# With workers > 1, runs of grid compositions are scored in a process pool
-# only when there are at least POOL_MIN_RUNS of them.  The pool takes them
-# in chunks of RUN_CHUNK, at most m + 1 exact evaluations of 1-4 us each a
-# run, enough work to outweigh a task's round trip, with at most two
-# chunks per process in flight, so memory does not grow with the grid.
-POOL_MIN_RUNS = 65
-RUN_CHUNK = 256
+# With workers > 1, the runs of grid compositions are cut into chunks of
+# CHUNK_EVALUATIONS // (m + 1) runs (a run costs at most m + 1 exact
+# evaluations, m = |V(H)|).  A pool opens only when a look-ahead of
+# 2 * workers chunks holds two chunks for each of at least two processes:
+# two processes over four chunks beat one from about 15,000 (a 7-vertex
+# tree) to 25,000 (C4) evaluations into C5, in fresh processes on pure
+# Python 3.11 (2 vCPU).  At most two chunks per process are in flight.
+CHUNK_EVALUATIONS = 6144
 
 # The ascent runs on integer weights summing to grid * 2^REFINE_BITS: it
 # starts from the grid seed scaled by 2^REFINE_BITS with a step of
@@ -212,37 +213,31 @@ def _grid_seeds(patternP: Graph, resolution: int) -> Iterator[tuple]:
 def _best_seed(plan, patternP: Graph, grid: int, workers: int):
     """The smallest integer composition of `grid` with the largest exact
     value of `plan`, one part per vertex of P: the runs of _grid_seeds are
-    scored as they are generated, in a pool of up to `workers` processes
-    once there are POOL_MIN_RUNS of them."""
+    scored as they are generated, in this process with one worker or too
+    few chunks for two processes, otherwise chunk by chunk in a pool of up
+    to `workers` processes (see CHUNK_EVALUATIONS)."""
     if patternP.n == 1:
         return (grid,)
     runs = _grid_seeds(patternP, grid)
-    head = tuple(islice(runs, POOL_MIN_RUNS))
-    stream = chain(head, runs)
-    if workers > 1 and len(head) == POOL_MIN_RUNS:
-        return _pool_best_seed(plan, grid, stream, workers)[1]
-    return _best_in_runs((plan, grid, stream))[1]
-
-
-def _pool_best_seed(plan, grid: int, runs, workers: int):
-    """_best_in_runs over a stream of runs, cut into chunks of RUN_CHUNK
-    runs and scored by a pool of at most `workers` processes, no more than
-    the chunks of its first round; at most two chunks per process are in
-    flight at a time."""
-    chunks = iter(lambda: tuple(islice(runs, RUN_CHUNK)), ())
-    first = list(islice(chunks, workers))
+    size = CHUNK_EVALUATIONS // (plan.m + 1)
+    chunks = iter(lambda: tuple(islice(runs, size)), ())
+    ahead = list(islice(chunks, 2 * workers)) if workers > 1 else []
+    processes = min(workers, len(ahead) // 2)
+    if processes < 2:
+        return _best_in_runs((plan, grid, chain(*ahead, runs)))[1]
+    queue = chain(ahead, chunks)
     pool_class = sys.modules[__name__].ProcessPoolExecutor
-    with pool_class(max_workers=len(first)) as pool:
-        pending = deque(pool.submit(_best_in_runs, (plan, grid, chunk))
-                        for chunk in chain(first, islice(chunks, len(first))))
+    with pool_class(max_workers=processes) as pool:
+        def submit(chunk):
+            return pool.submit(_best_in_runs, (plan, grid, chunk))
+        pending = deque(map(submit, islice(queue, 2 * processes)))
         best = None
         while pending:
             result = pending.popleft().result()
             if best is None or result < best:
                 best = result
-            for chunk in islice(chunks, 1):
-                pending.append(pool.submit(_best_in_runs, (plan, grid, chunk)))
-    return best
+            pending.extend(map(submit, islice(queue, 1)))
+    return best[1]
 
 
 def _best_in_runs(args):
@@ -295,8 +290,9 @@ def optimize_weights(patternH: Graph, patternP: Graph, grid: int = 50,
     step halves when none does, until it reaches 0.  The result is never
     below the seed, and rounding plays no part in it.  Global optimality
     is not claimed.  `grid` is the seeding resolution per simplex
-    coordinate; runs are scored as they are generated, in up to `workers`
-    processes.  Returns (WeightedPattern, LeadingCoefficient), the weights
+    coordinate; runs are scored as they are generated, in a pool of up to
+    `workers` processes when they fill two chunks per process (see
+    _best_seed).  Returns (WeightedPattern, LeadingCoefficient), the weights
     over denominators dividing grid * 2^REFINE_BITS.
 
     Raises ValueError on a skeleton that contains a triangle (its blow-ups

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .bounds import _RELATIONS, CertCheck
+from .bounds import _RELATIONS, CertCheck, _budget_error
 
 
 class Theorem1Coefficient(NamedTuple):
@@ -90,12 +90,6 @@ SWEEP_BUDGET = 10 ** 8
 
 def _pair_bits(x: int, d: int) -> int:
     return (2 * d + 2 * x - 2) * (d + x - 1).bit_length()
-
-
-def _budget_error(message: str):
-    from .graphs import BudgetExceededError
-
-    return BudgetExceededError(message)
 
 
 def _require_x_d(x: int, d: int) -> None:

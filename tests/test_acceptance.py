@@ -178,9 +178,10 @@ def test_criterion_9_determinism_across_workers(tmp_path):
         out8 = _run_cli([*search_args, "--workers", "8"])
         assert out1 == out8 and out1
 
-        # C5 at grid 24 has 382 runs, past POOL_MIN_RUNS: two chunks of
-        # RUN_CHUNK runs, so the 8-worker run scores them in two processes
-        opt_args = ["optimize", str(c4_file), "c5", "--grid", "24"]
+        # C5 at grid 57 has 3,869 runs, four chunks of 1,228 for C4 (five
+        # evaluations a run), so the 8-worker run scores them in a pool of
+        # two processes; it is the smallest grid that opens a pool
+        opt_args = ["optimize", str(c4_file), "c5", "--grid", "57"]
         out1 = _run_cli([*opt_args, "--workers", "1"])
         out8 = _run_cli([*opt_args, "--workers", "8"])
         assert out1 == out8 and out1

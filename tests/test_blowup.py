@@ -307,12 +307,12 @@ def test_optimize_balanced_tree_prefers_even_split():
 
 
 def test_optimize_deterministic_across_workers(monkeypatch):
-    # C5 at grid 14 has 103 runs, past POOL_MIN_RUNS; chunks of 16 runs
-    # give the pool seven tasks
+    # C5 at grid 14 has 103 runs; chunks of 16 runs (at most 7 evaluations
+    # a run for the 6-vertex H) give seven tasks, enough for 3 processes
     h = build_gps_example1(3)
     p = cycle_graph(5)
-    monkeypatch.setattr(blowup, "RUN_CHUNK", 16)
-    assert len(list(_grid_seeds(p, 14))) >= blowup.POOL_MIN_RUNS
+    monkeypatch.setattr(blowup, "CHUNK_EVALUATIONS", 16 * (h.n + 1))
+    assert -(-len(list(_grid_seeds(p, 14))) // 16) >= 2 * 3
     w1, c1 = optimize_weights(h, p, grid=14, workers=1)
     for workers in (2, 3):
         w2, c2 = optimize_weights(h, p, grid=14, workers=workers)

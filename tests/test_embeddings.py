@@ -7,7 +7,8 @@ import tracemalloc
 
 import pytest
 
-from extremal_count import (Graph, build_blowup, build_theorem2_H,
+from extremal_count import (Graph, build_blowup, build_gps_example1,
+                            build_theorem2_H,
                             clone_move, complete_bipartite,
                             count_automorphisms, count_copies,
                             count_embeddings, cycle_graph, disjoint_union,
@@ -25,6 +26,44 @@ def test_count_embeddings_examples():
     assert count_embeddings(path_graph(2), path_graph(2)) == 2
     assert count_embeddings(cycle_graph(4), complete_bipartite(2, 2)) == 8
     assert count_embeddings(path_graph(3), cycle_graph(5)) == 10
+
+
+def _double_star_counts(k):
+    """Copies of the double star build_gps_example1(k) in the C5 blow-up
+    with blobs (2k - 6, 1, 2, 2, 1), and in K_{a, 2k - a} for a = 0..2k:
+    hosts on n = 2k vertices."""
+    pattern = build_gps_example1(k)
+    c5 = count_embeddings(pattern,
+                          build_blowup(cycle_graph(5), [2 * k - 6, 1, 2, 2, 1]))
+    return c5, [count_embeddings(pattern, complete_bipartite(a, 2 * k - a))
+                for a in range(2 * k + 1)]
+
+
+@pytest.mark.parametrize("k, ratio", [(10, 1.695), (11, 4.255), (12, 11.16),
+                                      (14, 85.19), (20, 64642.8)])
+def test_double_star_c5_blowup_beats_complete_bipartite(k, ratio):
+    # from k = 10 on, the C5 blow-up holds more copies than every complete
+    # bipartite host on 2k vertices, the best of which is K_{k,k}
+    c5, bipartite = _double_star_counts(k)
+    best = max(bipartite)
+    assert bipartite.index(best) == k and bipartite.count(best) == 1
+    assert c5 > best
+    assert c5 / best == pytest.approx(ratio, rel=1e-3)
+
+
+def test_double_star_exact_counts():
+    c5, bipartite = _double_star_counts(11)
+    assert (c5, max(bipartite)) == (13_557_967_847_424_000,
+                                    3_186_701_844_480_000)
+    # k = 9 is the boundary of this size family: K_{9,9} wins at n = 18
+    c5, bipartite = _double_star_counts(9)
+    assert (c5, max(bipartite)) == (187_768_627_200, 263_363_788_800)
+    assert bipartite.index(max(bipartite)) == 9
+    # the smallest case against brute force: 64 copies in the blow-up of
+    # C5 with blobs (2, 1, 2, 2, 1)
+    host = build_blowup(cycle_graph(5), [2, 1, 2, 2, 1])
+    assert _double_star_counts(4)[0] == 64
+    assert naive_count_embeddings(build_gps_example1(4), host) == 64
 
 
 def test_count_embeddings_edge_cases():

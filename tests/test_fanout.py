@@ -3,7 +3,9 @@
 An executor forks its worker processes up front, so a pool asked for more
 workers than it has tasks would start idle processes.  These tests swap in
 an in-process executor that records the requested size and starts none.
-The maximizer search runs in one process and opens no pool at all."""
+The maximizer search runs in one process and opens no pool at all; the
+optimizer opens one only when its grid fills two chunks for each of at
+least two processes."""
 
 from concurrent.futures import Future
 
@@ -103,26 +105,37 @@ def test_cached_level_opens_no_pool(pools, levels, monkeypatch):
 
 
 def test_optimizer_pool_is_capped_at_chunk_count(pools, monkeypatch):
-    # the run stream is cut into chunks of RUN_CHUNK runs, one task each;
-    # the pool has no more processes than the chunks of its first round,
-    # and a stream of fewer than POOL_MIN_RUNS runs is scored in this
-    # process
-    monkeypatch.setattr(blowup, "RUN_CHUNK", 16)
+    # the run stream is cut into chunks of CHUNK_EVALUATIONS // (m + 1)
+    # runs, one task each; the pool has no more processes than `workers`
+    # or half the chunks of its look-ahead, and a stream of fewer than
+    # four chunks is scored in this process
+    monkeypatch.setattr(blowup, "CHUNK_EVALUATIONS", 16 * 5)
     runs = list(blowup._grid_seeds(cycle_graph(5), 12))
-    assert blowup.POOL_MIN_RUNS <= len(runs) < MANY
     chunks = -(-len(runs) // 16)
+    assert 4 <= chunks < MANY
     serial = optimize_weights(cycle_graph(4), cycle_graph(5), grid=12)
     assert pools == []
-    for workers in (2, MANY):
+    for workers in (2, 3, MANY):
         pools.clear()
         RecordingExecutor.tasks = 0
         parallel = optimize_weights(cycle_graph(4), cycle_graph(5), grid=12,
                                     workers=workers)
         assert parallel == serial
-        assert pools == [min(workers, chunks)]
+        assert pools == [min(workers, chunks // 2)]
         assert RecordingExecutor.tasks == chunks
     pools.clear()
-    small = len(list(blowup._grid_seeds(cycle_graph(5), 10)))
-    assert small < blowup.POOL_MIN_RUNS
-    optimize_weights(cycle_graph(4), cycle_graph(5), grid=10, workers=MANY)
+    small = len(list(blowup._grid_seeds(cycle_graph(5), 9)))
+    assert -(-small // 16) < 4
+    optimize_weights(cycle_graph(4), cycle_graph(5), grid=9, workers=MANY)
     assert pools == []
+
+
+def test_optimizer_pool_opens_only_for_two_chunks_per_process(pools):
+    # with the shipped chunk size, C4 into C5 at grids 12 (73 runs) and 50
+    # (2,691 runs) fill fewer than four chunks and open no pool; grid 100
+    # (19,006 runs) opens one pool of two processes
+    for grid in (12, 50):
+        optimize_weights(cycle_graph(4), cycle_graph(5), grid=grid, workers=2)
+    assert pools == []
+    optimize_weights(cycle_graph(4), cycle_graph(5), grid=100, workers=2)
+    assert pools == [2]
