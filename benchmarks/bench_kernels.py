@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Time the three hot kernel paths on representative workloads.
 
-Injective-embedding counting, canonical-form minimization, and
+Injective-embedding counting (into a host's own rows and into a blow-up
+given by its skeleton and blob sizes), canonical-form minimization, and
 triangle-free enumeration (the growth of the maximal triangle-free levels
 and the edge-deletion closure of the top one).  Run from the repository
 root:
@@ -14,7 +15,8 @@ import random
 import time
 
 from extremal_count import _pykernels, _pyplace
-from extremal_count.families import build_gps_example1, complete_bipartite
+from extremal_count.families import (build_gps_example1, complete_bipartite,
+                                     cycle_graph, path_graph)
 
 
 def best_of(repeats, fn, *args):
@@ -28,11 +30,21 @@ def best_of(repeats, fn, *args):
 
 
 def bench_count(repeats):
-    pattern = build_gps_example1(4)   # 8-vertex tree
+    """The 8-vertex tree into K_{8,8}, given by its 16 rows and by K_2 at
+    sizes (8, 8), and the double star of k = 6 into a C_5 blow-up."""
+    _, tree = _pyplace.search_plan(build_gps_example1(4))
     host = complete_bipartite(8, 8)
-    _, parents = _pyplace.search_plan(pattern)
-    t, v = best_of(repeats, _pyplace.count_injective, host.rows, host.n, parents)
-    return [("count embeddings (8-vertex tree in K_{8,8})", t, v)]
+    t_rows, v_rows = best_of(repeats, _pyplace.count_injective,
+                             host.rows, [1] * host.n, tree)
+    t_k2, v_k2 = best_of(repeats, _pyplace.count_injective,
+                         path_graph(2).rows, [8, 8], tree)
+    assert v_rows == v_k2
+    _, star = _pyplace.search_plan(build_gps_example1(6))
+    t_c5, v_c5 = best_of(repeats, _pyplace.count_injective,
+                         cycle_graph(5).rows, [6, 6, 5, 5, 5], star)
+    return [("count embeddings (8-vertex tree in K_{8,8}, 16 rows)", t_rows, v_rows),
+            ("count embeddings (8-vertex tree in K_2 at sizes 8, 8)", t_k2, v_k2),
+            ("count embeddings (double star k=6 in C_5 at 6,6,5,5,5)", t_c5, v_c5)]
 
 
 def bench_canonical(repeats):

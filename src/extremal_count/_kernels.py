@@ -14,10 +14,12 @@ from __future__ import annotations
 BACKEND = "python"
 
 
-def count_injective(host_rows, n_host: int, parents) -> int:
+def count_injective(q_rows, sizes, parents) -> int:
+    # embeddings into the blow-up of the graph with rows q_rows at blob
+    # sizes `sizes`; a host given by its own rows has sizes all 1
     from . import _pyplace
 
-    return _pyplace.count_injective(host_rows, n_host, parents)
+    return _pyplace.count_injective(q_rows, sizes, parents)
 
 
 def canonical_mask(rows, n: int) -> int:

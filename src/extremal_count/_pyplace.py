@@ -1,17 +1,21 @@
 """Pure-Python placement kernels: the search plan of a pattern, injective
-embedding counting and listing, and occupancy profiles over a twin
-quotient with their moments.
+embedding counting into a blow-up, injective listing, and occupancy
+profiles over a twin quotient with their moments.
 
 Each kernel places the pattern's vertices, one position at a time along a
-static search plan, on host vertices held as bit rows; none needs a
-canonical form, so commands that only count (`count`, `optimize`) never
-compile the enumeration kernels of `_pykernels`.  `_kernels` imports
-this module when `count_injective` is first called through it; the other
-kernels here, among them the occupancy profile (the one source of
-H-degrees and pair degrees), are imported from here directly.  Counts use
-Python integers, so there is no host-size or count-magnitude limit, only
-speed ones.  Patterns and hosts are read through `n`, `rows`, `degree`
-and `neighbors` alone; this module imports nothing from the package.
+static search plan, on host or skeleton vertices held as bit rows; none
+needs a canonical form, so commands that only count (`count`, `optimize`)
+never compile the enumeration kernels of `_pykernels`.  The injective
+count is the one embedding count: every host is the blow-up of its twin
+quotient at the class sizes, and a blow-up given by its skeleton and
+sizes is counted the same way.  `_kernels` imports this module when
+`count_injective` is first called through it; the other kernels here,
+among them the occupancy profile (the one source of H-degrees, pair
+degrees and cyclic homomorphism polynomials), are imported from here
+directly.  Counts use Python integers, so there is no host-size or
+count-magnitude limit, only speed ones.  Patterns and hosts are read
+through `n`, `rows`, `degree` and `neighbors` alone; this module imports
+nothing from the package.
 """
 
 from __future__ import annotations
@@ -54,40 +58,59 @@ def search_plan(pattern, verts=None):
 # injective embedding counting
 # ---------------------------------------------------------------------------
 
-def count_injective(host_rows, n_host: int, parents: list[list[int]]) -> int:
-    """Count injective maps of a pattern into a host preserving pattern edges.
+def count_injective(q_rows, sizes, parents: list[list[int]]) -> int:
+    """Count injective maps of a pattern, edges to edges, into the blow-up
+    of a loopless graph Q with independent blobs of sizes `sizes`.
 
-    `parents[i]` lists the earlier positions (in the fixed search order)
-    adjacent to the pattern vertex placed at position i.
+    `q_rows` are Q's adjacency bit rows and `parents[i]` lists the earlier
+    positions (in the fixed search order) adjacent to the pattern vertex
+    placed at position i.  Positions are backtracked over the blobs with a
+    free vertex (`open_`).  A placement in a blob with two or more free
+    (`multi`) weighs its free[q] vertices, and one in a blob with one free
+    closes it, so with all sizes 1 (a host given as its own rows) this is
+    plain injective backtracking.  At the last position each candidate
+    blob q adds its free[q] vertices: the candidate count, plus
+    free[q] - 1 for each candidate in `multi`.  Once the blobs run out
+    there are no candidates, and the count is 0.
     """
     m = len(parents)
     if m == 0:
         return 1
-    if m > n_host:
-        return 0
-    full = (1 << n_host) - 1
+    free = list(sizes)
     sel = [0] * m
     last = m - 1
 
-    def rec(level: int, used: int) -> int:
-        cand = full & ~used
+    def rec(level: int, open_: int, multi: int) -> int:
+        cand = open_
         for p in parents[level]:
-            cand &= host_rows[sel[p]]
+            cand &= q_rows[sel[p]]
         if level == last:
-            return cand.bit_count()
+            total, cand = cand.bit_count(), cand & multi
+            while cand:
+                bit = cand & -cand
+                total += free[bit.bit_length() - 1] - 1
+                cand ^= bit
+            return total
         total = 0
         while cand:
             bit = cand & -cand
-            sel[level] = bit.bit_length() - 1
-            total += rec(level + 1, used | bit)
-            cand &= cand - 1
+            cand ^= bit
+            sel[level] = q = bit.bit_length() - 1
+            if bit & multi:
+                f = free[q]
+                free[q] = f - 1
+                total += f * rec(level + 1, open_, multi ^ bit if f == 2 else multi)
+                free[q] = f
+            else:
+                total += rec(level + 1, open_ ^ bit, multi)
         return total
 
-    return rec(0, 0)
+    return rec(0, sum(1 << q for q, s in enumerate(sizes) if s),
+               sum(1 << q for q, s in enumerate(sizes) if s > 1))
 
 
 # ---------------------------------------------------------------------------
-# occupancy profiles: counting in a blow-up through its skeleton
+# occupancy profiles: degrees and polynomials through a skeleton
 # ---------------------------------------------------------------------------
 
 def occupancy_profile(q_rows, caps, parents: list[list[int]]) -> dict[int, int]:
@@ -107,8 +130,9 @@ def occupancy_profile(q_rows, caps, parents: list[list[int]]) -> dict[int, int]:
     masks are tallied per occupancy and expanded once at the end, so the
     last level costs one dictionary update per node.  Every graph is the
     blow-up of its twin quotient, so with caps = the class sizes this one
-    profile gives the embedding count, every H-degree and every pair degree
-    of any host; a twin-free host is its own quotient with caps all 1.
+    profile gives every H-degree and every pair degree of any host; a
+    twin-free host is its own quotient with caps all 1.  A bare count is
+    `count_injective`, which tallies no occupancy.
     """
     k = len(q_rows)
     m = len(parents)
@@ -131,9 +155,8 @@ def occupancy_profile(q_rows, caps, parents: list[list[int]]) -> dict[int, int]:
             return
         while cand:
             bit = cand & -cand
-            q = bit.bit_length() - 1
             cand ^= bit
-            sel[level] = q
+            sel[level] = q = bit.bit_length() - 1
             child = packed + unit[q]
             full = child >> q * width & field == caps[q]
             rec(level + 1, child, below_cap ^ bit if full else below_cap)

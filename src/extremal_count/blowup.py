@@ -19,8 +19,7 @@ from collections import deque
 from itertools import accumulate, chain, islice
 from typing import Iterator, NamedTuple
 
-from ._pyplace import (embeddings_listing, occupancy_moments,
-                       occupancy_profile, search_plan)
+from ._pyplace import count_injective, embeddings_listing, search_plan
 from .graphs import BudgetExceededError, Graph, is_triangle_free
 # the benchmark's span wrappers name leading_coefficient and
 # weighted_hom_sum as attributes of this module, so both are imported here
@@ -65,15 +64,15 @@ def saturation_check(patternH: Graph, wp: WeightedPattern,
                      n: int) -> SaturationReport:
     """|count_embeddings(H, blow-up at size n) / n^m - coefficient|, exact.
 
-    The blow-up of the skeleton at the rounded blob sizes is counted from
-    the occupancy profile of H over the skeleton; it is never built, so
-    the cost does not grow with n beyond the size of the integers.
+    The blow-up of the skeleton at the rounded blob sizes is counted by
+    backtracking H over the skeleton (`_pyplace.count_injective`); it is
+    never built, so the cost does not grow with n beyond the size of the
+    integers.
     """
     coeff = leading_coefficient(patternH, wp).value
     sizes = rounded_blob_sizes(wp.weights, n)
     _, parents = search_plan(patternH)
-    profile = occupancy_profile(wp.pattern.rows, sizes, parents)
-    count = occupancy_moments(profile, sizes)[0]
+    count = count_injective(wp.pattern.rows, sizes, parents)
     normalized = Fraction(count, n ** patternH.n) if n else Fraction(count)
     return SaturationReport(n, count, normalized, coeff,
                             abs(normalized - coeff))

@@ -6,15 +6,16 @@ twin quotient Q (classes of vertices with equal rows; a twin-free host is
 its own quotient, with classes of size 1).  H-degrees and pair degrees
 always come from the occupancy profile of the pattern's homomorphisms into
 Q, evaluated at the class sizes, by exact division.  A bare embedding
-count is the total of the same moments when Q is smaller than the host,
-and otherwise backtracks over the host's vertices along the search plan
-with bit-set candidate pruning.  That backtracking count alone is called
-through `_kernels`, whose entry points the benchmark's spans wrap; the
-search plan and the occupancy profile with its moments are imported from
-`_pyplace`, which also holds the injective listing that `optimize` takes
-a skeleton's automorphisms from.  A blow-up given by its skeleton and
-sizes is counted by `blowup.saturation_check` from `_pyplace` alone,
-without loading this module.
+count is one injective count into the blow-up of Q at the class sizes:
+it backtracks the pattern over Q's vertices along the search plan with
+bit-set candidate pruning, weighing each placement by the vertices still
+free in its class.  That count is called through `_kernels`, whose entry
+points the benchmark's spans wrap; the search plan and the occupancy
+profile with its moments are imported from `_pyplace`, which also holds
+the injective listing that `optimize` takes a skeleton's automorphisms
+from.  A blow-up given by its skeleton and sizes is counted by
+`blowup.saturation_check` with `_pyplace.count_injective` alone, without
+loading this module.
 """
 
 from __future__ import annotations
@@ -36,20 +37,15 @@ def __getattr__(name):
 def count_embeddings(pattern: Graph, host: Graph) -> int:
     """Number of injective maps V(pattern) -> V(host) carrying every pattern
     edge to a host edge.  A pattern larger than the host yields 0."""
-    if pattern.n > host.n:
-        return 0
     _, parents = search_plan(pattern)
     return _count_planned(parents, host)
 
 
 def _count_planned(parents, host: Graph) -> int:
-    """count_embeddings for a pattern given by its search-plan parents, no
-    larger than the host; lets a caller scoring many hosts plan once."""
+    """count_embeddings for a pattern given by its search-plan parents; lets
+    a caller scoring many hosts plan once."""
     skeleton, sizes, _ = twin_quotient(host)
-    if skeleton.n < host.n:
-        profile = occupancy_profile(skeleton.rows, sizes, parents)
-        return occupancy_moments(profile, sizes)[0]
-    return kernels.count_injective(host.rows, host.n, parents)
+    return kernels.count_injective(skeleton.rows, sizes, parents)
 
 
 def count_automorphisms(pattern: Graph) -> int:

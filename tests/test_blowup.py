@@ -279,6 +279,13 @@ def test_saturation_matches_built_blowup():
             host = build_blowup(skeleton, rounded_blob_sizes(wp.weights, n))
             count = saturation_check(k23, wp, n).count
             assert count == naive_count_embeddings(k23, host)
+    # a C5 skeleton with a weight of 0, past the oracle's reach
+    wp = WeightedPattern(cycle_graph(5), as_fractions(("1/2", "0", "1/4", "1/8", "1/8")))
+    for pattern in (cycle_graph(4), build_gps_example1(4)):
+        for n in (3, 8, 13, 24):
+            host = build_blowup(wp.pattern, rounded_blob_sizes(wp.weights, n))
+            assert saturation_check(pattern, wp, n).count == \
+                count_embeddings(pattern, host)
 
 
 def test_saturation_converges_at_hundreds():

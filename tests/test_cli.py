@@ -889,8 +889,8 @@ def test_backend_probe_loads_no_enumeration_or_embedding_code():
 
 
 def test_saturation_check_loads_no_embedding_code():
-    # a blow-up given by its skeleton and sizes is counted from the
-    # occupancy profile of _pyplace alone
+    # a blow-up given by its skeleton and sizes is counted by the injective
+    # count of _pyplace alone
     out, loaded = _loaded_modules(
         "import json, sys\n"
         "from fractions import Fraction\n"

@@ -15,7 +15,8 @@ from extremal_count import (Graph, build_blowup, build_gps_example1,
                             embeddings, h_degrees, is_bipartite,
                             is_isomorphic, is_triangle_free, path_graph,
                             star_graph)
-from extremal_count._pyplace import embeddings_listing
+from extremal_count import _pyplace
+from extremal_count._pyplace import embeddings_listing, search_plan
 from extremal_count.graphs import twin_quotient
 
 from naive import (naive_count_embeddings, naive_h_degree, naive_pair_degree,
@@ -69,6 +70,7 @@ def test_double_star_exact_counts():
 def test_count_embeddings_edge_cases():
     assert count_embeddings(path_graph(3), path_graph(2)) == 0  # pattern too big
     assert count_embeddings(Graph(0), cycle_graph(4)) == 1      # empty map
+    assert list(embeddings_listing(Graph(0), cycle_graph(4))) == [()]
     assert count_embeddings(Graph(2), Graph(3)) == 6            # no constraints
 
 
@@ -90,6 +92,29 @@ def test_counts_match_naive_enumeration():
         pattern = random_graph(rng, rng.randint(0, 5), 0.5)
         host = random_graph(rng, rng.randint(0, 7), 0.5)
         assert count_embeddings(pattern, host) == naive_count_embeddings(pattern, host)
+    # the kernel on a blow-up given by a skeleton on 1-5 vertices and blob
+    # sizes 0-3, triangles allowed in both; blow-ups over 8 vertices are
+    # redrawn to keep the oracle fast
+    seen = set()
+    checked = 0
+    while checked < 400:
+        k = rng.randint(1, 5)
+        sizes = [rng.randint(0, 3) for _ in range(k)]
+        if sum(sizes) > 8:
+            continue
+        skeleton = random_graph(rng, k, 0.6)
+        pattern = random_graph(rng, rng.randint(0, 5), 0.6)
+        _, parents = search_plan(pattern)
+        count = _pyplace.count_injective(skeleton.rows, sizes, parents)
+        assert count == naive_count_embeddings(pattern,
+                                               build_blowup(skeleton, sizes))
+        seen.update(name for name, hit in (
+            ("empty blob", 0 in sizes), ("blob of two or more", max(sizes) > 1),
+            ("pattern past the blow-up", pattern.n > sum(sizes)),
+            ("empty pattern", pattern.n == 0),
+            ("triangle", not is_triangle_free(pattern))) if hit)
+        checked += 1
+    assert len(seen) == 5
 
 
 def test_adding_host_edge_never_decreases_count():

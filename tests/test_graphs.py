@@ -238,6 +238,11 @@ def test_text_parse_errors_carry_line_numbers():
 def test_labels_do_not_affect_equality_of_structure():
     g = build_turan2(4)
     assert is_isomorphic(g, complete_bipartite(2, 2))
+    # equal graphs hash alike, so a set keeps one of them
+    p3 = Graph(3, [(0, 1), (1, 2)])
+    assert hash(p3) == hash(Graph(3, [(1, 2), (1, 0)]))
+    assert len({p3, Graph(3, [(1, 2), (1, 0)]), Graph(3, [(0, 1)])}) == 2
+    assert repr(p3) == "Graph(n=3, edges=[(0, 1), (1, 2)])"
 
 
 def _relabeled(g: Graph, rng: random.Random) -> Graph:

@@ -10,6 +10,8 @@ from extremal_count import (Graph, NotBipartiteError, build_theorem2_H,
                             count_embeddings, cycle_graph, disjoint_union,
                             maximum_matching, path_graph, star_graph)
 
+from extremal_count.matchings import _verify_koenig_cover
+
 from naive import (naive_matchings_covering, naive_max_matching_size,
                    random_bipartite_with_components)
 
@@ -110,3 +112,14 @@ def test_isolated_only_pattern():
     assert count_embeddings(g, host) == 5 * 4 * 3
     # K2 plus an isolated vertex: 12 ordered edges times 3 free vertices
     assert count_embeddings(Graph(3, [(0, 1)]), host) == 36
+
+
+def test_koenig_certificate_rejects_a_wrong_cover():
+    # two disjoint edges with nothing matched: from the left vertex 0 the
+    # cover is {1}, one vertex, and it leaves the edge (2, 3) uncovered
+    g = Graph(4, [(0, 1), (2, 3)])
+    match = dict.fromkeys(range(4))
+    with pytest.raises(RuntimeError, match="cover size mismatch"):
+        _verify_koenig_cover(g, [0], match, 0)
+    with pytest.raises(RuntimeError, match=r"edge \(2,3\) uncovered"):
+        _verify_koenig_cover(g, [0], match, 1)
